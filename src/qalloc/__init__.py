@@ -13,8 +13,9 @@ from .harness import (ComparisonReport, CurvePoint, VerifyConfig, compare, defau
 from .modelio import (FixtureSpec, LoadError, default_fixture, gen_dataset, gen_model,
                       load_allocation, load_curve, load_dataset, load_model, load_profiles,
                       save_allocation, save_curve, save_dataset, save_model, save_profiles)
-from .nn import (Dataset, Layer, Model, ShapeError, classify, classify_batch,
-                 evaluate_accuracy, feature_delta, forward, forward_batch, perturb_layer)
+from .nn import (Dataset, Layer, Model, PrefixCache, ShapeError, classify, classify_batch,
+                 evaluate_accuracy, feature_delta, forward, forward_batch, forward_from,
+                 perturb_layer, prefix_cache)
 from .probes import (AdditivityResult, CalibrationError, LayerProfile, LemmaReport, MarginStats,
                      ProbeConfig, additivity_probe, estimate_p, estimate_t, gamma, lemma_check,
                      linearity_probe, margin_stats, measurement, rank_diagnostic, theta)

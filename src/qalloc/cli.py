@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -126,10 +127,12 @@ def cmd_estimate_t(args) -> int:
     config = probes.ProbeConfig(delta_acc=args.delta_acc, seed=args.seed,
                                 acc_tolerance=args.acc_tolerance, max_iters=args.max_iters,
                                 last_n=args.last_n, threads=args.threads)
-    acc_f = nn.evaluate_accuracy(model, dataset, threads=args.threads)
-    margins = probes.margin_stats(model, dataset, threads=args.threads)
+    probes.probed_layers(model, config.last_n)  # reject a bad --last-n before any forward
+    cache = nn.prefix_cache(model, dataset.inputs, threads=args.threads)
+    acc_f = nn.accuracy(cache.logits, dataset.labels)
+    margins = probes.margin_stats(model, dataset, threads=args.threads, cache=cache)
     _progress(f"baseline accuracy {acc_f}, mean margin {margins.mean_r_star:.6g}")
-    t_probes = probes.estimate_t(model, dataset, config, margins=margins)
+    t_probes = probes.estimate_t(model, dataset, config, margins=margins, cache=cache)
     delta = config.delta_acc if config.delta_acc is not None else 0.5 * acc_f
     profiles = []
     for r in t_probes:
@@ -185,7 +188,12 @@ def cmd_allocate(args) -> int:
     elif args.method == "sqnr":
         allocation = allocate.allocate_sqnr(sizes, args.b1, pinned=pinned)
     else:
-        allocation = allocate.allocate_equal(int(round(args.b1)), sizes)
+        # the sweep's own equal branch, so that --fc-bits pins dense layers as it does there
+        found = harness._allocations_for("equal", round(args.b1), profiles, sizes, 1, pinned)
+        if not found:
+            return _err(f"equal allocation needs an integer --b1 in "
+                        f"[{quantize.B_MIN}, {quantize.B_MAX}], got {args.b1}")
+        allocation = found[0]
     path = modelio.save_allocation(allocation, out / "allocation.json")
     _write_manifest(args, out, [path])
     b_real = ", ".join(f"{b:g}" for b in allocation.b_real)
@@ -312,8 +320,14 @@ def _parse_grid(text: str | None):
     if not text:
         return harness.default_anchor_grid()
     if ":" in text:
-        lo, hi, step = (float(v) for v in text.split(":"))
-        n = int(round((hi - lo) / step))
+        try:
+            lo, hi, step = (float(v) for v in text.split(":"))
+        except ValueError:
+            raise ValueError(f"--b1-grid {text!r}: expected lo:hi:step") from None
+        span = (hi - lo) / step if math.isfinite(step) and step > 0 else math.nan
+        if not (math.isfinite(span) and span >= 0):
+            raise ValueError(f"--b1-grid {text!r}: need finite lo <= hi and a finite step > 0")
+        n = int(round(span))
         return [lo + i * step for i in range(n + 1)]
     return [float(v) for v in text.split(",")]
 

@@ -60,15 +60,17 @@ def run_pipeline(model: nn.Model, dataset: nn.Dataset,
                  out_dir=None) -> list[probes.LayerProfile]:
     """margins -> t probes -> p probes, merged into per-layer profiles.
 
-    With out_dir set, margins and the merged profiles are persisted.
+    All stages share one prefix cache, so the unmodified model is forwarded
+    once.  With out_dir set, margins and the merged profiles are persisted.
     """
-    acc_f = nn.evaluate_accuracy(model, dataset, threads=config.threads)
+    cache = nn.prefix_cache(model, dataset.inputs, threads=config.threads)
+    acc_f = nn.accuracy(cache.logits, dataset.labels)
     delta_acc = config.delta_acc if config.delta_acc is not None else 0.5 * acc_f
-    margins = probes.margin_stats(model, dataset, threads=config.threads)
+    margins = probes.margin_stats(model, dataset, threads=config.threads, cache=cache)
     t_probes = probes.estimate_t(model, dataset, replace(config, delta_acc=delta_acc),
-                                 margins=margins)
+                                 margins=margins, cache=cache)
     p_probes = probes.estimate_p(model, dataset, b_probe=config.b_probe,
-                                 threads=config.threads)
+                                 threads=config.threads, cache=cache)
     profiles = probes.build_profiles(model, t_probes, p_probes, delta_acc)
     if out_dir is not None:
         meta = {
@@ -282,9 +284,11 @@ def check_linearity(model, dataset, seed: int = 0, use_first: int = 3,
                     slope_band=(0.9, 1.1), min_r2: float = 0.99, threads: int = 1) -> CheckResult:
     """Log-log slope ~1 of feature-noise vs weight-noise power on small scales."""
     worst = []
+    cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
     for i in model.weighted_indices:
         ladder = probes.default_scale_ladder(model, i)
-        pts = probes.linearity_probe(model, dataset, i, ladder, seed=seed, threads=threads)
+        pts = probes.linearity_probe(model, dataset, i, ladder, seed=seed, threads=threads,
+                                     cache=cache)
         slope, r2 = probes.loglog_fit(pts, use_first=use_first)
         worst.append((i, slope, r2))
     passed = all(slope_band[0] <= s <= slope_band[1] and r2 >= min_r2 for _, s, r2 in worst)
@@ -382,11 +386,12 @@ def check_lemma(ds=(10, 100), deltas=(0.1, 0.3), trials: int = 10_000, seed: int
 def check_t_ratio_stability(model, dataset, seed: int = 0, rel_tol: float = 0.25,
                             fractions=(0.25, 0.5), threads: int = 1) -> CheckResult:
     """t_i/t_j should barely move when the accuracy-drop target changes."""
-    acc_f = nn.evaluate_accuracy(model, dataset, threads=threads)
+    cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
+    acc_f = nn.accuracy(cache.logits, dataset.labels)
     results = []
     for frac in fractions:
         cfg = probes.ProbeConfig(delta_acc=frac * acc_f, seed=seed, threads=threads)
-        results.append([r.t for r in probes.estimate_t(model, dataset, cfg)])
+        results.append([r.t for r in probes.estimate_t(model, dataset, cfg, cache=cache)])
     ta, tb = results
     worst = 0.0
     for i in range(len(ta)):

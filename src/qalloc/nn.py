@@ -3,13 +3,19 @@
 Tensors are numpy arrays in row-major layout; persisted weights and inputs
 are float32.  All layer arithmetic runs in float64 so that results are
 bit-reproducible across runs and so that tiny weight perturbations are not
-swallowed by rounding at layer boundaries.  The engine knows four layer
+swallowed by rounding at layer boundaries; each layer casts its input up
+(exactly) where it first reads it.  The engine knows four layer
 kinds: dense, conv2d, relu and maxpool2d.  Feature maps for conv/pool
 layers have shape (height, width, channels); conv kernels have shape
 (kernel_h, kernel_w, in_channels, out_channels).
 
 The final layer output is the pre-softmax feature vector; classification
 picks its argmax (softmax never changes the argmax, so it is not applied).
+
+A `PrefixCache` holds a model's baseline logits on an input stack plus the
+input of every weighted layer.  `forward_from` evaluates a copy of that model
+with one layer changed by running only the layers from the changed one on,
+and its result equals `forward_batch` on the copy bit for bit.
 """
 
 from __future__ import annotations
@@ -194,7 +200,7 @@ class Dataset:
 
 
 def _apply_conv2d(x, layer: Layer):
-    # x: (n, h, w, c) float64
+    # x: (n, h, w, c), float32 or float64
     w = layer.weights.astype(np.float64, copy=False)
     kh, kw, cin, cout = w.shape
     s = layer.stride
@@ -204,6 +210,10 @@ def _apply_conv2d(x, layer: Layer):
         ph = max((oh - 1) * s + kh - h, 0)
         pw = max((ow - 1) * s + kw - wd, 0)
         x = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
+    # Cast after padding: the cast is exact, and a float64 copy of an unpadded
+    # float32 input would otherwise be alive beside the padded one here, where
+    # the engine's peak memory is set.
+    x = x.astype(np.float64, copy=False)
     out = np.zeros((n, oh, ow, cout), dtype=np.float64)
     for dy in range(kh):
         for dx in range(kw):
@@ -215,6 +225,7 @@ def _apply_conv2d(x, layer: Layer):
 
 
 def _apply_maxpool2d(x, layer: Layer):
+    x = x.astype(np.float64, copy=False)
     n, h, w, c = x.shape
     k, s = layer.pool_size, layer.stride
     oh, ow = (h - k) // s + 1, (w - k) // s + 1
@@ -228,25 +239,59 @@ def _apply_maxpool2d(x, layer: Layer):
 
 
 def _apply_dense(x, layer: Layer):
-    x = x.reshape(x.shape[0], -1)
+    x = x.reshape(x.shape[0], -1).astype(np.float64, copy=False)
     out = x @ layer.weights.astype(np.float64, copy=False)
     if layer.bias is not None:
         out += layer.bias.astype(np.float64, copy=False)
     return out
 
 
-def _forward_chunk(model: Model, xs: np.ndarray) -> np.ndarray:
-    x = xs.astype(np.float64, copy=False)
-    for layer in model.layers:
+def _forward_chunk(model: Model, x: np.ndarray, start: int, keep) -> tuple[np.ndarray, list]:
+    """Run layers[start:] on one chunk; also return the inputs of the layers in keep."""
+    kept = []
+    for i in range(start, len(model.layers)):
+        if i in keep:
+            kept.append(x)
+        layer = model.layers[i]
         if layer.kind == "dense":
             x = _apply_dense(x, layer)
         elif layer.kind == "conv2d":
             x = _apply_conv2d(x, layer)
         elif layer.kind == "relu":
-            x = np.maximum(x, 0.0)
+            x = np.maximum(x.astype(np.float64, copy=False), 0.0)
         else:
             x = _apply_maxpool2d(x, layer)
-    return x
+    return x, kept
+
+
+def _split(rows: np.ndarray, threads: int) -> list[np.ndarray]:
+    """The evaluation chunks of a row stack: one, or fixed-size ones when threaded."""
+    n = len(rows)
+    if threads <= 1 or n <= _CHUNK:
+        return [rows]
+    return [rows[i:i + _CHUNK] for i in range(0, n, _CHUNK)]
+
+
+def _forward_chunks(model: Model, start: int, chunks, threads: int, keep=()):
+    """Run layers[start:] on each chunk: (logits in chunk order, kept inputs per chunk)."""
+    def run(x):
+        return _forward_chunk(model, x, start, keep)
+
+    if len(chunks) == 1:
+        results = [run(chunks[0])]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, chunks))
+    outs = [r[0] for r in results]
+    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)), [r[1] for r in results]
+
+
+def _check_inputs(model: Model, inputs) -> np.ndarray:
+    inputs = np.asarray(inputs)
+    if inputs.shape[1:] != tuple(model.input_shape):
+        raise ShapeError(
+            f"model expects input shape {tuple(model.input_shape)}, got {inputs.shape[1:]}")
+    return inputs
 
 
 def forward_batch(model: Model, inputs: np.ndarray, threads: int = 1) -> np.ndarray:
@@ -255,17 +300,60 @@ def forward_batch(model: Model, inputs: np.ndarray, threads: int = 1) -> np.ndar
     Deterministic for any thread count: inputs are split into fixed-size
     chunks and results concatenated in chunk order.
     """
-    inputs = np.asarray(inputs)
-    if inputs.shape[1:] != tuple(model.input_shape):
-        raise ShapeError(
-            f"model expects input shape {tuple(model.input_shape)}, got {inputs.shape[1:]}")
-    n = inputs.shape[0]
-    if threads <= 1 or n <= _CHUNK:
-        return _forward_chunk(model, inputs)
-    chunks = [inputs[i:i + _CHUNK] for i in range(0, n, _CHUNK)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(lambda c: _forward_chunk(model, c), chunks))
-    return np.concatenate(parts, axis=0)
+    inputs = _check_inputs(model, inputs)
+    return _forward_chunks(model, 0, _split(inputs, threads), threads)[0]
+
+
+@dataclass(frozen=True, eq=False)
+class PrefixCache:
+    """A model's baseline logits on an input stack, plus every weighted layer's input.
+
+    Made by `prefix_cache`; read by `forward_from`.  Activations are held per
+    evaluation chunk, split exactly as `forward_batch` splits the same
+    (n, threads), so a forward resumed from them repeats its arithmetic.
+    Layer 0 resumes from the caller's inputs, which are referenced, not
+    copied.  The cached arrays are read-only.
+    """
+
+    model: Model
+    inputs: np.ndarray
+    threads: int
+    logits: np.ndarray
+    chunks: dict[int, tuple[np.ndarray, ...]]  # layer index -> that layer's input, per chunk
+
+
+def prefix_cache(model: Model, inputs: np.ndarray, threads: int = 1) -> PrefixCache:
+    """One baseline forward, keeping the logits and the input of each weighted layer."""
+    inputs = _check_inputs(model, inputs)
+    if len(inputs) == 0:
+        raise ValueError("cannot cache a forward over an empty input stack")
+    keep = tuple(i for i in model.weighted_indices if i > 0)
+    parts = _split(inputs, threads)
+    logits, kept = _forward_chunks(model, 0, parts, threads, keep)
+    chunks = {0: tuple(parts)}
+    for j, i in enumerate(keep):
+        chunks[i] = tuple(k[j] for k in kept)
+        for a in chunks[i]:
+            a.flags.writeable = False
+    logits.flags.writeable = False
+    return PrefixCache(model, inputs, threads, logits, chunks)
+
+
+def forward_from(cache: PrefixCache, model: Model, index: int) -> np.ndarray:
+    """Logits of `model`, a copy of the cached model with layer `index` changed.
+
+    Runs only layers[index:], from the cached input of layer `index`; the
+    result equals forward_batch(model, cache.inputs, cache.threads) bit for
+    bit.  Every layer before `index` must be the cached model's own layer
+    object, as perturb_layer and quantize_single_layer leave them.
+    """
+    if index not in cache.chunks:
+        raise ValueError(f"no cached input for layer {index}; "
+                         f"cached layers are {sorted(cache.chunks)}")
+    if model.input_shape != cache.model.input_shape or any(
+            a is not b for a, b in zip(model.layers[:index], cache.model.layers)):
+        raise ValueError(f"layers before {index} differ from the cached model's")
+    return _forward_chunks(model, index, cache.chunks[index], cache.threads)[0]
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
@@ -288,14 +376,24 @@ def classify_batch(zs: np.ndarray) -> np.ndarray:
     return np.argmax(zs, axis=1)
 
 
+def _check_labels(labels: np.ndarray, d: int):
+    if len(labels) == 0:
+        raise ValueError("cannot evaluate accuracy on an empty dataset")
+    if labels.max() >= d:
+        raise ValueError(f"label {labels.max()} out of range for d={d}")
+
+
+def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
+    """Fraction of rows of an (n, d) logit batch whose argmax matches the label."""
+    labels = np.asarray(labels)
+    _check_labels(labels, logits.shape[1])
+    return int(np.count_nonzero(classify_batch(logits) == labels)) / len(labels)
+
+
 def evaluate_accuracy(model: Model, dataset: Dataset, threads: int = 1) -> float:
     """Fraction of samples whose argmax matches the label."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate accuracy on an empty dataset")
-    if dataset.labels.max() >= model.d:
-        raise ValueError(f"label {dataset.labels.max()} out of range for d={model.d}")
-    preds = classify_batch(forward_batch(model, dataset.inputs, threads=threads))
-    return int(np.count_nonzero(preds == dataset.labels)) / len(dataset)
+    _check_labels(dataset.labels, model.d)  # before the forward, which needs a row
+    return accuracy(forward_batch(model, dataset.inputs, threads=threads), dataset.labels)
 
 
 def perturb_layer(model: Model, index: int, noise: np.ndarray,
@@ -324,15 +422,12 @@ def perturb_layer(model: Model, index: int, noise: np.ndarray,
     return model.replace_layer(index, replace(layer, weights=new_w, bias=new_b))
 
 
-def feature_difference_matrix(model: Model, other: Model, dataset: Dataset,
-                              threads: int = 1) -> np.ndarray:
-    """Per-sample feature differences z - z', shape (n, d)."""
-    za = forward_batch(model, dataset.inputs, threads=threads)
-    zb = forward_batch(other, dataset.inputs, threads=threads)
-    return za - zb
+def mean_power(diff: np.ndarray) -> float:
+    """Mean over rows of the squared norm of an (n, d) feature difference."""
+    return float(np.mean(np.sum(diff * diff, axis=1)))
 
 
 def feature_delta(model: Model, other: Model, dataset: Dataset, threads: int = 1) -> float:
     """Mean over the dataset of the squared feature-vector difference norm."""
-    diff = feature_difference_matrix(model, other, dataset, threads=threads)
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+    return mean_power(forward_batch(model, dataset.inputs, threads=threads)
+                      - forward_batch(other, dataset.inputs, threads=threads))

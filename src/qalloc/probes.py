@@ -14,6 +14,13 @@ Both are deterministic under a fixed seed; the per-layer noise direction is
 drawn from a generator seeded with (seed XOR layer_index), so layers can be
 probed concurrently without sharing RNG state.
 
+Every probe changes one layer i at a time, so layers before i compute what
+the unmodified model computes.  The probes therefore share an
+`nn.PrefixCache`: one baseline forward gives the baseline logits (accuracy,
+margins, the baseline side of every feature-noise difference) and each
+probed copy runs only from layer i on.  Each probe takes the cache as an
+optional `cache=` argument and builds its own when none is given.
+
 Also here: linearity and additivity diagnostics for the small-noise
 assumptions behind p and t, and a Monte Carlo check of the random-versus-
 adversarial noise bound used to justify the margin normalization.
@@ -103,11 +110,28 @@ class LayerProfile:
     degenerate: bool = False
 
 
-def margin_stats(model: Model, dataset: Dataset, bins: int = 50, threads: int = 1) -> MarginStats:
-    """Per-sample margins (z1 - z2)^2 / 2 over the dataset."""
+def _cache_for(model: Model, dataset: Dataset, threads: int,
+               cache: nn.PrefixCache | None) -> nn.PrefixCache:
+    """The caller's cache, checked against the probe's arguments, or a new one."""
+    if cache is None:
+        return nn.prefix_cache(model, dataset.inputs, threads=threads)
+    if cache.model is not model or cache.inputs is not dataset.inputs or cache.threads != threads:
+        raise ValueError("prefix cache was built for a different model, dataset or thread count")
+    return cache
+
+
+def margin_stats(model: Model, dataset: Dataset, bins: int = 50, threads: int = 1, *,
+                 cache: nn.PrefixCache | None = None) -> MarginStats:
+    """Per-sample margins (z1 - z2)^2 / 2 over the dataset.
+
+    One forward, or none when a prefix cache supplies the baseline logits.
+    """
     if model.d < 2:
         raise ValueError("margins need at least two classes")
-    z = nn.forward_batch(model, dataset.inputs, threads=threads)
+    if cache is None:
+        z = nn.forward_batch(model, dataset.inputs, threads=threads)
+    else:
+        z = _cache_for(model, dataset, threads, cache).logits
     top2 = np.partition(z, z.shape[1] - 2, axis=1)[:, -2:]
     margins = (top2[:, 1] - top2[:, 0]) ** 2 / 2.0
     counts, edges = np.histogram(margins, bins=bins)
@@ -127,26 +151,43 @@ def _layer_rng(seed: int, layer_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((_PROBE_SALT, seed ^ layer_index)))
 
 
+def probed_layers(model: Model, last_n: int | None = None) -> tuple[int, ...]:
+    """The weighted layers estimate_t probes: all of them, or the last last_n."""
+    weighted = model.weighted_indices
+    if last_n is None:
+        return weighted
+    if not 1 <= last_n <= len(weighted):
+        raise ValueError(f"last_n must lie in 1..{len(weighted)} (the weighted layer count), "
+                         f"got {last_n}")
+    return weighted[-last_n:]
+
+
 def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig(),
-               margins: MarginStats | None = None) -> list[TProbe]:
+               margins: MarginStats | None = None, *,
+               cache: nn.PrefixCache | None = None) -> list[TProbe]:
     """Robustness parameter t for each weighted layer (binary search on noise scale).
 
     For each probed layer a fixed uniform(-0.5, 0.5) direction is scaled by k,
     with k bisected geometrically in [k_min, k_max] until the accuracy drop is
     within acc_tolerance of the target.  A layer that cannot be brought into
     tolerance aborts the run with CalibrationError carrying partial results.
+
+    Cost: one baseline forward to build the prefix cache (none when `cache`
+    is given), then one forward of layers[i:] per bisection iteration on
+    layer i.  The accepted iterate's logits give its feature-noise power, so
+    that costs no further forward.
     """
-    acc_f = nn.evaluate_accuracy(model, dataset, threads=config.threads)
+    probe_set = probed_layers(model, config.last_n)
+    cache = _cache_for(model, dataset, config.threads, cache)
+    acc_f = nn.accuracy(cache.logits, dataset.labels)
     target = config.delta_acc if config.delta_acc is not None else 0.5 * acc_f
     if not (0 < target < acc_f):
         raise ValueError(f"delta_acc must lie in (0, baseline accuracy={acc_f}), got {target}")
     if margins is None:
-        margins = margin_stats(model, dataset, threads=config.threads)
+        margins = margin_stats(model, dataset, threads=config.threads, cache=cache)
     if margins.mean_r_star <= 0:
         raise ValueError("mean margin is zero; cannot normalize t")
 
-    weighted = model.weighted_indices
-    probe_set = weighted if config.last_n is None else weighted[-config.last_n:]
     results: list[TProbe] = []
     for i in probe_set:
         rng = _layer_rng(config.seed, i)
@@ -158,10 +199,10 @@ def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig
         while iters < config.max_iters:
             iters += 1
             k = math.sqrt(k_lo * k_hi)
-            perturbed = nn.perturb_layer(model, i, k * direction)
-            drop = acc_f - nn.evaluate_accuracy(perturbed, dataset, threads=config.threads)
+            z = nn.forward_from(cache, nn.perturb_layer(model, i, k * direction), i)
+            drop = acc_f - nn.accuracy(z, dataset.labels)
             if abs(drop - target) <= config.acc_tolerance:
-                found = (k, perturbed)
+                found = (k, z)
                 break
             if drop < target:
                 k_lo = k
@@ -174,28 +215,34 @@ def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig
                 f"layer {i}: accuracy drop {drop:.4f} never reached target {target:.4f} "
                 f"+/- {config.acc_tolerance} within bounds [{config.k_min}, {config.k_max}] "
                 f"({iters} iterations)", partial=results)
-        k, perturbed = found
-        power = nn.feature_delta(model, perturbed, dataset, threads=config.threads)
+        k, z = found
+        power = nn.mean_power(cache.logits - z)
         results.append(TProbe(i, power / margins.mean_r_star, k, power, drop, iters, True))
 
     if config.last_n is not None and probe_set:
         earliest = results[0]
         pre = [TProbe(i, earliest.t, math.nan, math.nan, math.nan, 0, True, copied=True)
-               for i in weighted if i not in probe_set]
+               for i in model.weighted_indices if i not in probe_set]
         results = pre + results
     return results
 
 
-def estimate_p(model: Model, dataset: Dataset, b_probe: int = 10, threads: int = 1) -> list[PProbe]:
-    """Noise coefficient p for each weighted layer via single-layer quantization."""
+def estimate_p(model: Model, dataset: Dataset, b_probe: int = 10, threads: int = 1, *,
+               cache: nn.PrefixCache | None = None) -> list[PProbe]:
+    """Noise coefficient p for each weighted layer via single-layer quantization.
+
+    Cost: one baseline forward to build the prefix cache (none when `cache`
+    is given), then one forward of layers[i:] per weighted layer i.
+    """
     if b_probe != int(b_probe) or not (B_MIN <= int(b_probe) <= B_MAX):
         raise ValueError(f"b_probe must be an integer in [{B_MIN}, {B_MAX}], got {b_probe}")
     b_probe = int(b_probe)
+    cache = _cache_for(model, dataset, threads, cache)
     scale = math.exp(-ALPHA * b_probe)
     results = []
     for i in model.weighted_indices:
         quantized = quantize_single_layer(model, i, b_probe)
-        power = nn.feature_delta(model, quantized, dataset, threads=threads)
+        power = nn.mean_power(cache.logits - nn.forward_from(cache, quantized, i))
         if power == 0.0:
             warnings.warn(f"layer {i}: zero noise response at b={b_probe}; "
                           "flagged degenerate and excluded from allocation")
@@ -231,18 +278,20 @@ def default_scale_ladder(model: Model, layer_index: int, count: int = 6,
 
 
 def linearity_probe(model: Model, dataset: Dataset, layer_index: int, scales,
-                    seed: int = 0, threads: int = 1) -> list[tuple[float, float]]:
+                    seed: int = 0, threads: int = 1, *,
+                    cache: nn.PrefixCache | None = None) -> list[tuple[float, float]]:
     """(weight-noise power, feature-noise power) for one direction at several scales."""
     scales = [float(s) for s in scales]
     if len(scales) < 5:
         raise ValueError("need a ladder of at least 5 scales")
+    cache = _cache_for(model, dataset, threads, cache)
     rng = _layer_rng(seed, layer_index)
     direction = rng.uniform(-0.5, 0.5, size=model.layers[layer_index].weights.shape)
     dir_power = float(np.sum(direction * direction))
     points = []
     for k in sorted(scales):
         perturbed = nn.perturb_layer(model, layer_index, k * direction)
-        rz2 = nn.feature_delta(model, perturbed, dataset, threads=threads)
+        rz2 = nn.mean_power(cache.logits - nn.forward_from(cache, perturbed, layer_index))
         points.append((k * k * dir_power, rz2))
     return points
 
@@ -273,16 +322,19 @@ class AdditivityResult:
         return abs(self.sum_singles - self.joint) / self.joint if self.joint else 0.0
 
 
-def additivity_probe(model: Model, dataset: Dataset, allocation, threads: int = 1) -> AdditivityResult:
+def additivity_probe(model: Model, dataset: Dataset, allocation, threads: int = 1, *,
+                     cache: nn.PrefixCache | None = None) -> AdditivityResult:
     """Compare per-layer quantization noise powers against joint quantization."""
     bits = list(getattr(allocation, "b_int", allocation))
     weighted = model.weighted_indices
+    cache = _cache_for(model, dataset, threads, cache)
     singles = []
     for i, b in zip(weighted, bits, strict=True):
         q = quantize_single_layer(model, i, int(b))
-        singles.append(nn.feature_delta(model, q, dataset, threads=threads))
+        singles.append(nn.mean_power(cache.logits - nn.forward_from(cache, q, i)))
     joint_model = quantize_model(model, bits)
-    joint = nn.feature_delta(model, joint_model, dataset, threads=threads)
+    joint = nn.mean_power(cache.logits - nn.forward_batch(joint_model, dataset.inputs,
+                                                          threads=threads))
     return AdditivityResult(tuple(singles), float(sum(singles)), joint)
 
 
@@ -345,7 +397,8 @@ def lemma_check(d: int, delta: float, trials: int, seed: int = 0) -> LemmaReport
 
 
 def rank_diagnostic(model: Model, dataset: Dataset, layer_index: int,
-                    scale: float | None = None, seed: int = 0, threads: int = 1) -> int:
+                    scale: float | None = None, seed: int = 0, threads: int = 1, *,
+                    cache: nn.PrefixCache | None = None) -> int:
     """Numerical rank of the per-sample feature-noise matrix for one layer.
 
     Noise injected into earlier layers tends to reach the feature vector with
@@ -356,7 +409,8 @@ def rank_diagnostic(model: Model, dataset: Dataset, layer_index: int,
     rng = _layer_rng(seed, layer_index)
     direction = rng.uniform(-0.5, 0.5, size=model.layers[layer_index].weights.shape)
     perturbed = nn.perturb_layer(model, layer_index, scale * direction)
-    diffs = nn.feature_difference_matrix(model, perturbed, dataset, threads=threads)
+    cache = _cache_for(model, dataset, threads, cache)
+    diffs = cache.logits - nn.forward_from(cache, perturbed, layer_index)
     return int(np.linalg.matrix_rank(diffs))
 
 

@@ -90,6 +90,53 @@ class TestAllocate:
         assert "incomplete" in capsys.readouterr().err
 
 
+    def test_equal_honours_fc_bits_like_sweep(self, tmp_path):
+        from qalloc import harness
+
+        rng = np.random.default_rng(1)
+        model = Model((Layer("conv2d", rng.uniform(-1, 1, (3, 3, 1, 2)).astype(np.float32)),
+                       Layer("relu"),
+                       Layer("dense", rng.uniform(-1, 1, (18, 4)).astype(np.float32))), (5, 5, 1))
+        inputs = rng.standard_normal((50, 5, 5, 1)).astype(np.float32)
+        ds = Dataset(inputs, nn.classify_batch(nn.forward_batch(model, inputs)))
+        path = profiles_file(tmp_path, [("conv2d", 18, 2.0, 3.0), ("dense", 72, 2.0, 3.0)])
+        assert main(["allocate", "--profiles", str(path), "--method", "equal", "--b1", "8",
+                     "--fc-bits", "16", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "allocation.json").read_text())
+        profiles, _ = modelio.load_profiles(path)
+        point, = harness.sweep(model, ds, profiles, b1_values=[8], methods=("equal",),
+                               fc_bits=16)["equal"]
+        assert doc["b_int"] == list(point.allocation.b_int) == [8, 16]
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("last_n", ["0", "3"])
+    def test_last_n_outside_weighted_layers_is_one_line_exit_1(self, rig, tmp_path, capsys,
+                                                               last_n):
+        assert main(["estimate-t", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--last-n", last_n, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: last_n must lie in 1..2") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", ["4:12:0", "4:12:-1", "12:4:1", "4:12", "4:x:1",
+                                      "4:inf:1", "4:12:nan"])
+    def test_bad_b1_grid_is_one_line_exit_1(self, rig, tmp_path, capsys, grid):
+        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--profiles", str(path), "--b1-grid", grid, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --b1-grid") and err.count("\n") == 1
+
+    def test_valid_b1_grids_parse_as_before(self):
+        from qalloc import harness
+        from qalloc.cli import _parse_grid
+
+        assert _parse_grid("6:10:1") == [6.0, 7.0, 8.0, 9.0, 10.0]
+        assert _parse_grid("4:12:0.5") == harness.default_anchor_grid()
+        assert _parse_grid("7:7:1") == [7.0]
+        assert _parse_grid("5,6.5") == [5.0, 6.5]
+
+
 class TestQuantizeEvaluate:
     def test_quantize_then_evaluate(self, rig, tmp_path, capsys):
         path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])

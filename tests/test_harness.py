@@ -36,6 +36,13 @@ class TestPipeline:
         cfg = ProbeConfig(delta_acc=0.3, acc_tolerance=0.02, seed=1)
         assert harness.run_pipeline(model, ds, cfg) == small_profiles
 
+    def test_profiles_identical_at_any_thread_count(self, fixture_model):
+        # 1100 rows: one chunk at threads=1, three chunks (512/512/76) otherwise
+        ds = modelio.gen_dataset(fixture_model, 1100, seed=modelio.DEFAULT_SEED + 1)
+        runs = [harness.run_pipeline(fixture_model, ds, ProbeConfig(seed=0, threads=t))
+                for t in (1, 2, 4)]
+        assert runs[0] == runs[1] == runs[2]
+
     def test_single_layer_t_recomputable_from_persisted_parts(self, tmp_path):
         rng = np.random.default_rng(8)
         w = rng.uniform(-0.5, 0.5, size=(10, 4)).astype(np.float32)

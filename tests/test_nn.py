@@ -241,3 +241,61 @@ class TestLinearityInvariants:
         # conv scales every pixel by (1 + 1e-3); the pooled max is 1.0, so the
         # output moves by exactly 1e-3 * 1.0
         assert delta == pytest.approx((1e-3) ** 2, rel=1e-9)
+
+
+def conv_net(padding, seed=0):
+    """conv -> relu -> maxpool -> conv -> relu -> dense -> relu -> dense on 8x8x2 inputs."""
+    rng = np.random.default_rng(seed)
+
+    def u(*shape):
+        return rng.uniform(-0.5, 0.5, size=shape).astype(np.float32)
+
+    front = (Layer("conv2d", u(3, 3, 2, 3), u(3), padding=padding), Layer("relu"),
+             Layer("maxpool2d", pool_size=2, stride=2),
+             Layer("conv2d", u(3, 3, 3, 4), u(4), padding=padding), Layer("relu"))
+    flat = 4 * 4 * 4 if padding == "same" else 1 * 1 * 4  # 8 -> 4 -> 4, or 8 -> 6 -> 3 -> 1
+    return Model(front + (Layer("dense", u(flat, 6), u(6)), Layer("relu"),
+                          Layer("dense", u(6, 5), u(5))), (8, 8, 2))
+
+
+class TestPrefixCache:
+    @given(padding=st.sampled_from(["same", "valid"]), n=st.sampled_from([1, 511, 512, 513, 1100]),
+           threads=st.sampled_from([1, 2, 4]), dtype=st.sampled_from([np.float32, np.float64]),
+           quantized=st.booleans(), seed=st.integers(0, 1000))
+    @settings(max_examples=40, deadline=None)
+    def test_forward_from_equals_forward_batch(self, padding, n, threads, dtype, quantized, seed):
+        from qalloc.quantize import quantize_single_layer
+
+        model = conv_net(padding, seed)
+        rng = np.random.default_rng(seed + 1)
+        x32 = rng.standard_normal((n,) + model.input_shape).astype(np.float32)
+        x = x32.astype(dtype)
+        # the engine's float64 cast is exact, wherever it happens
+        assert np.array_equal(nn.forward_batch(model, x32, threads),
+                              nn.forward_batch(model, x32.astype(np.float64), threads))
+        cache = nn.prefix_cache(model, x, threads)
+        assert np.array_equal(cache.logits, nn.forward_batch(model, x, threads))
+        for i in model.weighted_indices:
+            if quantized:
+                changed = quantize_single_layer(model, i, 4)
+            else:
+                noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
+                changed = nn.perturb_layer(model, i, noise)
+            assert np.array_equal(nn.forward_from(cache, changed, i),
+                                  nn.forward_batch(changed, x, threads))
+
+    def test_rejects_changed_prefix_uncached_layer_and_writes(self):
+        model = conv_net("same")
+        x = np.random.default_rng(0).standard_normal((20, 8, 8, 2)).astype(np.float32)
+        cache = nn.prefix_cache(model, x)
+        noise = np.full(model.layers[0].weights.shape, 1e-3)
+        other = nn.perturb_layer(nn.perturb_layer(model, 0, noise), 3,
+                                 np.zeros(model.layers[3].weights.shape))
+        with pytest.raises(ValueError, match="layers before 3"):
+            nn.forward_from(cache, other, 3)
+        with pytest.raises(ValueError, match="no cached input for layer 1"):
+            nn.forward_from(cache, model, 1)
+        with pytest.raises(ValueError):
+            cache.logits[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            cache.chunks[3][0][0, 0, 0, 0] = 1.0

@@ -127,6 +127,37 @@ class TestEstimateT:
         with pytest.raises(ValueError, match="delta_acc"):
             probes.estimate_t(model, ds, ProbeConfig(delta_acc=1.5))
 
+    @pytest.mark.parametrize("last_n", [0, -1, 3])
+    def test_last_n_outside_weighted_count_rejected(self, last_n):
+        model, ds = small_fixture()  # two weighted layers
+        with pytest.raises(ValueError, match="last_n must lie in 1..2"):
+            probes.estimate_t(model, ds, ProbeConfig(delta_acc=0.4, last_n=last_n))
+
+
+class TestSharedCache:
+    def test_probes_with_a_shared_cache_equal_their_own(self):
+        model, ds = small_fixture(n=1100)
+        for threads in (1, 2):
+            cache = nn.prefix_cache(model, ds.inputs, threads)
+            cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=3, threads=threads)
+            assert (probes.estimate_t(model, ds, cfg, cache=cache)
+                    == probes.estimate_t(model, ds, cfg))
+            assert (probes.estimate_p(model, ds, b_probe=8, threads=threads, cache=cache)
+                    == probes.estimate_p(model, ds, b_probe=8, threads=threads))
+            assert (probes.margin_stats(model, ds, threads=threads, cache=cache)
+                    == probes.margin_stats(model, ds, threads=threads))
+
+    def test_cache_for_other_arguments_rejected(self):
+        model, ds = small_fixture()
+        cache = nn.prefix_cache(model, ds.inputs, threads=1)
+        other, _ = small_fixture(seed=1)
+        with pytest.raises(ValueError, match="prefix cache"):
+            probes.estimate_p(other, ds, cache=cache)
+        with pytest.raises(ValueError, match="prefix cache"):
+            probes.estimate_p(model, ds, threads=2, cache=cache)
+        with pytest.raises(ValueError, match="prefix cache"):
+            probes.estimate_p(model, Dataset(ds.inputs.copy(), ds.labels), cache=cache)
+
 
 class TestEstimateP:
     def test_duplicating_dataset_leaves_p_unchanged(self):
