@@ -22,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .quantize import ALPHA, B_MAX, B_MIN
+from .quantize import ALPHA, B_MAX, B_MIN, check_bits
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class BitAllocation:
     b_real: tuple[float, ...]
     b_int: tuple[int, ...]
     size_bits: int
-    saturated: tuple[int, ...] = ()  # positions where rounding hit the [B_MIN, B_MAX] clamp
+    saturated: tuple[int, ...] = ()  # positions whose b_real lies outside [B_MIN, B_MAX]
 
 
 def size_bits(sizes, bits) -> int:
@@ -47,12 +47,15 @@ def _clamp_int(b: float) -> int:
     return min(max(rounded, B_MIN), B_MAX)
 
 
+def _saturated(b_real) -> tuple[int, ...]:
+    """Positions whose real bit-width lies outside [B_MIN, B_MAX], so rounding clamps them."""
+    return tuple(i for i, r in enumerate(b_real) if not B_MIN <= r <= B_MAX)
+
+
 def _finish(method, b1, b_real, sizes) -> BitAllocation:
     b_int = tuple(_clamp_int(b) for b in b_real)
-    saturated = tuple(i for i, (r, n) in enumerate(zip(b_real, b_int))
-                      if n in (B_MIN, B_MAX) and abs(r - n) > 0.5)
     return BitAllocation(method, float(b1), tuple(float(b) for b in b_real), b_int,
-                         size_bits(sizes, b_int), saturated)
+                         size_bits(sizes, b_int), _saturated(b_real))
 
 
 def _profile_fields(profiles):
@@ -108,15 +111,12 @@ def allocate_sqnr(sizes, b1: float, pinned: dict[int, int] | None = None) -> Bit
     return _finish("sqnr", b1, b_real, s)
 
 
-def allocate_equal(bits: int, sizes) -> BitAllocation:
-    """Constant bit-width vector."""
-    if bits != int(bits) or not (B_MIN <= int(bits) <= B_MAX):
-        raise ValueError(f"equal allocation needs an integer bit-width in [{B_MIN}, {B_MAX}], got {bits}")
-    bits = int(bits)
+def allocate_equal(bits: int, sizes, pinned: dict[int, int] | None = None) -> BitAllocation:
+    """Constant bit-width vector; `pinned` positions take their pin instead."""
+    bits = check_bits(bits, "equal allocation bit-width")
+    pinned = pinned or {}
     s = [int(v) for v in sizes]
-    b_real = [float(bits)] * len(s)
-    return BitAllocation("equal", float(bits), tuple(b_real), tuple([bits] * len(s)),
-                         size_bits(s, [bits] * len(s)))
+    return _finish("equal", bits, [float(pinned.get(i, bits)) for i in range(len(s))], s)
 
 
 def predicted_m_all(bits, weights=None) -> float:
@@ -159,12 +159,9 @@ def round_allocation(b_real, sizes, max_variants: int = 16, weights=None,
             seen[combo] = (predicted_m_all(combo, weights), size_bits(s, combo))
     ranked = sorted(seen.items(), key=lambda kv: (kv[1][0], kv[1][1], kv[0]))
     anchor = float(b_real[0]) if b1 is None else float(b1)
-    out = []
-    for combo, (_, sz) in ranked[:max_variants]:
-        saturated = tuple(i for i, (r, n) in enumerate(zip(b_real, combo))
-                          if n in (B_MIN, B_MAX) and not (B_MIN <= r <= B_MAX))
-        out.append(BitAllocation(method, anchor, tuple(b_real), tuple(combo), sz, saturated))
-    return out
+    saturated = _saturated(b_real)
+    return [BitAllocation(method, anchor, tuple(b_real), tuple(combo), sz, saturated)
+            for combo, (_, sz) in ranked[:max_variants]]
 
 
 def stationarity_residual(profiles, b_real) -> float:

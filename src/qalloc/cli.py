@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__, allocate, harness, modelio, nn, probes, quantize
@@ -50,36 +50,36 @@ def _write_manifest(args, out: Path, outputs: list[Path]):
     modelio.write_json(out / "manifest.json", payload)
 
 
+def _merge_profile(a: probes.LayerProfile, b: probes.LayerProfile) -> probes.LayerProfile:
+    """One layer's record from a t-only and a p-only run: each side fills the other's NaNs."""
+    first = {f: getattr(a, f) if getattr(a, f) == getattr(a, f) else getattr(b, f)
+             for f in ("t", "p", "noise_scale", "delta_acc")}
+    return replace(b, **first, b_probe=max(a.b_probe, b.b_probe),
+                   copied_t=a.copied_t or b.copied_t, degenerate=a.degenerate or b.degenerate)
+
+
 def _load_merged_profiles(paths):
     """Merge one or more partial profile files (t-only and p-only runs)."""
-    merged: dict[int, dict] = {}
+    merged: dict[int, probes.LayerProfile] = {}
     meta = {}
     for path in paths:
         profiles, m = modelio.load_profiles(path)
         meta.update(m)
         for p in profiles:
-            rec = merged.setdefault(p.index, {})
-            prev = rec.get("profile")
-            if prev is None:
-                rec["profile"] = p
-            else:
-                t = prev.t if prev.t == prev.t else p.t
-                pp = prev.p if prev.p == prev.p else p.p
-                scale = prev.noise_scale if prev.noise_scale == prev.noise_scale else p.noise_scale
-                dacc = prev.delta_acc if prev.delta_acc == prev.delta_acc else p.delta_acc
-                rec["profile"] = probes.LayerProfile(
-                    index=p.index, kind=p.kind, s=p.s, t=t, p=pp, noise_scale=scale,
-                    delta_acc=dacc, b_probe=max(prev.b_probe, p.b_probe),
-                    weight_range=p.weight_range,
-                    copied_t=prev.copied_t or p.copied_t,
-                    degenerate=prev.degenerate or p.degenerate)
-    out = [merged[i]["profile"] for i in sorted(merged)]
+            merged[p.index] = _merge_profile(merged[p.index], p) if p.index in merged else p
+    out = [merged[i] for i in sorted(merged)]
     for p in out:
         if p.t != p.t or p.p != p.p:
             raise modelio.LoadError(
                 f"layer {p.index}: profiles incomplete (t={p.t}, p={p.p}); "
                 "supply both an estimate-t and an estimate-p output")
     return out, meta
+
+
+def _check_fc_bits(args):
+    """Reject an out-of-range --fc-bits before anything is loaded or run."""
+    if args.fc_bits is not None:
+        quantize.check_bits(args.fc_bits, "--fc-bits")
 
 
 def cmd_gen_model(args) -> int:
@@ -112,10 +112,7 @@ def cmd_margins(args) -> int:
     print(f"mean margin power (z1-z2)^2/2: {stats.mean_r_star!r} over {stats.n} samples")
     if args.out:
         out = _out_dir(args)
-        path = modelio.write_json(out / "margins.json", {
-            "format_version": modelio.FORMAT_VERSION,
-            "mean_r_star": stats.mean_r_star, "n": stats.n,
-            "counts": list(stats.counts), "bin_edges": list(stats.bin_edges)})
+        path = modelio.save_margins(stats, out / "margins.json")
         _write_manifest(args, out, [path])
     return 0
 
@@ -134,14 +131,7 @@ def cmd_estimate_t(args) -> int:
     _progress(f"baseline accuracy {acc_f}, mean margin {margins.mean_r_star:.6g}")
     t_probes = probes.estimate_t(model, dataset, config, margins=margins, cache=cache)
     delta = config.delta_acc if config.delta_acc is not None else 0.5 * acc_f
-    profiles = []
-    for r in t_probes:
-        layer = model.layers[r.index]
-        w = layer.weights
-        profiles.append(probes.LayerProfile(
-            index=r.index, kind=layer.kind, s=layer.param_count, t=r.t, p=float("nan"),
-            noise_scale=r.noise_scale, delta_acc=delta, b_probe=0,
-            weight_range=(float(w.min()), float(w.max())), copied_t=r.copied))
+    profiles = probes.build_profiles(model, t_probes, None, delta)
     path = modelio.save_profiles(profiles, out / "profiles_t.json", meta={
         "baseline_accuracy": acc_f, "mean_r_star": margins.mean_r_star,
         "delta_acc": delta, "seed": args.seed})
@@ -158,14 +148,7 @@ def cmd_estimate_p(args) -> int:
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
     p_probes = probes.estimate_p(model, dataset, b_probe=args.b_probe, threads=args.threads)
-    profiles = []
-    for r in p_probes:
-        layer = model.layers[r.index]
-        w = layer.weights
-        profiles.append(probes.LayerProfile(
-            index=r.index, kind=layer.kind, s=layer.param_count, t=float("nan"), p=r.p,
-            noise_scale=float("nan"), delta_acc=float("nan"), b_probe=r.b_probe,
-            weight_range=(float(w.min()), float(w.max())), degenerate=r.degenerate))
+    profiles = probes.build_profiles(model, None, p_probes, math.nan)
     path = modelio.save_profiles(profiles, out / "profiles_p.json",
                                  meta={"b_probe": args.b_probe})
     csv_path = modelio.save_profiles_csv(profiles, out / "profiles_p.csv")
@@ -177,23 +160,17 @@ def cmd_estimate_p(args) -> int:
 
 
 def cmd_allocate(args) -> int:
+    _check_fc_bits(args)
     out = _out_dir(args)
     profiles, _ = _load_merged_profiles(args.profiles)
     sizes = [p.s for p in profiles]
-    pinned = None
-    if args.fc_bits is not None:
-        pinned = {i: args.fc_bits for i, p in enumerate(profiles) if p.kind == "dense"}
+    pinned = harness.dense_pins(profiles, args.fc_bits)
     if args.method == "adaptive":
         allocation = allocate.allocate_adaptive(profiles, args.b1, pinned=pinned)
     elif args.method == "sqnr":
         allocation = allocate.allocate_sqnr(sizes, args.b1, pinned=pinned)
     else:
-        # the sweep's own equal branch, so that --fc-bits pins dense layers as it does there
-        found = harness._allocations_for("equal", round(args.b1), profiles, sizes, 1, pinned)
-        if not found:
-            return _err(f"equal allocation needs an integer --b1 in "
-                        f"[{quantize.B_MIN}, {quantize.B_MAX}], got {args.b1}")
-        allocation = found[0]
+        allocation = allocate.allocate_equal(args.b1, sizes, pinned=pinned)
     path = modelio.save_allocation(allocation, out / "allocation.json")
     _write_manifest(args, out, [path])
     b_real = ", ".join(f"{b:g}" for b in allocation.b_real)
@@ -228,6 +205,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_fc_bits(args)
     out = _out_dir(args)
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
@@ -238,8 +216,7 @@ def cmd_sweep(args) -> int:
     curves = harness.sweep(model, dataset, profiles, b1_values=anchors, methods=methods,
                            max_variants=args.max_variants, fc_bits=args.fc_bits,
                            threads=args.threads)
-    points = sorted((p for pts in curves.values() for p in pts),
-                    key=lambda p: (p.method, p.b1, p.variant))
+    points = harness.sorted_points(curves)
     path = modelio.save_curve(points, out / "curve.csv")
     _write_manifest(args, out, [path])
     print(f"{len(points)} curve points -> {path}")

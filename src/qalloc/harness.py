@@ -84,14 +84,16 @@ def run_pipeline(model: nn.Model, dataset: nn.Dataset,
         }
         modelio.save_profiles(profiles, f"{out_dir}/profiles.json", meta=meta)
         modelio.save_profiles_csv(profiles, f"{out_dir}/profiles.csv")
-        modelio.write_json(f"{out_dir}/margins.json", {
-            "format_version": modelio.FORMAT_VERSION,
-            "mean_r_star": margins.mean_r_star,
-            "n": margins.n,
-            "counts": list(margins.counts),
-            "bin_edges": list(margins.bin_edges),
-        })
+        modelio.save_margins(margins, f"{out_dir}/margins.json")
     return profiles
+
+
+def dense_pins(profiles, fc_bits: int | None) -> dict[int, int] | None:
+    """Pins holding every dense layer at fc_bits; None when fc_bits is None."""
+    if fc_bits is None:
+        return None
+    bits = quantize.check_bits(fc_bits, "fc_bits")
+    return {pos: bits for pos, p in enumerate(profiles) if p.kind == "dense"}
 
 
 def _allocations_for(method: str, b1: float, profiles, sizes, max_variants: int,
@@ -105,19 +107,10 @@ def _allocations_for(method: str, b1: float, profiles, sizes, max_variants: int,
         base = alloc.allocate_sqnr(sizes, b1, pinned=pinned)
         return [base]
     if method == "equal":
-        if abs(b1 - round(b1)) > 1e-9:
-            return []
-        bits = int(round(b1))
-        if not (quantize.B_MIN <= bits <= quantize.B_MAX):
-            return []
-        a = alloc.allocate_equal(bits, sizes)
-        if pinned:
-            b_int = list(a.b_int)
-            for pos, b in pinned.items():
-                b_int[pos] = int(b)
-            a = alloc.BitAllocation("equal", a.b1, a.b_real, tuple(b_int),
-                                    alloc.size_bits(sizes, b_int))
-        return [a]
+        bits = round(b1)
+        if abs(b1 - bits) > 1e-9 or not quantize.B_MIN <= bits <= quantize.B_MAX:
+            return []  # equal points exist only at integer anchors in range
+        return [alloc.allocate_equal(bits, sizes, pinned=pinned)]
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -136,9 +129,7 @@ def sweep(model: nn.Model, dataset: nn.Dataset, profiles, b1_values=None,
     if not b1_values:
         raise ValueError("need at least one anchor value")
     sizes = [p.s for p in profiles]
-    pinned = None
-    if fc_bits is not None:
-        pinned = {pos: int(fc_bits) for pos, p in enumerate(profiles) if p.kind == "dense"}
+    pinned = dense_pins(profiles, fc_bits)
     curves: dict[str, list[CurvePoint]] = {}
     for method in methods:
         points = []
@@ -151,6 +142,12 @@ def sweep(model: nn.Model, dataset: nn.Dataset, profiles, b1_values=None,
                                          allocation.size_bits / 8 / 2 ** 20, top1, allocation))
         curves[method] = points
     return curves
+
+
+def sorted_points(curves: dict[str, list[CurvePoint]]) -> list[CurvePoint]:
+    """Every point of every curve, ordered by (method, b1, variant) as curve files list them."""
+    return sorted((p for pts in curves.values() for p in pts),
+                  key=lambda p: (p.method, p.b1, p.variant))
 
 
 def pareto_frontier(points) -> list[tuple[float, float]]:
@@ -485,15 +482,11 @@ def verify(model, dataset, config: VerifyConfig = VerifyConfig(), tmp_dir=None) 
                                          threads=config.threads)
         results.append(dom)
         results.append(check_equal_envelope(curves["equal"]))
-        csv_a = modelio.curve_csv_text(sorted(
-            (p for pts in curves.values() for p in pts),
-            key=lambda p: (p.method, p.b1, p.variant)))
+        csv_a = modelio.curve_csv_text(sorted_points(curves))
         curves_b = sweep(model, dataset, profiles, b1_values=config.anchors,
                          methods=("adaptive", "equal"), max_variants=config.max_variants,
                          threads=config.threads)
-        csv_b = modelio.curve_csv_text(sorted(
-            (p for pts in curves_b.values() for p in pts),
-            key=lambda p: (p.method, p.b1, p.variant)))
+        csv_b = modelio.curve_csv_text(sorted_points(curves_b))
         results.append(CheckResult("sweep_reproducible", csv_a == csv_b,
                                    "identical curve CSV across two sweeps"
                                    if csv_a == csv_b else "curve CSV differs between sweeps"))

@@ -15,9 +15,11 @@ probes have a clean reference.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,7 +27,7 @@ import numpy as np
 
 from .allocate import BitAllocation
 from .nn import Dataset, Layer, Model, _layer_out_shape, classify_batch, forward_batch
-from .probes import LayerProfile
+from .probes import LayerProfile, MarginStats
 
 FORMAT_VERSION = 1
 
@@ -38,6 +40,41 @@ CURVE_HEADER = ["method", "b1", "variant", "size_bits", "size_mb", "top1"]
 
 class LoadError(ValueError):
     """A persisted artifact is unreadable, inconsistent, or the wrong version."""
+
+
+@contextlib.contextmanager
+def _loading(path):
+    """Report any failure to read or parse the artifact at `path` as one LoadError.
+
+    A missing field, a wrong type or an unparsable value deep in a document
+    surfaces as KeyError, IndexError, TypeError, ValueError (and so on); all
+    of them become a LoadError that names the file.
+    """
+    try:
+        yield
+    except LoadError:
+        raise
+    except OSError as e:
+        raise LoadError(f"{path}: {e}") from e
+    except (AttributeError, KeyError, IndexError, OverflowError, TypeError, ValueError) as e:
+        raise LoadError(f"{path}: malformed ({type(e).__name__}: {e})") from e
+
+
+_JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
+
+
+def _as(kind, v):
+    """A JSON value as `kind`; TypeError when the document holds another type there."""
+    if not isinstance(v, _JSON_TYPES[kind]) or (isinstance(v, bool) and kind is not bool):
+        raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")
+    return kind(v)
+
+
+def _read_doc(path: Path) -> dict:
+    """The JSON document at `path`, checked for the supported format_version."""
+    doc = json.loads(path.read_text())
+    _check_version(doc, path)
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +168,7 @@ def gen_dataset(model: Model, n: int, seed: int = 0) -> Dataset:
 
 def _check_version(doc, path):
     v = doc.get("format_version")
-    if v != FORMAT_VERSION:
+    if v != FORMAT_VERSION or isinstance(v, bool):
         raise LoadError(f"{path}: format_version {v!r} not supported (expected {FORMAT_VERSION})")
 
 
@@ -142,9 +179,9 @@ def _tensor_entry(arr: np.ndarray, offset: int) -> tuple[dict, bytes, int]:
 
 
 def _read_tensor(blob: bytes, entry: dict, name: str, spans: list) -> np.ndarray:
-    shape = tuple(int(v) for v in entry["shape"])
+    shape = tuple(_as(int, v) for v in entry["shape"])
     count = int(np.prod(shape)) if shape else 1
-    start = int(entry["offset"])
+    start = _as(int, entry["offset"])
     end = start + 4 * count
     if start < 0 or end > len(blob):
         raise LoadError(f"{name}: offset range [{start}, {end}) outside sidecar of {len(blob)} bytes")
@@ -204,35 +241,29 @@ def load_model(prefix) -> Model:
     base = _resolve(prefix, ".model")
     json_path = base.with_name(base.name + ".json")
     bin_path = base.with_name(base.name + ".bin")
-    try:
-        doc = json.loads(json_path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise LoadError(f"{json_path}: {e}") from e
-    _check_version(doc, json_path)
-    try:
-        blob = bin_path.read_bytes()
-    except OSError as e:
-        raise LoadError(f"{bin_path}: {e}") from e
-    spans: list = []
-    layers = []
-    total_elems = 0
-    for i, entry in enumerate(doc["layers"]):
-        kind = entry["kind"]
-        weights = bias = None
-        if "weights" in entry:
-            weights = _read_tensor(blob, entry["weights"], f"layer {i} weights", spans)
-            total_elems += weights.size
-        if "bias" in entry:
-            bias = _read_tensor(blob, entry["bias"], f"layer {i} bias", spans)
-            total_elems += bias.size
-        layers.append(Layer(kind, weights, bias,
-                            stride=int(entry.get("stride", 1)),
-                            padding=entry.get("padding", "valid"),
-                            pool_size=int(entry.get("pool_size", 2))))
-    if 4 * total_elems != len(blob):
-        raise LoadError(f"{bin_path}: sidecar holds {len(blob)} bytes, "
-                        f"manifest declares {4 * total_elems}")
-    return Model(tuple(layers), tuple(int(v) for v in doc["input_shape"]))
+    with _loading(json_path):
+        doc = _read_doc(json_path)
+        with _loading(bin_path):
+            blob = bin_path.read_bytes()
+        spans: list = []
+        layers = []
+        total_elems = 0
+        for i, entry in enumerate(doc["layers"]):
+            weights = bias = None
+            if "weights" in entry:
+                weights = _read_tensor(blob, entry["weights"], f"layer {i} weights", spans)
+                total_elems += weights.size
+            if "bias" in entry:
+                bias = _read_tensor(blob, entry["bias"], f"layer {i} bias", spans)
+                total_elems += bias.size
+            layers.append(Layer(entry["kind"], weights, bias,
+                                stride=_as(int, entry.get("stride", 1)),
+                                padding=entry.get("padding", "valid"),
+                                pool_size=_as(int, entry.get("pool_size", 2))))
+        if 4 * total_elems != len(blob):
+            raise LoadError(f"{bin_path}: sidecar holds {len(blob)} bytes, "
+                            f"manifest declares {4 * total_elems}")
+        return Model(tuple(layers), tuple(_as(int, v) for v in doc["input_shape"]))
 
 
 def save_dataset(dataset: Dataset, prefix) -> tuple[Path, Path]:
@@ -257,27 +288,22 @@ def load_dataset(prefix) -> Dataset:
     base = _resolve(prefix, ".dataset")
     json_path = base.with_name(base.name + ".json")
     bin_path = base.with_name(base.name + ".bin")
-    try:
-        doc = json.loads(json_path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise LoadError(f"{json_path}: {e}") from e
-    _check_version(doc, json_path)
-    try:
-        blob = bin_path.read_bytes()
-    except OSError as e:
-        raise LoadError(f"{bin_path}: {e}") from e
-    n = int(doc["n"])
-    shape = tuple(int(v) for v in doc["input_shape"])
-    expected = 4 * n * int(np.prod(shape))
-    start = int(doc.get("inputs_offset", 0))
-    if start + expected > len(blob) or len(blob) != start + expected:
-        raise LoadError(f"{bin_path}: inputs need {expected} bytes at offset {start}, "
-                        f"sidecar has {len(blob)}")
-    inputs = np.frombuffer(blob[start:start + expected], dtype="<f4").reshape((n, *shape)).copy()
-    labels = np.asarray(doc["labels"], dtype=np.int64)
-    if len(labels) != n:
-        raise LoadError(f"{json_path}: {len(labels)} labels for n={n}")
-    return Dataset(inputs, labels)
+    with _loading(json_path):
+        doc = _read_doc(json_path)
+        with _loading(bin_path):
+            blob = bin_path.read_bytes()
+        n = _as(int, doc["n"])
+        shape = tuple(_as(int, v) for v in doc["input_shape"])
+        expected = 4 * n * int(np.prod(shape))
+        start = _as(int, doc.get("inputs_offset", 0))
+        if start + expected > len(blob) or len(blob) != start + expected:
+            raise LoadError(f"{bin_path}: inputs need {expected} bytes at offset {start}, "
+                            f"sidecar has {len(blob)}")
+        inputs = np.frombuffer(blob[start:start + expected], dtype="<f4").reshape((n, *shape))
+        labels = np.array([_as(int, v) for v in doc["labels"]], dtype=np.int64)
+        if len(labels) != n:
+            raise LoadError(f"{json_path}: {len(labels)} labels for n={n}")
+        return Dataset(inputs.copy(), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -313,26 +339,24 @@ def save_profiles(profiles, path, meta: dict | None = None) -> Path:
 
 def load_profiles(path) -> tuple[list[LayerProfile], dict]:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise LoadError(f"{path}: {e}") from e
-    _check_version(doc, path)
-    profiles = []
-    for rec in doc["layers"]:
-        profiles.append(LayerProfile(
-            index=int(rec["index"]), kind=rec["kind"], s=int(rec["s"]),
-            t=_maybe_nan(rec["t"]), p=_maybe_nan(rec["p"]),
-            noise_scale=_maybe_nan(rec["noise_scale"]),
-            delta_acc=_maybe_nan(rec["delta_acc"]), b_probe=int(rec["b_probe"]),
-            weight_range=tuple(rec["weight_range"]),
-            copied_t=bool(rec.get("copied_t", False)),
-            degenerate=bool(rec.get("degenerate", False))))
-    return profiles, doc.get("meta", {})
+    with _loading(path):
+        doc = _read_doc(path)
+        profiles = []
+        for rec in doc["layers"]:
+            w_min, w_max = rec["weight_range"]
+            profiles.append(LayerProfile(
+                index=_as(int, rec["index"]), kind=_as(str, rec["kind"]), s=_as(int, rec["s"]),
+                t=_maybe_nan(rec["t"]), p=_maybe_nan(rec["p"]),
+                noise_scale=_maybe_nan(rec["noise_scale"]),
+                delta_acc=_maybe_nan(rec["delta_acc"]), b_probe=_as(int, rec["b_probe"]),
+                weight_range=(_as(float, w_min), _as(float, w_max)),
+                copied_t=_as(bool, rec.get("copied_t", False)),
+                degenerate=_as(bool, rec.get("degenerate", False))))
+        return profiles, dict(doc.get("meta", {}))
 
 
 def _maybe_nan(v) -> float:
-    return float("nan") if v is None else float(v)
+    return math.nan if v is None else _as(float, v)
 
 
 PROFILE_CSV_HEADER = ["index", "kind", "s", "t", "p", "noise_scale", "delta_acc",
@@ -372,16 +396,13 @@ def save_allocation(allocation: BitAllocation, path) -> Path:
 
 def load_allocation(path) -> BitAllocation:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise LoadError(f"{path}: {e}") from e
-    _check_version(doc, path)
-    return BitAllocation(doc["method"], float(doc["b1"]),
-                         tuple(float(v) for v in doc["b_real"]),
-                         tuple(int(v) for v in doc["b_int"]),
-                         int(doc["size_bits"]),
-                         tuple(int(v) for v in doc.get("saturated", [])))
+    with _loading(path):
+        doc = _read_doc(path)
+        return BitAllocation(_as(str, doc["method"]), _as(float, doc["b1"]),
+                             tuple(_as(float, v) for v in doc["b_real"]),
+                             tuple(_as(int, v) for v in doc["b_int"]),
+                             _as(int, doc["size_bits"]),
+                             tuple(_as(int, v) for v in doc.get("saturated", [])))
 
 
 def curve_csv_text(points) -> str:
@@ -404,17 +425,20 @@ def save_curve(points, path) -> Path:
 
 def load_curve(path) -> list[dict]:
     path = Path(path)
-    try:
+    with _loading(path):
         rows = list(csv.reader(path.read_text().splitlines()))
-    except OSError as e:
-        raise LoadError(f"{path}: {e}") from e
-    if not rows or rows[0] != CURVE_HEADER:
-        raise LoadError(f"{path}: missing or unexpected curve header")
-    out = []
-    for row in rows[1:]:
-        out.append({"method": row[0], "b1": float(row[1]), "variant": int(row[2]),
-                    "size_bits": int(row[3]), "size_mb": float(row[4]), "top1": float(row[5])})
-    return out
+        if not rows or rows[0] != CURVE_HEADER:
+            raise LoadError(f"{path}: missing or unexpected curve header")
+        return [{"method": method, "b1": float(b1), "variant": int(variant),
+                 "size_bits": int(size_bits), "size_mb": float(size_mb), "top1": float(top1)}
+                for method, b1, variant, size_bits, size_mb, top1 in rows[1:]]
+
+
+def save_margins(stats: MarginStats, path) -> Path:
+    """margins.json: the mean margin power and the margin histogram."""
+    return write_json(path, {"format_version": FORMAT_VERSION, "mean_r_star": stats.mean_r_star,
+                             "n": stats.n, "counts": list(stats.counts),
+                             "bin_edges": list(stats.bin_edges)})
 
 
 def write_json(path, payload: dict) -> Path:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import nn
 from .nn import Dataset, Model
-from .quantize import ALPHA, B_MAX, B_MIN, quantize_model, quantize_single_layer
+from .quantize import ALPHA, check_bits, quantize_model, quantize_single_layer
 
 
 class CalibrationError(RuntimeError):
@@ -151,6 +151,12 @@ def _layer_rng(seed: int, layer_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((_PROBE_SALT, seed ^ layer_index)))
 
 
+def _probe_direction(model: Model, layer_index: int, seed: int) -> np.ndarray:
+    """The fixed uniform(-0.5, 0.5) noise direction the probes scale onto one layer's weights."""
+    shape = model.layers[layer_index].weights.shape
+    return _layer_rng(seed, layer_index).uniform(-0.5, 0.5, size=shape)
+
+
 def probed_layers(model: Model, last_n: int | None = None) -> tuple[int, ...]:
     """The weighted layers estimate_t probes: all of them, or the last last_n."""
     weighted = model.weighted_indices
@@ -190,8 +196,7 @@ def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig
 
     results: list[TProbe] = []
     for i in probe_set:
-        rng = _layer_rng(config.seed, i)
-        direction = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape)
+        direction = _probe_direction(model, i, config.seed)
         k_lo, k_hi = config.k_min, config.k_max
         found = None
         iters = 0
@@ -234,9 +239,7 @@ def estimate_p(model: Model, dataset: Dataset, b_probe: int = 10, threads: int =
     Cost: one baseline forward to build the prefix cache (none when `cache`
     is given), then one forward of layers[i:] per weighted layer i.
     """
-    if b_probe != int(b_probe) or not (B_MIN <= int(b_probe) <= B_MAX):
-        raise ValueError(f"b_probe must be an integer in [{B_MIN}, {B_MAX}], got {b_probe}")
-    b_probe = int(b_probe)
+    b_probe = check_bits(b_probe, "b_probe")
     cache = _cache_for(model, dataset, threads, cache)
     scale = math.exp(-ALPHA * b_probe)
     results = []
@@ -285,8 +288,7 @@ def linearity_probe(model: Model, dataset: Dataset, layer_index: int, scales,
     if len(scales) < 5:
         raise ValueError("need a ladder of at least 5 scales")
     cache = _cache_for(model, dataset, threads, cache)
-    rng = _layer_rng(seed, layer_index)
-    direction = rng.uniform(-0.5, 0.5, size=model.layers[layer_index].weights.shape)
+    direction = _probe_direction(model, layer_index, seed)
     dir_power = float(np.sum(direction * direction))
     points = []
     for k in sorted(scales):
@@ -406,20 +408,33 @@ def rank_diagnostic(model: Model, dataset: Dataset, layer_index: int,
     """
     if scale is None:
         scale = default_scale_ladder(model, layer_index)[1]
-    rng = _layer_rng(seed, layer_index)
-    direction = rng.uniform(-0.5, 0.5, size=model.layers[layer_index].weights.shape)
+    direction = _probe_direction(model, layer_index, seed)
     perturbed = nn.perturb_layer(model, layer_index, scale * direction)
     cache = _cache_for(model, dataset, threads, cache)
     diffs = cache.logits - nn.forward_from(cache, perturbed, layer_index)
     return int(np.linalg.matrix_rank(diffs))
 
 
+# what build_profiles records for a side that was not measured
+_NO_T = TProbe(-1, math.nan, math.nan, math.nan, math.nan, 0, False)
+_NO_P = PProbe(-1, math.nan, math.nan, 0)
+
+
 def build_profiles(model: Model, t_probes, p_probes, delta_acc: float) -> list[LayerProfile]:
-    """Merge t and p probe results into per-layer profiles."""
-    t_by_index = {r.index: r for r in t_probes}
-    p_by_index = {r.index: r for r in p_probes}
+    """Merge t and p probe results into per-layer profiles.
+
+    Either side may be None when it was not measured: without t probes, t and
+    noise_scale are NaN and copied_t is False; without p probes, p is NaN,
+    b_probe is 0 and degenerate is False.  A side that is given must cover
+    every weighted layer.
+    """
+    weighted = model.weighted_indices
+    t_by_index = (dict.fromkeys(weighted, _NO_T) if t_probes is None
+                  else {r.index: r for r in t_probes})
+    p_by_index = (dict.fromkeys(weighted, _NO_P) if p_probes is None
+                  else {r.index: r for r in p_probes})
     profiles = []
-    for i in model.weighted_indices:
+    for i in weighted:
         if i not in t_by_index or i not in p_by_index:
             raise ValueError(f"missing probe results for layer {i}")
         tr, pr = t_by_index[i], p_by_index[i]

@@ -13,7 +13,7 @@ i.e. it quadruples for every bit removed (the classic 6 dB/bit rule).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,13 @@ ALPHA = math.log(4.0)  # per-bit noise-power decay rate
 
 B_MIN = 2
 B_MAX = 16
+
+
+def check_bits(bits, what: str = "bit-width") -> int:
+    """`bits` as an int, or ValueError unless it is an integer in [B_MIN, B_MAX]."""
+    if not (float(bits).is_integer() and B_MIN <= bits <= B_MAX):
+        raise ValueError(f"{what} must be an integer in [{B_MIN}, {B_MAX}], got {bits}")
+    return int(bits)
 
 
 @dataclass(frozen=True)
@@ -115,6 +122,15 @@ def quantize_tensor(values: np.ndarray, bits: float) -> np.ndarray:
     return quantize_uniform(values, spec).astype(np.float32)
 
 
+def _quantize_layer(layer: Layer, bits, index: int) -> Layer:
+    """Layer `index` with its weights and bias quantized at `bits`, each at its own range."""
+    if layer.kind not in WEIGHTED_KINDS:
+        raise ValueError(f"layer {index} ({layer.kind}) has no weights to quantize")
+    bits = check_bits(bits, f"layer {index}: bit-width")
+    bias = None if layer.bias is None else quantize_tensor(layer.bias, bits)
+    return replace(layer, weights=quantize_tensor(layer.weights, bits), bias=bias)
+
+
 def quantize_model(model: Model, allocation) -> Model:
     """Quantize every weighted layer's weights and bias at its allocated bits.
 
@@ -126,34 +142,15 @@ def quantize_model(model: Model, allocation) -> Model:
     weighted = model.weighted_indices
     if len(bits) != len(weighted):
         raise ValueError(f"allocation has {len(bits)} bit-widths for {len(weighted)} weighted layers")
-    per_layer = dict(zip(weighted, bits))
-    layers = []
-    for i, layer in enumerate(model.layers):
-        if layer.kind not in WEIGHTED_KINDS:
-            layers.append(layer)
-            continue
-        b = per_layer[i]
-        if b != int(b) or not (B_MIN <= int(b) <= B_MAX):
-            raise ValueError(f"layer {i}: bit-width must be an integer in [{B_MIN}, {B_MAX}], got {b}")
-        b = int(b)
-        new_w = quantize_tensor(layer.weights, b)
-        new_b = None if layer.bias is None else quantize_tensor(layer.bias, b)
-        layers.append(Layer(layer.kind, new_w, new_b, stride=layer.stride,
-                            padding=layer.padding, pool_size=layer.pool_size))
+    layers = list(model.layers)
+    for i, b in zip(weighted, bits):
+        layers[i] = _quantize_layer(layers[i], b, i)
     return Model(tuple(layers), model.input_shape)
 
 
 def quantize_single_layer(model: Model, index: int, bits: int) -> Model:
     """Quantize just one weighted layer, leaving the rest exact."""
-    layer = model.layers[index]
-    if layer.kind not in WEIGHTED_KINDS:
-        raise ValueError(f"layer {index} ({layer.kind}) has no weights to quantize")
-    if bits != int(bits) or not (B_MIN <= int(bits) <= B_MAX):
-        raise ValueError(f"bit-width must be an integer in [{B_MIN}, {B_MAX}], got {bits}")
-    new_w = quantize_tensor(layer.weights, int(bits))
-    new_b = None if layer.bias is None else quantize_tensor(layer.bias, int(bits))
-    return model.replace_layer(index, Layer(layer.kind, new_w, new_b, stride=layer.stride,
-                                            padding=layer.padding, pool_size=layer.pool_size))
+    return model.replace_layer(index, _quantize_layer(model.layers[index], bits, index))
 
 
 def empirical_alpha(values, b_lo: int, b_hi: int, w_min: float | None = None,

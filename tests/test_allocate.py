@@ -100,6 +100,18 @@ class TestEqual:
         with pytest.raises(ValueError):
             allocate.allocate_equal(17, [10])
 
+    def test_non_integer_bits_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            allocate.allocate_equal(8.4, [10])
+
+    def test_pins_show_in_b_real_like_the_other_allocators(self):
+        sizes = [10, 20, 30]
+        e = allocate.allocate_equal(8, sizes, pinned={1: 12})
+        assert e.b_real == (8.0, 12.0, 8.0) and e.b_int == (8, 12, 8)
+        assert e.size_bits == allocate.size_bits(sizes, (8, 12, 8))
+        q = allocate.allocate_sqnr(sizes, 8.0, pinned={1: 12})
+        assert q.b_real[1] == e.b_real[1] and q.b_int[1] == e.b_int[1]
+
 
 class TestRounding:
     def test_integer_input_passes_through(self):
@@ -124,6 +136,15 @@ class TestRounding:
         for v in variants:
             assert all(allocate.B_MIN <= b <= allocate.B_MAX for b in v.b_int)
         assert variants[0].saturated == (0, 1)
+
+    @pytest.mark.parametrize("b", [1.7, 1.4, 16.3, 16.5])
+    def test_saturated_agrees_with_the_allocators(self, b):
+        # one rule: b_real outside [B_MIN, B_MAX], whether or not rounding moves it
+        profs = [profile(0, 100, 2.0, 3.0), profile(1, 100, 2.0, 3.0)]
+        a = allocate.allocate_adaptive(profs, b)
+        variants = allocate.round_allocation(a.b_real, [100, 100])
+        assert a.b_real == (b, b)
+        assert a.saturated == variants[0].saturated == (0, 1)
 
     def test_max_variants_cap(self):
         variants = allocate.round_allocation([4.5, 5.5, 6.5, 7.5, 8.5], [1] * 5, max_variants=3)

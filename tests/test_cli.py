@@ -110,6 +110,28 @@ class TestAllocate:
 
 
 class TestFlagRanges:
+    def test_equal_with_fractional_b1_is_one_line_exit_1(self, tmp_path, capsys):
+        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        assert main(["allocate", "--profiles", str(path), "--method", "equal", "--b1", "8.4",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "must be an integer in [2, 16], got 8.4" in err and err.count("\n") == 1
+        assert not (tmp_path / "allocation.json").exists()
+
+    @pytest.mark.parametrize("command", ["allocate", "sweep"])
+    @pytest.mark.parametrize("fc_bits", ["1", "20"])
+    def test_fc_bits_outside_range_rejected_before_loading(self, tmp_path, capsys, command,
+                                                           fc_bits):
+        # the inputs do not exist: the range error must come before any load
+        missing = str(tmp_path / "missing")
+        argv = {"allocate": ["allocate", "--method", "adaptive", "--b1", "8"],
+                "sweep": ["sweep", "--model", missing, "--data", missing]}[command]
+        assert main([*argv, "--profiles", missing, "--fc-bits", fc_bits,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --fc-bits must be an integer in [2, 16], got {fc_bits}")
+        assert err.count("\n") == 1 and not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("last_n", ["0", "3"])
     def test_last_n_outside_weighted_layers_is_one_line_exit_1(self, rig, tmp_path, capsys,
                                                                last_n):

@@ -1,10 +1,18 @@
+import contextlib
+import io
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalloc import allocate, modelio, nn
+from qalloc.cli import main
+from qalloc.harness import CurvePoint
 from qalloc.modelio import LoadError
+from qalloc.nn import Dataset, Layer, Model
 from qalloc.probes import LayerProfile
 
 
@@ -170,3 +178,129 @@ class TestReportRoundTrips:
         (tmp_path / "bad.csv").write_text("a,b,c\n1,2,3\n")
         with pytest.raises(LoadError, match="header"):
             modelio.load_curve(tmp_path / "bad.csv")
+
+
+# ---------------------------------------------------------------------------
+# malformed artifacts: every loader raises LoadError, every CLI reader exits 1
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """One small artifact of each kind; the model has every layer kind."""
+    root = tmp_path_factory.mktemp("artifacts")
+    rng = np.random.default_rng(3)
+    model = Model((Layer("conv2d", rng.uniform(-1, 1, (3, 3, 1, 2)).astype(np.float32),
+                         np.zeros(2, np.float32), padding="same"),
+                   Layer("relu"), Layer("maxpool2d", pool_size=2, stride=2),
+                   Layer("dense", rng.uniform(-1, 1, (18, 3)).astype(np.float32),
+                         np.zeros(3, np.float32))), (6, 6, 1))
+    inputs = rng.standard_normal((20, 6, 6, 1)).astype(np.float32)
+    modelio.save_model(model, root / "m")
+    modelio.save_dataset(Dataset(inputs, nn.classify_batch(nn.forward_batch(model, inputs))),
+                         root / "d")
+    profiles = [LayerProfile(index=i, kind=layer.kind, s=layer.param_count, t=2.0, p=3.0,
+                             noise_scale=0.1, delta_acc=0.5, b_probe=10,
+                             weight_range=(-1.0, 1.0))
+                for i, layer in enumerate(model.layers) if layer.weights is not None]
+    modelio.save_profiles(profiles, root / "p.json", meta={"seed": 0})
+    modelio.save_allocation(allocate.allocate_adaptive(profiles, 8.0), root / "a.json")
+    modelio.save_curve([CurvePoint("adaptive", 8.0, 0, 180, 180 / 8 / 2 ** 20, 0.75),
+                        CurvePoint("equal", 8.0, 0, 200, 200 / 8 / 2 ** 20, 0.8)],
+                       root / "c.csv")
+    return root
+
+
+# artifact -> (loader, its file, CLI arguments that read it), relative to a run directory w
+LOADERS = {
+    "model": (lambda w: modelio.load_model(w / "m"), "m.model.json",
+              ["evaluate", "--model", "{w}/m", "--data", "{w}/d"]),
+    "dataset": (lambda w: modelio.load_dataset(w / "d"), "d.dataset.json",
+                ["evaluate", "--model", "{w}/m", "--data", "{w}/d"]),
+    "profiles": (lambda w: modelio.load_profiles(w / "p.json"), "p.json",
+                 ["allocate", "--profiles", "{w}/p.json", "--b1", "8"]),
+    "allocation": (lambda w: modelio.load_allocation(w / "a.json"), "a.json",
+                   ["quantize", "--model", "{w}/m", "--allocation", "{w}/a.json"]),
+    "curve": (lambda w: modelio.load_curve(w / "c.csv"), "c.csv",
+              ["compare", "--curves", "{w}/c.csv"]),
+}
+
+
+def assert_rejected(artifacts, work, kind, mutate):
+    """Stage fresh copies in `work`, mutate one file, expect LoadError and a one-line exit 1."""
+    shutil.rmtree(work, ignore_errors=True)
+    shutil.copytree(artifacts, work)
+    load, name, argv = LOADERS[kind]
+    mutate(work / name)
+    with pytest.raises(LoadError) as info:
+        load(work)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([a.format(w=work) for a in argv] + ["--out", str(work / "out")])
+    assert code == 1
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    return str(info.value)
+
+
+def edit_json(edit):
+    def mutate(path):
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return mutate
+
+
+MALFORMED = {
+    "model": edit_json(lambda doc: doc.pop("layers")),
+    "dataset": edit_json(lambda doc: doc.update(n="20")),
+    "profiles": edit_json(lambda doc: doc["layers"][0].update(weight_range="ab")),
+    "allocation": edit_json(lambda doc: doc["b_int"].append(8.5)),
+    "curve": lambda path: path.write_text(path.read_text() + "x,1\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_artifact_is_a_load_error_naming_the_file(artifacts, tmp_path, kind):
+    message = assert_rejected(artifacts, tmp_path / "w", kind, MALFORMED[kind])
+    assert str(tmp_path / "w" / LOADERS[kind][1]) in message
+
+
+OPTIONAL = {"stride", "padding", "pool_size", "inputs_offset", "meta", "copied_t", "degenerate",
+            "saturated"}
+NULLABLE = {"t", "p", "noise_scale", "delta_acc"}  # null is how a profile writes NaN
+WRONG = [None, True, 7.5, "x", ["x"], {"a": 1}]  # one value of each JSON type
+
+
+def slots(node):
+    """(container, key) for every field of a document; `d` is derived and never read."""
+    if isinstance(node, list):
+        return [s for item in node for s in slots(item)]
+    if not isinstance(node, dict):
+        return []
+    return [(node, k) for k in node if k != "d"] + [
+        s for k, v in node.items() if k != "meta" for s in slots(v)]
+
+
+@given(kind=st.sampled_from(sorted(LOADERS)), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_deleted_mistyped_or_truncated_field_is_rejected(artifacts, kind, data):
+    if kind == "curve":
+        def mutate(path):
+            lines = path.read_text().splitlines()
+            row = data.draw(st.integers(0, len(lines) - 1), label="row")
+            cut = data.draw(st.integers(0, lines[row].rindex(",")), label="cut")
+            lines[row] = lines[row][:cut]
+            path.write_text("\n".join(lines) + "\n")
+    else:
+        def mutate(path):
+            doc = json.loads(path.read_text())
+            node, key = data.draw(st.sampled_from(slots(doc)), label="field")
+            wrong = [w for w in WRONG if type(w) is not type(node[key])
+                     and not (w is None and key in NULLABLE)]
+            actions = wrong + ([] if key in OPTIONAL else ["delete"])
+            action = data.draw(st.sampled_from(actions), label=f"{key} ->")
+            if action == "delete":
+                del node[key]
+            else:
+                node[key] = action
+            path.write_text(json.dumps(doc))
+    assert_rejected(artifacts, artifacts.parent / "fuzz", kind, mutate)

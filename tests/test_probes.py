@@ -216,6 +216,28 @@ class TestEstimateP:
             probes.estimate_p(model, ds, b_probe=1)
 
 
+class TestBuildProfiles:
+    def test_missing_sides_are_nan_with_neutral_flags(self):
+        model, ds = small_fixture()
+        t = probes.estimate_t(model, ds, ProbeConfig(delta_acc=0.3, acc_tolerance=0.02))
+        p = probes.estimate_p(model, ds)
+        both = probes.build_profiles(model, t, p, 0.3)
+        t_only = probes.build_profiles(model, t, None, 0.3)
+        p_only = probes.build_profiles(model, None, p, math.nan)
+        for full, a, b in zip(both, t_only, p_only):
+            assert (a.t, a.noise_scale, a.copied_t) == (full.t, full.noise_scale, full.copied_t)
+            assert math.isnan(a.p) and a.b_probe == 0 and not a.degenerate
+            assert (b.p, b.b_probe, b.degenerate) == (full.p, full.b_probe, full.degenerate)
+            assert math.isnan(b.t) and math.isnan(b.noise_scale) and not b.copied_t
+            assert (a.index, a.kind, a.s, a.weight_range) == (b.index, b.kind, b.s, b.weight_range)
+
+    def test_given_side_must_cover_every_layer(self):
+        model, ds = small_fixture()
+        p = probes.estimate_p(model, ds)
+        with pytest.raises(ValueError, match="missing probe results for layer 0"):
+            probes.build_profiles(model, None, p[1:], math.nan)
+
+
 class TestMeasurement:
     def test_single_layer_hand_value(self):
         m, m_all = probes.measurement([4.0], [8.0])  # bare t values accepted

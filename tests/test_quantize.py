@@ -138,3 +138,19 @@ class TestQuantizeModel:
         model = tiny_model()
         q = quantize.quantize_model(model, [5, 5])
         assert q.layers[1].kind == "relu"
+
+    def test_single_layer_matches_the_same_layer_of_a_whole_model_pass(self):
+        model = tiny_model()
+        whole = quantize.quantize_model(model, [5, 7])
+        for i, b in ((0, 5), (2, 7)):
+            single = quantize.quantize_single_layer(model, i, b)
+            assert np.array_equal(single.layers[i].weights, whole.layers[i].weights)
+            assert np.array_equal(single.layers[i].bias, whole.layers[i].bias)
+            other = 2 - i
+            assert single.layers[other] is model.layers[other]
+
+    def test_single_layer_rejects_weightless_layers_and_bad_bits(self):
+        with pytest.raises(ValueError, match="no weights"):
+            quantize.quantize_single_layer(tiny_model(), 1, 8)
+        with pytest.raises(ValueError, match="integer"):
+            quantize.quantize_single_layer(tiny_model(), 0, 17)
