@@ -42,6 +42,14 @@ def size_bits(sizes, bits) -> int:
     return sum(int(s) * int(b) for s, b in zip(sizes, bits, strict=True))
 
 
+def check_anchor(b1) -> float:
+    """`b1` as a float, or ValueError unless it is finite."""
+    b1 = float(b1)
+    if not math.isfinite(b1):
+        raise ValueError(f"anchor b1 must be finite, got {b1}")
+    return b1
+
+
 def _clamp_int(b: float) -> int:
     rounded = math.floor(b + 0.5)  # half rounds up, deterministically
     return min(max(rounded, B_MIN), B_MAX)
@@ -73,6 +81,7 @@ def allocate_adaptive(profiles, b1: float, pinned: dict[int, int] | None = None)
     assigned the minimum bit-width; `pinned` maps profile positions to fixed
     bit-widths that bypass the optimization entirely.
     """
+    b1 = check_anchor(b1)
     pinned = pinned or {}
     s, t, pw, degenerate = _profile_fields(profiles)
     free = [i for i in range(len(s))
@@ -97,6 +106,7 @@ def allocate_adaptive(profiles, b1: float, pinned: dict[int, int] | None = None)
 
 def allocate_sqnr(sizes, b1: float, pinned: dict[int, int] | None = None) -> BitAllocation:
     """Allocation equalizing exp(-a*b_i)/s_i: the adaptive rule with p/t dropped."""
+    b1 = check_anchor(b1)
     pinned = pinned or {}
     s = [int(v) for v in sizes]
     free = [i for i in range(len(s)) if i not in pinned]

@@ -100,7 +100,7 @@ def cmd_gen_data(args) -> int:
     dataset = modelio.gen_dataset(model, args.n, seed=args.seed)
     paths = modelio.save_dataset(dataset, out / args.name)
     _write_manifest(args, out, list(paths))
-    acc = nn.evaluate_accuracy(model, dataset)
+    acc = nn.evaluate_accuracy(model, dataset, threads=args.threads)
     print(f"dataset: {len(dataset)} teacher-labelled samples, baseline accuracy {acc}")
     return 0
 
@@ -217,6 +217,10 @@ def cmd_sweep(args) -> int:
                            max_variants=args.max_variants, fc_bits=args.fc_bits,
                            threads=args.threads)
     points = harness.sorted_points(curves)
+    vectors = [p.allocation.b_int for p in points]
+    segments = "/".join(map(str, harness.prefix_counts(vectors))) or "none"
+    _progress(f"{len(points)} points, {len(set(vectors))} distinct vectors, "
+              f"segments {segments}")
     path = modelio.save_curve(points, out / "curve.csv")
     _write_manifest(args, out, [path])
     print(f"{len(points)} curve points -> {path}")

@@ -122,26 +122,58 @@ def sweep(model: nn.Model, dataset: nn.Dataset, profiles, b1_values=None,
     Adaptive contributes every enumerated rounding variant; sqnr and equal
     contribute one point per anchor (equal only at integer anchors).
     fc_bits pins all dense layers to a fixed bit-width across methods.
+
+    Every allocation is planned first; then each distinct b_int vector is
+    evaluated once, by `_top1_by_vector`'s walk over shared bit prefixes.  A
+    point's top1 equals evaluate_accuracy on quantize_model of its
+    allocation bit for bit, at the same thread count.
     """
     if b1_values is None:
         b1_values = default_anchor_grid()
-    b1_values = [float(b) for b in b1_values]
+    b1_values = [alloc.check_anchor(b) for b in b1_values]
     if not b1_values:
         raise ValueError("need at least one anchor value")
     sizes = [p.s for p in profiles]
     pinned = dense_pins(profiles, fc_bits)
-    curves: dict[str, list[CurvePoint]] = {}
-    for method in methods:
-        points = []
-        for b1 in b1_values:
-            for variant, allocation in enumerate(
-                    _allocations_for(method, b1, profiles, sizes, max_variants, pinned)):
-                q = quantize.quantize_model(model, allocation)
-                top1 = nn.evaluate_accuracy(q, dataset, threads=threads)
-                points.append(CurvePoint(method, b1, variant, allocation.size_bits,
-                                         allocation.size_bits / 8 / 2 ** 20, top1, allocation))
-        curves[method] = points
-    return curves
+    plan = {method: [(b1, variant, allocation) for b1 in b1_values
+                     for variant, allocation in enumerate(
+                         _allocations_for(method, b1, profiles, sizes, max_variants, pinned))]
+            for method in methods}
+    top1 = _top1_by_vector(model, dataset, [a for pts in plan.values() for _, _, a in pts],
+                           threads)
+    return {method: [CurvePoint(method, b1, variant, a.size_bits, a.size_bits / 8 / 2 ** 20,
+                                top1[a.b_int], a) for b1, variant, a in pts]
+            for method, pts in plan.items()}
+
+
+def _top1_by_vector(model, dataset, allocations, threads: int) -> dict[tuple[int, ...], float]:
+    """Top-1 accuracy of the quantized model for each distinct b_int among `allocations`.
+
+    The vectors are checked against the model and the labels before any
+    forward; `nn.forward_trie` then quantizes each layer once per distinct
+    bit prefix, through the one layer quantizer.
+    """
+    vectors = {quantize.allocation_bits(model, a) for a in allocations}
+    if not vectors:
+        return {}
+    nn.check_labels(dataset.labels, model.d)
+
+    def layer_for(i, bits):
+        return quantize._quantize_layer(model.layers[i], bits, i)
+
+    return {v: nn.accuracy(z, dataset.labels)
+            for v, z in nn.forward_trie(model, dataset.inputs, vectors, layer_for, threads)}
+
+
+def prefix_counts(vectors) -> list[int]:
+    """Distinct prefixes of each length 1, 2, ... among the distinct `vectors`.
+
+    These are the layer segments a sweep runs per weighted-layer depth: one
+    per distinct bit prefix.
+    """
+    distinct = set(map(tuple, vectors))
+    depth = max(map(len, distinct), default=0)
+    return [len({v[:k] for v in distinct}) for k in range(1, depth + 1)]
 
 
 def sorted_points(curves: dict[str, list[CurvePoint]]) -> list[CurvePoint]:

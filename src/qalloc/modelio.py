@@ -64,10 +64,21 @@ _JSON_TYPES = {int: int, float: (int, float), str: str, bool: bool}
 
 
 def _as(kind, v):
-    """A JSON value as `kind`; TypeError when the document holds another type there."""
+    """A JSON value as `kind`; TypeError when the document holds another type there.
+
+    A float must be finite: strict JSON has no NaN or Infinity, and the
+    writers store a missing measurement as null.
+    """
     if not isinstance(v, _JSON_TYPES[kind]) or (isinstance(v, bool) and kind is not bool):
         raise TypeError(f"expected {kind.__name__}, got {type(v).__name__}")
-    return kind(v)
+    return _finite(float(v)) if kind is float else kind(v)
+
+
+def _finite(v: float) -> float:
+    """`v`, or ValueError when it is NaN or infinite."""
+    if not math.isfinite(v):
+        raise ValueError(f"expected a finite number, got {v}")
+    return v
 
 
 def _read_doc(path: Path) -> dict:
@@ -178,16 +189,18 @@ def _tensor_entry(arr: np.ndarray, offset: int) -> tuple[dict, bytes, int]:
     return entry, data, offset + len(data)
 
 
-def _read_tensor(blob: bytes, entry: dict, name: str, spans: list) -> np.ndarray:
+def _read_tensor(path, blob: bytes, entry: dict, name: str, spans: list) -> np.ndarray:
+    """Tensor `name` of the manifest at `path`, read from its sidecar bytes `blob`."""
     shape = tuple(_as(int, v) for v in entry["shape"])
     count = int(np.prod(shape)) if shape else 1
     start = _as(int, entry["offset"])
     end = start + 4 * count
     if start < 0 or end > len(blob):
-        raise LoadError(f"{name}: offset range [{start}, {end}) outside sidecar of {len(blob)} bytes")
+        raise LoadError(f"{path}: {name}: offset range [{start}, {end}) "
+                        f"outside sidecar of {len(blob)} bytes")
     for other_name, a, b in spans:
         if start < b and a < end:
-            raise LoadError(f"{name}: offset range overlaps {other_name}")
+            raise LoadError(f"{path}: {name}: offset range overlaps {other_name}")
     spans.append((name, start, end))
     return np.frombuffer(blob[start:end], dtype="<f4").reshape(shape).copy()
 
@@ -251,10 +264,11 @@ def load_model(prefix) -> Model:
         for i, entry in enumerate(doc["layers"]):
             weights = bias = None
             if "weights" in entry:
-                weights = _read_tensor(blob, entry["weights"], f"layer {i} weights", spans)
+                weights = _read_tensor(json_path, blob, entry["weights"], f"layer {i} weights",
+                                       spans)
                 total_elems += weights.size
             if "bias" in entry:
-                bias = _read_tensor(blob, entry["bias"], f"layer {i} bias", spans)
+                bias = _read_tensor(json_path, blob, entry["bias"], f"layer {i} bias", spans)
                 total_elems += bias.size
             layers.append(Layer(entry["kind"], weights, bias,
                                 stride=_as(int, entry.get("stride", 1)),
@@ -429,8 +443,9 @@ def load_curve(path) -> list[dict]:
         rows = list(csv.reader(path.read_text().splitlines()))
         if not rows or rows[0] != CURVE_HEADER:
             raise LoadError(f"{path}: missing or unexpected curve header")
-        return [{"method": method, "b1": float(b1), "variant": int(variant),
-                 "size_bits": int(size_bits), "size_mb": float(size_mb), "top1": float(top1)}
+        return [{"method": method, "b1": _finite(float(b1)), "variant": int(variant),
+                 "size_bits": int(size_bits), "size_mb": _finite(float(size_mb)),
+                 "top1": _finite(float(top1))}
                 for method, b1, variant, size_bits, size_mb, top1 in rows[1:]]
 
 

@@ -16,6 +16,8 @@ A `PrefixCache` holds a model's baseline logits on an input stack plus the
 input of every weighted layer.  `forward_from` evaluates a copy of that model
 with one layer changed by running only the layers from the changed one on,
 and its result equals `forward_batch` on the copy bit for bit.
+`forward_trie` evaluates many copies that differ only in their weighted
+layers, running each layer segment once per distinct prefix of changes.
 """
 
 from __future__ import annotations
@@ -246,13 +248,13 @@ def _apply_dense(x, layer: Layer):
     return out
 
 
-def _forward_chunk(model: Model, x: np.ndarray, start: int, keep) -> tuple[np.ndarray, list]:
-    """Run layers[start:] on one chunk; also return the inputs of the layers in keep."""
+def _forward_chunk(layers, x: np.ndarray, start: int, stop: int, keep) -> tuple[np.ndarray, list]:
+    """Run layers[start:stop] on one chunk; also return the inputs of the layers in keep."""
     kept = []
-    for i in range(start, len(model.layers)):
+    for i in range(start, stop):
         if i in keep:
             kept.append(x)
-        layer = model.layers[i]
+        layer = layers[i]
         if layer.kind == "dense":
             x = _apply_dense(x, layer)
         elif layer.kind == "conv2d":
@@ -272,18 +274,24 @@ def _split(rows: np.ndarray, threads: int) -> list[np.ndarray]:
     return [rows[i:i + _CHUNK] for i in range(0, n, _CHUNK)]
 
 
-def _forward_chunks(model: Model, start: int, chunks, threads: int, keep=()):
-    """Run layers[start:] on each chunk: (logits in chunk order, kept inputs per chunk)."""
+def _forward_chunks(layers, start: int, chunks, threads: int, keep=(), stop: int | None = None):
+    """Run layers[start:stop] on each chunk: (outputs per chunk, kept inputs per chunk)."""
+    stop = len(layers) if stop is None else stop
+
     def run(x):
-        return _forward_chunk(model, x, start, keep)
+        return _forward_chunk(layers, x, start, stop, keep)
 
     if len(chunks) == 1:
         results = [run(chunks[0])]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(run, chunks))
-    outs = [r[0] for r in results]
-    return (outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)), [r[1] for r in results]
+    return [r[0] for r in results], [r[1] for r in results]
+
+
+def _join(outs: list[np.ndarray]) -> np.ndarray:
+    """Per-chunk outputs stacked back into one array, in chunk order."""
+    return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
 
 def _check_inputs(model: Model, inputs) -> np.ndarray:
@@ -301,7 +309,7 @@ def forward_batch(model: Model, inputs: np.ndarray, threads: int = 1) -> np.ndar
     chunks and results concatenated in chunk order.
     """
     inputs = _check_inputs(model, inputs)
-    return _forward_chunks(model, 0, _split(inputs, threads), threads)[0]
+    return _join(_forward_chunks(model.layers, 0, _split(inputs, threads), threads)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,7 +337,8 @@ def prefix_cache(model: Model, inputs: np.ndarray, threads: int = 1) -> PrefixCa
         raise ValueError("cannot cache a forward over an empty input stack")
     keep = tuple(i for i in model.weighted_indices if i > 0)
     parts = _split(inputs, threads)
-    logits, kept = _forward_chunks(model, 0, parts, threads, keep)
+    outs, kept = _forward_chunks(model.layers, 0, parts, threads, keep)
+    logits = _join(outs)
     chunks = {0: tuple(parts)}
     for j, i in enumerate(keep):
         chunks[i] = tuple(k[j] for k in kept)
@@ -353,7 +362,49 @@ def forward_from(cache: PrefixCache, model: Model, index: int) -> np.ndarray:
     if model.input_shape != cache.model.input_shape or any(
             a is not b for a, b in zip(model.layers[:index], cache.model.layers)):
         raise ValueError(f"layers before {index} differ from the cached model's")
-    return _forward_chunks(model, index, cache.chunks[index], cache.threads)[0]
+    return _join(_forward_chunks(model.layers, index, cache.chunks[index], cache.threads)[0])
+
+
+def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: int = 1):
+    """Logits of many copies of `model` that differ only in their weighted layers.
+
+    A path is a tuple with one value per weighted layer, and
+    `layer_for(index, value)` builds the layer that takes layer `index`'s
+    place.  Yields (path, logits) for each distinct path, in sorted order;
+    the logits equal forward_batch on that copy bit for bit.
+
+    Sorted order walks the paths depth-first over their shared prefixes.  The
+    walk keeps one activation per weighted layer (the input of weighted layer
+    j under the current path's first j values, per evaluation chunk); a path
+    that shares its first k values with the one before it resumes from the
+    input of weighted layer k.  So each layer segment, from one weighted
+    layer to the next, runs and `layer_for` is called once per distinct
+    prefix, and at most one input per weighted layer is held at a time.
+    """
+    inputs = _check_inputs(model, inputs)
+    weighted = model.weighted_indices
+    paths = sorted(set(map(tuple, paths)))
+    for path in paths:
+        if len(path) != len(weighted):
+            raise ValueError(f"path {path} has {len(path)} values "
+                             f"for {len(weighted)} weighted layers")
+    if not paths:
+        return
+    layers = list(model.layers)
+    ends = (*weighted[1:], len(layers))  # weighted layer j's segment is layers[weighted[j]:ends[j]]
+    first = weighted[0] if weighted else len(layers)
+    stack = [_forward_chunks(layers, 0, _split(inputs, threads), threads, stop=first)[0]]
+    stack += [None] * len(weighted)
+    prev = ()
+    for path in paths:
+        k = next((j for j, (a, b) in enumerate(zip(prev, path)) if a != b), len(prev))
+        stack[k + 1:] = [None] * (len(weighted) - k)  # free what this path recomputes
+        for j in range(k, len(weighted)):
+            i = weighted[j]
+            layers[i] = layer_for(i, path[j])
+            stack[j + 1] = _forward_chunks(layers, i, stack[j], threads, stop=ends[j])[0]
+        yield path, _join(stack[-1])
+        prev = path
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:
@@ -376,7 +427,8 @@ def classify_batch(zs: np.ndarray) -> np.ndarray:
     return np.argmax(zs, axis=1)
 
 
-def _check_labels(labels: np.ndarray, d: int):
+def check_labels(labels: np.ndarray, d: int):
+    """ValueError unless `labels` is non-empty and every label indexes one of d classes."""
     if len(labels) == 0:
         raise ValueError("cannot evaluate accuracy on an empty dataset")
     if labels.max() >= d:
@@ -386,13 +438,13 @@ def _check_labels(labels: np.ndarray, d: int):
 def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows of an (n, d) logit batch whose argmax matches the label."""
     labels = np.asarray(labels)
-    _check_labels(labels, logits.shape[1])
+    check_labels(labels, logits.shape[1])
     return int(np.count_nonzero(classify_batch(logits) == labels)) / len(labels)
 
 
 def evaluate_accuracy(model: Model, dataset: Dataset, threads: int = 1) -> float:
     """Fraction of samples whose argmax matches the label."""
-    _check_labels(dataset.labels, model.d)  # before the forward, which needs a row
+    check_labels(dataset.labels, model.d)  # before the forward, which needs a row
     return accuracy(forward_batch(model, dataset.inputs, threads=threads), dataset.labels)
 
 

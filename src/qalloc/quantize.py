@@ -131,6 +131,19 @@ def _quantize_layer(layer: Layer, bits, index: int) -> Layer:
     return replace(layer, weights=quantize_tensor(layer.weights, bits), bias=bias)
 
 
+def allocation_bits(model: Model, allocation) -> tuple:
+    """An allocation's bit-widths, or ValueError unless there is one per weighted layer.
+
+    `allocation` is a BitAllocation or a plain sequence of bit-widths.
+    """
+    bits = tuple(getattr(allocation, "b_int", allocation))
+    weighted = model.weighted_indices
+    if len(bits) != len(weighted):
+        raise ValueError(f"allocation has {len(bits)} bit-widths "
+                         f"for {len(weighted)} weighted layers")
+    return bits
+
+
 def quantize_model(model: Model, allocation) -> Model:
     """Quantize every weighted layer's weights and bias at its allocated bits.
 
@@ -138,12 +151,8 @@ def quantize_model(model: Model, allocation) -> Model:
     bit-width per weighted layer.  Weightless layers pass through; the input
     model is left unmodified.
     """
-    bits = list(getattr(allocation, "b_int", allocation))
-    weighted = model.weighted_indices
-    if len(bits) != len(weighted):
-        raise ValueError(f"allocation has {len(bits)} bit-widths for {len(weighted)} weighted layers")
     layers = list(model.layers)
-    for i, b in zip(weighted, bits):
+    for i, b in zip(model.weighted_indices, allocation_bits(model, allocation)):
         layers[i] = _quantize_layer(layers[i], b, i)
     return Model(tuple(layers), model.input_shape)
 

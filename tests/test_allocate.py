@@ -59,6 +59,16 @@ class TestAdaptive:
             assert y - x == pytest.approx(shift, abs=1e-12)
 
 
+@pytest.mark.parametrize("b1", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("pinned", [None, {0: 8, 1: 8}])
+def test_non_finite_anchor_rejected_by_adaptive_and_sqnr(b1, pinned):
+    profs = [profile(0, 100, 2.0, 3.0), profile(1, 200, 2.0, 3.0)]
+    with pytest.raises(ValueError, match=f"^anchor b1 must be finite, got {b1}$"):
+        allocate.allocate_adaptive(profs, b1, pinned=pinned)
+    with pytest.raises(ValueError, match=f"^anchor b1 must be finite, got {b1}$"):
+        allocate.allocate_sqnr([100, 200], b1, pinned=pinned)
+
+
 class TestSqnr:
     def test_equal_sizes_give_equal_bits(self):
         a = allocate.allocate_sqnr([300, 300, 300], 7.0)

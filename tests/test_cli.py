@@ -41,6 +41,19 @@ class TestGenAndEvaluate:
         assert (tmp_path / "run" / "fixture.model.json").exists()
         assert (tmp_path / "run" / "manifest.json").exists()
 
+    def test_gen_data_baseline_accuracy_uses_threads(self, rig, tmp_path, monkeypatch):
+        seen = []
+        real = nn.evaluate_accuracy
+
+        def spy(model, dataset, threads=1):
+            seen.append(threads)
+            return real(model, dataset, threads=threads)
+
+        monkeypatch.setattr(nn, "evaluate_accuracy", spy)
+        assert main(["gen-data", "--model", str(rig / "m"), "--n", "30", "--threads", "3",
+                     "--out", str(tmp_path)]) == 0
+        assert seen == [3]
+
     def test_evaluate_prints_accuracy(self, rig, capsys):
         assert main(["evaluate", "--model", str(rig / "m"), "--data", str(rig / "d")]) == 0
         assert "top1 1.0" in capsys.readouterr().out
@@ -118,6 +131,16 @@ class TestFlagRanges:
         assert "must be an integer in [2, 16], got 8.4" in err and err.count("\n") == 1
         assert not (tmp_path / "allocation.json").exists()
 
+    @pytest.mark.parametrize("method", ["adaptive", "sqnr"])
+    @pytest.mark.parametrize("b1", ["inf", "nan", "-inf"])
+    def test_non_finite_b1_is_one_line_exit_1(self, tmp_path, capsys, method, b1):
+        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        assert main(["allocate", "--profiles", str(path), "--method", method, f"--b1={b1}",
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: anchor b1 must be finite, got {float(b1)}\n"
+        assert not (tmp_path / "allocation.json").exists()
+
     @pytest.mark.parametrize("command", ["allocate", "sweep"])
     @pytest.mark.parametrize("fc_bits", ["1", "20"])
     def test_fc_bits_outside_range_rejected_before_loading(self, tmp_path, capsys, command,
@@ -193,6 +216,24 @@ class TestSweepCompare:
                      "--out", str(tmp_path / "cmp")]) == 0
         doc = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
         assert doc["candidate"] == "adaptive"
+
+    def test_sweep_reports_its_work_on_one_stderr_line(self, rig, tmp_path, capsys):
+        from qalloc import harness
+
+        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--profiles", str(path), "--b1-grid", "5:8:0.5",
+                     "--out", str(tmp_path / "s")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        profiles, _ = modelio.load_profiles(path)
+        curves = harness.sweep(modelio.load_model(rig / "m"), modelio.load_dataset(rig / "d"),
+                               profiles, b1_values=[5 + 0.5 * i for i in range(7)])
+        vectors = [p.allocation.b_int for pts in curves.values() for p in pts]
+        first, second = harness.prefix_counts(vectors)
+        assert len(set(vectors)) < len(vectors)
+        assert err[-1] == (f"{len(vectors)} points, {len(set(vectors))} distinct vectors, "
+                           f"segments {first}/{second}")
+        assert len(modelio.load_curve(tmp_path / "s" / "curve.csv")) == len(vectors)
 
     def test_compare_requires_two_methods(self, tmp_path, capsys):
         from qalloc.harness import CurvePoint

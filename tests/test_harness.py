@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qalloc import allocate, harness, modelio, nn, probes
+from qalloc import allocate, harness, modelio, nn, probes, quantize
 from qalloc.harness import CurvePoint
 from qalloc.nn import Dataset, Layer, Model
 from qalloc.probes import LayerProfile, ProbeConfig
@@ -204,3 +204,144 @@ class TestChecks:
         results = harness.verify(model, empty, cfg, tmp_dir=tmp_path)
         fixture_bound = [r for r in results if r.name in ("linearity", "pipeline")]
         assert fixture_bound and not any(r.passed for r in fixture_bound)
+
+
+# ---------------------------------------------------------------------------
+# the sweep evaluates each distinct bit vector once, walking shared prefixes
+
+
+@pytest.fixture(scope="module")
+def tiny_conv():
+    """The default fixture's layer sequence at a fraction of its cost per forward."""
+    return modelio.gen_model(modelio.FixtureSpec(input_shape=(6, 6, 2), layers=(
+        {"kind": "conv2d", "kernel": [3, 3], "out_channels": 4, "padding": "same"},
+        {"kind": "relu"}, {"kind": "maxpool2d", "pool_size": 2},
+        {"kind": "conv2d", "kernel": [3, 3], "out_channels": 4, "padding": "same"},
+        {"kind": "relu"}, {"kind": "dense", "out_features": 16}, {"kind": "relu"},
+        {"kind": "dense", "out_features": 5}), seed=3))
+
+
+def made_up_profiles(model, t=(3.0, 1.5, 6.0, 2.0)):
+    """Profiles for every weighted layer of `model` with p = 2t.
+
+    A constant p/t makes adaptive's real allocation equal sqnr's, so sqnr's
+    rounding is also one of adaptive's variants: the two curves share vectors.
+    """
+    return [LayerProfile(index=i, kind=model.layers[i].kind, s=model.layers[i].param_count,
+                         t=t[j % len(t)], p=2 * t[j % len(t)], noise_scale=0.1,
+                         delta_acc=0.5, b_probe=10, weight_range=(-1.0, 1.0))
+            for j, i in enumerate(model.weighted_indices)]
+
+
+def per_point_reference(model, ds, curves, threads):
+    """Each point's top1 recomputed the old way: quantize_model then a full forward."""
+    return {m: [nn.evaluate_accuracy(quantize.quantize_model(model, p.allocation), ds,
+                                     threads=threads) for p in pts]
+            for m, pts in curves.items()}
+
+
+def top1s(curves):
+    return {m: [p.top1 for p in pts] for m, pts in curves.items()}
+
+
+def vectors_of(curves):
+    return [p.allocation.b_int for pts in curves.values() for p in pts]
+
+
+@pytest.fixture()
+def no_forward(monkeypatch):
+    """Fail the test if any layer runs."""
+    def fail(*args, **kwargs):
+        raise AssertionError("forward ran")
+
+    monkeypatch.setattr(nn, "_forward_chunks", fail)
+
+
+class TestSweepTrie:
+    # 7.5 is not an integer, so equal has no point there
+    ANCHORS = (6.0, 7.5)
+
+    @pytest.mark.parametrize("n", [1, 511, 513, 1100])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_top1_equals_per_point_quantize_and_evaluate(self, tiny_conv, n, threads):
+        ds = modelio.gen_dataset(tiny_conv, n, seed=5)
+        curves = harness.sweep(tiny_conv, ds, made_up_profiles(tiny_conv),
+                               b1_values=self.ANCHORS, threads=threads)
+        vectors = vectors_of(curves)
+        assert len(set(vectors)) < len(vectors)  # sqnr's vectors are adaptive variants too
+        assert [p.b1 for p in curves["equal"]] == [6.0]
+        assert top1s(curves) == per_point_reference(tiny_conv, ds, curves, threads)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_fc_bits_pins_match_the_reference(self, tiny_conv, threads):
+        ds = modelio.gen_dataset(tiny_conv, 1100, seed=6)
+        curves = harness.sweep(tiny_conv, ds, made_up_profiles(tiny_conv),
+                               b1_values=(3.0, 5.0, 9.0), fc_bits=4, threads=threads)
+        assert all(p.allocation.b_int[2:] == (4, 4) for pts in curves.values() for p in pts)
+        assert top1s(curves) == per_point_reference(tiny_conv, ds, curves, threads)
+
+    def test_one_weighted_layer_after_a_weightless_one(self):
+        rng = np.random.default_rng(4)
+        model = Model((Layer("relu"),
+                       Layer("dense", rng.uniform(-0.5, 0.5, (6, 4)).astype(np.float32))), (6,))
+        inputs = rng.standard_normal((700, 6)).astype(np.float32)
+        ds = Dataset(inputs, nn.classify_batch(nn.forward_batch(model, inputs)))
+        for threads in (1, 2):
+            curves = harness.sweep(model, ds, made_up_profiles(model), b1_values=(2, 3, 4.5),
+                                   threads=threads)
+            assert top1s(curves) == per_point_reference(model, ds, curves, threads)
+
+    def test_each_segment_runs_once_per_distinct_prefix(self, fixture_model, monkeypatch):
+        ds = modelio.gen_dataset(fixture_model, 40, seed=modelio.DEFAULT_SEED + 1)
+        quantized, segments = [], []
+        real_layer, real_chunks = quantize._quantize_layer, nn._forward_chunks
+
+        def counting_layer(layer, bits, index):
+            quantized.append(index)
+            return real_layer(layer, bits, index)
+
+        def counting_chunks(layers, start, chunks, threads, keep=(), stop=None):
+            segments.append((start, stop))
+            return real_chunks(layers, start, chunks, threads, keep, stop)
+
+        monkeypatch.setattr(quantize, "_quantize_layer", counting_layer)
+        monkeypatch.setattr(nn, "_forward_chunks", counting_chunks)
+        curves = harness.sweep(fixture_model, ds, made_up_profiles(fixture_model),
+                               b1_values=(6, 7, 8, 9, 10))
+        vectors = vectors_of(curves)
+        counts = harness.prefix_counts(vectors)
+        weighted = fixture_model.weighted_indices
+        assert [quantized.count(i) for i in weighted] == counts
+        assert counts[-1] == len(set(vectors)) < len(vectors)
+        # one run of the weightless prefix (empty here), then one segment per distinct prefix
+        assert segments[0] == (0, 0) and len(segments) == 1 + sum(counts)
+        ends = dict(zip(weighted, (*weighted[1:], len(fixture_model.layers))))
+        assert all(stop == ends[start] for start, stop in segments[1:])
+
+    def test_prefix_counts(self):
+        assert harness.prefix_counts([(8, 7, 5), (8, 7, 6), (8, 6, 6), (8, 7, 5), (9, 6, 6)]) \
+            == [2, 3, 4]
+        assert harness.prefix_counts([]) == []
+
+    def test_wrong_profile_count_is_rejected_before_any_forward(self, fixture_model,
+                                                                fixture_dataset, no_forward):
+        profiles = made_up_profiles(fixture_model)[:3]
+        with pytest.raises(ValueError, match="^allocation has 3 bit-widths for 4 weighted layers$"):
+            harness.sweep(fixture_model, fixture_dataset, profiles, b1_values=[8])
+
+    def test_bad_labels_are_rejected_before_any_forward(self, fixture_model, fixture_dataset,
+                                                       no_forward):
+        labels = fixture_dataset.labels.copy()
+        labels[5] = fixture_model.d
+        ds = Dataset(fixture_dataset.inputs, labels)
+        with pytest.raises(ValueError, match=f"label {fixture_model.d} out of range"):
+            harness.sweep(fixture_model, ds, made_up_profiles(fixture_model), b1_values=[8])
+
+    @pytest.mark.parametrize("b1", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("methods", [("adaptive", "sqnr", "equal"), ("equal",)])
+    def test_non_finite_anchor_is_rejected_before_any_forward(self, fixture_model,
+                                                              fixture_dataset, no_forward,
+                                                              b1, methods):
+        with pytest.raises(ValueError, match=r"anchor b1 must be finite"):
+            harness.sweep(fixture_model, fixture_dataset, made_up_profiles(fixture_model),
+                          b1_values=[8, b1], methods=methods)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shutil
 
 import numpy as np
@@ -88,16 +89,18 @@ class TestModelRoundTrip:
         doc = json.loads(json_path.read_text())
         doc["layers"][0]["weights"]["offset"] = 10 ** 9
         json_path.write_text(json.dumps(doc))
-        with pytest.raises(LoadError, match="layer 0 weights"):
+        with pytest.raises(LoadError, match="layer 0 weights") as info:
             modelio.load_model(tmp_path / "m")
+        assert str(json_path) in str(info.value)
 
     def test_overlapping_offsets_rejected(self, fixture_model, tmp_path):
         json_path, _ = modelio.save_model(fixture_model, tmp_path / "m")
         doc = json.loads(json_path.read_text())
         doc["layers"][0]["bias"]["offset"] = doc["layers"][0]["weights"]["offset"]
         json_path.write_text(json.dumps(doc))
-        with pytest.raises(LoadError, match="overlaps"):
+        with pytest.raises(LoadError, match="overlaps") as info:
             modelio.load_model(tmp_path / "m")
+        assert str(json_path) in str(info.value)
 
     def test_truncated_sidecar_rejected(self, fixture_model, tmp_path):
         json_path, bin_path = modelio.save_model(fixture_model, tmp_path / "m")
@@ -304,3 +307,76 @@ def test_deleted_mistyped_or_truncated_field_is_rejected(artifacts, kind, data):
                 node[key] = action
             path.write_text(json.dumps(doc))
     assert_rejected(artifacts, artifacts.parent / "fuzz", kind, mutate)
+
+
+def numbers(node):
+    """(container, key) for every number in a document, list items included.
+
+    `d` and `meta` are never read, so they are left out.
+    """
+    if isinstance(node, dict):
+        items = [(k, v) for k, v in node.items() if k not in ("d", "meta")]
+    elif isinstance(node, list):
+        items = list(enumerate(node))
+    else:
+        return []
+    found = []
+    for key, value in items:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            found.append((node, key))
+        else:
+            found += numbers(value)
+    return found
+
+
+@given(kind=st.sampled_from(sorted(LOADERS)),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_non_finite_number_is_rejected(artifacts, kind, value, data):
+    if kind == "curve":
+        def mutate(path):
+            lines = path.read_text().splitlines()
+            row = data.draw(st.integers(1, len(lines) - 1), label="row")
+            cells = lines[row].split(",")
+            cells[data.draw(st.integers(1, len(cells) - 1), label="column")] = str(value)
+            lines[row] = ",".join(cells)
+            path.write_text("\n".join(lines) + "\n")
+    else:
+        def mutate(path):
+            doc = json.loads(path.read_text())
+            node, key = data.draw(st.sampled_from(numbers(doc)), label="field")
+            node[key] = value
+            path.write_text(json.dumps(doc))  # NaN, Infinity, -Infinity
+    message = assert_rejected(artifacts, artifacts.parent / "fuzz-non-finite", kind, mutate)
+    assert LOADERS[kind][1] in message
+
+
+@given(kind=st.sampled_from(["model", "dataset"]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_truncated_sidecar_is_rejected(artifacts, kind, data):
+    def mutate(path):
+        sidecar = path.with_suffix(".bin")
+        blob = sidecar.read_bytes()
+        sidecar.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="kept")])
+
+    message = assert_rejected(artifacts, artifacts.parent / "fuzz-sidecar", kind, mutate)
+    assert LOADERS[kind][1].removesuffix(".json") in message  # the manifest or its sidecar
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_out_of_range_or_overlapping_offset_is_rejected(artifacts, data):
+    def mutate(path):
+        doc = json.loads(path.read_text())
+        tensor = data.draw(st.sampled_from([layer[t] for layer in doc["layers"]
+                                            for t in ("weights", "bias") if t in layer]),
+                           label="tensor")
+        blob = path.with_suffix(".bin").stat().st_size
+        offset = data.draw(st.one_of(st.integers(-8, blob + 8), st.integers(-2 ** 62, 2 ** 62))
+                           .filter(lambda o: o != tensor["offset"]), label="offset")
+        tensor["offset"] = offset
+        path.write_text(json.dumps(doc))
+
+    message = assert_rejected(artifacts, artifacts.parent / "fuzz-offset", "model", mutate)
+    assert "m.model.json" in message
+    assert "outside sidecar" in message or "overlaps" in message

@@ -299,3 +299,49 @@ class TestPrefixCache:
             cache.logits[0, 0] = 1.0
         with pytest.raises(ValueError):
             cache.chunks[3][0][0, 0, 0, 0] = 1.0
+
+
+class TestForwardTrie:
+    @given(padding=st.sampled_from(["same", "valid"]), n=st.sampled_from([1, 511, 513, 1100]),
+           threads=st.sampled_from([1, 2, 4]), seed=st.integers(0, 1000),
+           paths=st.lists(st.tuples(*[st.integers(2, 4)] * 4), min_size=1, max_size=12))
+    @settings(max_examples=30, deadline=None)
+    def test_logits_equal_forward_batch_and_segments_run_once_per_prefix(
+            self, padding, n, threads, seed, paths):
+        from qalloc.quantize import quantize_model, quantize_single_layer
+
+        model = conv_net(padding, seed)
+        x = np.random.default_rng(seed + 1).standard_normal(
+            (n,) + model.input_shape).astype(np.float32)
+        calls = []
+
+        def layer_for(i, bits):
+            calls.append(i)
+            return quantize_single_layer(model, i, bits).layers[i]
+
+        got = list(nn.forward_trie(model, x, paths, layer_for, threads))
+        assert [p for p, _ in got] == sorted(set(paths))
+        for path, z in got:
+            assert np.array_equal(z, nn.forward_batch(quantize_model(model, path), x, threads))
+        for depth, i in enumerate(model.weighted_indices):
+            assert calls.count(i) == len({p[:depth + 1] for p in paths})
+
+    def test_weightless_prefix_and_no_weighted_layers(self):
+        rng = np.random.default_rng(2)
+        w = rng.uniform(-1, 1, (5, 3)).astype(np.float32)
+        x = rng.standard_normal((600, 5)).astype(np.float32)
+        model = Model((Layer("relu"), Layer("dense", w)), (5,))
+        scaled = Layer("dense", 2 * w)
+        (path, z), = nn.forward_trie(model, x, [(1,), (1,)], lambda i, v: scaled, threads=2)
+        assert path == (1,)
+        assert np.array_equal(z, nn.forward_batch(model.replace_layer(1, scaled), x, threads=2))
+        relu_only = Model((Layer("relu"),), (5,))
+        (path, z), = nn.forward_trie(relu_only, x, [()], None)
+        assert path == () and np.array_equal(z, np.maximum(x, 0))
+
+    def test_rejects_paths_of_the_wrong_length_before_any_forward(self):
+        model = conv_net("same")
+        x = np.zeros((3, 8, 8, 2), dtype=np.float32)
+        with pytest.raises(ValueError, match="3 values for 4 weighted layers"):
+            next(nn.forward_trie(model, x, [(4, 4, 4, 4), (4, 4, 4)], None))
+        assert list(nn.forward_trie(model, x, [], None)) == []
