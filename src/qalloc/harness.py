@@ -79,8 +79,8 @@ def run_pipeline(model: nn.Model, dataset: nn.Dataset,
             "delta_acc": delta_acc,
             "b_probe": config.b_probe,
             "seed": config.seed,
-            "noise_powers_t": [p.noise_power for p in t_probes],
-            "noise_powers_p": [p.noise_power for p in p_probes],
+            "noise_powers_t": [modelio.nan_to_null(p.noise_power) for p in t_probes],
+            "noise_powers_p": [modelio.nan_to_null(p.noise_power) for p in p_probes],
         }
         modelio.save_profiles(profiles, f"{out_dir}/profiles.json", meta=meta)
         modelio.save_profiles_csv(profiles, f"{out_dir}/profiles.csv")

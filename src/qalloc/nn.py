@@ -12,6 +12,15 @@ layers have shape (height, width, channels); conv kernels have shape
 The final layer output is the pre-softmax feature vector; classification
 picks its argmax (softmax never changes the argmax, so it is not applied).
 
+A forward splits its input stack into evaluation chunks (`_CHUNK` rows when
+threaded).  Within a chunk, each maximal stretch of row-local layers (conv2d,
+relu, maxpool2d) runs in `_BLOCK`-row blocks: a block passes through the whole
+stretch while its temporaries are still in cache, and its result is written
+into one output array for the chunk.  Each output row of these layers depends
+on its input row alone, and numpy computes it with the same products whatever
+the number of rows, so blocking changes no bit.  Dense layers run on the whole
+chunk, because OpenBLAS dense results depend on the row count of the call.
+
 A `PrefixCache` holds a model's baseline logits on an input stack plus the
 input of every weighted layer.  `forward_from` evaluates a copy of that model
 with one layer changed by running only the layers from the changed one on,
@@ -31,6 +40,8 @@ WEIGHTED_KINDS = ("dense", "conv2d")
 LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d")
 
 _CHUNK = 512  # fixed evaluation chunk; reduction order never depends on thread count
+_BLOCK = 64  # rows per block of a conv/relu/maxpool stretch: its temporaries stay in cache
+_ROW_LOCAL = ("conv2d", "relu", "maxpool2d")  # kinds whose output row depends only on its input row
 
 
 class ShapeError(ValueError):
@@ -213,8 +224,7 @@ def _apply_conv2d(x, layer: Layer):
         pw = max((ow - 1) * s + kw - wd, 0)
         x = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
     # Cast after padding: the cast is exact, and a float64 copy of an unpadded
-    # float32 input would otherwise be alive beside the padded one here, where
-    # the engine's peak memory is set.
+    # float32 input would otherwise be alive beside the padded one.
     x = x.astype(np.float64, copy=False)
     out = np.zeros((n, oh, ow, cout), dtype=np.float64)
     for dy in range(kh):
@@ -227,42 +237,69 @@ def _apply_conv2d(x, layer: Layer):
 
 
 def _apply_maxpool2d(x, layer: Layer):
-    x = x.astype(np.float64, copy=False)
-    n, h, w, c = x.shape
+    # A running maximum over the k*k strided window views: exact in any order.
     k, s = layer.pool_size, layer.stride
+    h, w = x.shape[1:3]
     oh, ow = (h - k) // s + 1, (w - k) // s + 1
-    if s == k and h % k == 0 and w % k == 0:
-        return x.reshape(n, oh, k, ow, k, c).max(axis=(2, 4))
-    out = np.empty((n, oh, ow, c), dtype=x.dtype)
-    for i in range(oh):
-        for j in range(ow):
-            out[:, i, j, :] = x[:, i * s:i * s + k, j * s:j * s + k, :].max(axis=(1, 2))
+    views = (x[:, dy:dy + (oh - 1) * s + 1:s, dx:dx + (ow - 1) * s + 1:s, :]
+             for dy in range(k) for dx in range(k))
+    out = next(views).astype(np.float64)
+    for view in views:
+        np.maximum(out, view, out=out)
     return out
 
 
 def _apply_dense(x, layer: Layer):
-    x = x.reshape(x.shape[0], -1).astype(np.float64, copy=False)
+    x = x.reshape(len(x), layer.weights.shape[0]).astype(np.float64, copy=False)
     out = x @ layer.weights.astype(np.float64, copy=False)
     if layer.bias is not None:
         out += layer.bias.astype(np.float64, copy=False)
     return out
 
 
-def _forward_chunk(layers, x: np.ndarray, start: int, stop: int, keep) -> tuple[np.ndarray, list]:
-    """Run layers[start:stop] on one chunk; also return the inputs of the layers in keep."""
-    kept = []
+def _apply_row_local(layer: Layer, x):
+    if layer.kind == "conv2d":
+        return _apply_conv2d(x, layer)
+    if layer.kind == "relu":
+        return np.maximum(x.astype(np.float64, copy=False), 0.0)
+    return _apply_maxpool2d(x, layer)
+
+
+def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output."""
+    shape = x.shape[1:]
     for i in range(start, stop):
+        shape = _layer_out_shape(layers[i], shape, i)
+    out = np.empty((len(x), *shape), dtype=np.float64)
+    for b in range(0, len(x), _BLOCK):
+        y = x[b:b + _BLOCK]
+        for i in range(start, stop):
+            y = _apply_row_local(layers[i], y)
+        out[b:b + _BLOCK] = y
+    return out
+
+
+def _forward_chunk(layers, x: np.ndarray, start: int, stop: int, keep) -> tuple[np.ndarray, list]:
+    """Run layers[start:stop] on one chunk; also return the inputs of the layers in keep.
+
+    A dense layer runs on the whole chunk, since OpenBLAS dense results
+    depend on the row count of the call.  Each maximal stretch of row-local
+    layers runs in row blocks (`_run_blocked`); a stretch ends at `stop` and
+    at every kept index, so each kept input is one whole-chunk array.
+    """
+    kept = []
+    i = start
+    while i < stop:
         if i in keep:
             kept.append(x)
-        layer = layers[i]
-        if layer.kind == "dense":
-            x = _apply_dense(x, layer)
-        elif layer.kind == "conv2d":
-            x = _apply_conv2d(x, layer)
-        elif layer.kind == "relu":
-            x = np.maximum(x.astype(np.float64, copy=False), 0.0)
+        end = i + 1
+        if layers[i].kind in _ROW_LOCAL:
+            while end < stop and end not in keep and layers[end].kind in _ROW_LOCAL:
+                end += 1
+            x = _run_blocked(layers, x, i, end)
         else:
-            x = _apply_maxpool2d(x, layer)
+            x = _apply_dense(x, layers[i])
+        i = end
     return x, kept
 
 

@@ -67,6 +67,22 @@ class TestPipeline:
         assert meta["baseline_accuracy"] == 1.0
         assert len(loaded) == 2
 
+    def test_profiles_json_is_strict_with_copied_layers(self, small_rig, tmp_path):
+        # last_n=1 copies t onto layer 0, whose noise power is NaN (never measured)
+        import json
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        model, ds = small_rig
+        cfg = ProbeConfig(delta_acc=0.3, acc_tolerance=0.02, seed=1, last_n=1)
+        profiles = harness.run_pipeline(model, ds, cfg, out_dir=tmp_path)
+        doc = json.loads((tmp_path / "profiles.json").read_text(), parse_constant=reject)
+        assert doc["meta"]["noise_powers_t"][0] is None
+        assert doc["meta"]["noise_powers_t"][1] > 0
+        loaded, meta = modelio.load_profiles(tmp_path / "profiles.json")
+        assert loaded == profiles and meta["noise_powers_t"] == doc["meta"]["noise_powers_t"]
+
 
 class TestSweep:
     def test_equal_at_16_bits_matches_float_baseline(self, small_rig, small_profiles):

@@ -55,6 +55,29 @@ class TestForward:
                        Layer("dense", np.eye(4, dtype=np.float32))), (4, 4, 1))
         assert np.array_equal(nn.forward(model, x), [5.0, 7.0, 13.0, 15.0])
 
+    @pytest.mark.parametrize("k,s", [(3, 2), (2, 1), (3, 3), (2, 2)])
+    def test_maxpool_untiled_windows_match_loop_oracle(self, k, s):
+        # odd heights and widths: the windows leave rows and columns uncovered or overlap
+        x = np.random.default_rng(k * 10 + s).standard_normal((4, 7, 9, 3)).astype(np.float32)
+        oh, ow = (7 - k) // s + 1, (9 - k) // s + 1
+        model = Model((Layer("maxpool2d", pool_size=k, stride=s),
+                       Layer("dense", np.eye(oh * ow * 3, dtype=np.float32))), (7, 9, 3))
+        want = np.empty((4, oh, ow, 3))
+        for r in range(4):
+            for i in range(oh):
+                for j in range(ow):
+                    for c in range(3):
+                        want[r, i, j, c] = x[r, i * s:i * s + k, j * s:j * s + k, c].max()
+        assert np.array_equal(nn.forward_batch(model, x).reshape(4, oh, ow, 3), want)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_empty_input_stack_gives_empty_logits(self, fixture_model, threads):
+        dense_only = single_dense(np.eye(3), np.zeros(3))
+        for model in (fixture_model, dense_only):
+            z = nn.forward_batch(model, np.zeros((0, *model.input_shape), dtype=np.float32),
+                                 threads)
+            assert z.shape == (0, model.d) and z.dtype == np.float64
+
     def test_shape_mismatch_names_layer(self):
         model = single_dense(np.eye(3))
         with pytest.raises(ShapeError, match="input shape"):
@@ -345,3 +368,90 @@ class TestForwardTrie:
         with pytest.raises(ValueError, match="3 values for 4 weighted layers"):
             next(nn.forward_trie(model, x, [(4, 4, 4, 4), (4, 4, 4)], None))
         assert list(nn.forward_trie(model, x, [], None)) == []
+
+
+def engine_net(padding, stride, first=None, seed=0):
+    """[first ->] conv -> relu -> maxpool -> conv -> relu -> dense -> relu -> dense, 13x13x2 inputs.
+
+    `first` is None or a weightless kind put in front of the first conv.
+    """
+    rng = np.random.default_rng(seed)
+
+    def u(*shape):
+        return rng.uniform(-0.5, 0.5, size=shape).astype(np.float32)
+
+    head = {None: (), "relu": (Layer("relu"),),
+            "maxpool2d": (Layer("maxpool2d", pool_size=2, stride=1),)}[first]
+    front = head + (Layer("conv2d", u(3, 3, 2, 3), u(3), stride=stride, padding=padding),
+                    Layer("relu"), Layer("maxpool2d", pool_size=2, stride=2),
+                    Layer("conv2d", u(3, 3, 3, 4), u(4), padding=padding), Layer("relu"))
+    shape = (13, 13, 2)
+    for i, layer in enumerate(front):
+        shape = nn._layer_out_shape(layer, shape, i)
+    flat = int(np.prod(shape))
+    return Model(front + (Layer("dense", u(flat, 6), u(6)), Layer("relu"),
+                          Layer("dense", u(6, 5), u(5))), (13, 13, 2))
+
+
+def reference_forward(model, x, threads):
+    """The engine's arithmetic with no row blocks: every layer on each whole evaluation chunk.
+
+    Returns the logits and, per chunk, the input of every layer (and the chunk's logits).
+    """
+    n = len(x)
+    chunks = ([x] if threads <= 1 or n <= nn._CHUNK
+              else [x[i:i + nn._CHUNK] for i in range(0, n, nn._CHUNK)])
+    apply = {"dense": nn._apply_dense, "conv2d": nn._apply_conv2d,
+             "maxpool2d": nn._apply_maxpool2d,
+             "relu": lambda a, _: np.maximum(a.astype(np.float64), 0.0)}
+    per_chunk = []
+    for a in chunks:
+        seen = [a]
+        for layer in model.layers:
+            seen.append(apply[layer.kind](seen[-1], layer))
+        per_chunk.append(seen)
+    return np.concatenate([seen[-1] for seen in per_chunk]), per_chunk
+
+
+ENGINE_NETS = [("same", 1, None), ("same", 2, None), ("valid", 1, None), ("valid", 2, None),
+               ("valid", 1, "relu"), ("same", 2, "maxpool2d")]
+
+
+class TestEngineOracle:
+    """Row-blocked stretches against reference_forward, bit for bit, at every entry point."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 513])
+    @pytest.mark.parametrize("padding,stride,first", ENGINE_NETS)
+    def test_engine_equals_unblocked_reference(self, padding, stride, first, n):
+        from qalloc.quantize import quantize_model, quantize_single_layer
+
+        model = engine_net(padding, stride, first, seed=n)
+        rng = np.random.default_rng(n)
+        x32 = rng.standard_normal((n, *model.input_shape)).astype(np.float32)
+        paths = [(4, 4, 4, 4), (4, 4, 8, 3), (4, 6, 8, 3), (8, 4, 4, 4)]
+
+        def layer_for(i, bits):
+            return quantize_single_layer(model, i, bits).layers[i]
+
+        for threads in (1, 2):
+            for x in (x32, x32.astype(np.float64)):
+                want, per_chunk = reference_forward(model, x, threads)
+                got = nn.forward_batch(model, x, threads)
+                assert got.dtype == np.float64 and np.array_equal(got, want)
+                cache = nn.prefix_cache(model, x, threads)
+                assert np.array_equal(cache.logits, want)
+                assert set(cache.chunks) == {0, *model.weighted_indices}
+                for i, parts in cache.chunks.items():
+                    assert len(parts) == len(per_chunk)
+                    for part, seen in zip(parts, per_chunk):
+                        assert np.array_equal(part, seen[i])
+                for i in model.weighted_indices:
+                    noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
+                    changed = nn.perturb_layer(model, i, noise)
+                    assert np.array_equal(nn.forward_from(cache, changed, i),
+                                          reference_forward(changed, x, threads)[0])
+                trie = list(nn.forward_trie(model, x, paths, layer_for, threads))
+                assert [p for p, _ in trie] == sorted(paths)
+                for path, z in trie:
+                    assert np.array_equal(
+                        z, reference_forward(quantize_model(model, path), x, threads)[0])
