@@ -19,7 +19,7 @@ from .nn import (Dataset, Layer, Model, PrefixCache, ShapeError, classify, class
 from .probes import (AdditivityResult, CalibrationError, LayerProfile, LemmaReport, MarginStats,
                      ProbeConfig, additivity_probe, estimate_p, estimate_t, gamma, lemma_check,
                      linearity_probe, margin_stats, measurement, rank_diagnostic, theta)
-from .quantize import (ALPHA, B_MAX, B_MIN, NoiseModel, QuantSpec, expected_noise_power,
-                       quantize_model, quantize_uniform, residual_power)
+from .quantize import (ALPHA, B_MAX, B_MIN, QuantSpec, expected_noise_power, quantize_model,
+                       quantize_uniform, residual_power)
 
 __version__ = "0.1.0"

@@ -140,13 +140,15 @@ def predicted_m_all(bits, weights=None) -> float:
 
 
 def round_allocation(b_real, sizes, max_variants: int = 16, weights=None,
-                     method: str = "adaptive", b1: float | None = None) -> list[BitAllocation]:
-    """Enumerate floor/ceil roundings of a real allocation.
+                     b1: float | None = None) -> list[BitAllocation]:
+    """Enumerate floor/ceil roundings of a real adaptive allocation.
 
     Variants are clamped to [B_MIN, B_MAX], deduplicated, and ranked by
-    predicted m_all ascending, then by total size; at most max_variants are
-    returned.
+    predicted m_all ascending, then by total size; at most max_variants
+    (at least 1) are returned.
     """
+    if max_variants < 1:
+        raise ValueError(f"max_variants must be >= 1, got {max_variants}")
     b_real = [float(b) for b in b_real]
     if not all(math.isfinite(b) for b in b_real):
         raise ValueError("b_real must be finite")
@@ -170,7 +172,7 @@ def round_allocation(b_real, sizes, max_variants: int = 16, weights=None,
     ranked = sorted(seen.items(), key=lambda kv: (kv[1][0], kv[1][1], kv[0]))
     anchor = float(b_real[0]) if b1 is None else float(b1)
     saturated = _saturated(b_real)
-    return [BitAllocation(method, anchor, tuple(b_real), tuple(combo), sz, saturated)
+    return [BitAllocation("adaptive", anchor, tuple(b_real), tuple(combo), sz, saturated)
             for combo, (_, sz) in ranked[:max_variants]]
 
 

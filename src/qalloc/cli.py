@@ -50,6 +50,15 @@ def _write_manifest(args, out: Path, outputs: list[Path]):
     modelio.write_json(out / "manifest.json", payload)
 
 
+def _write_report(args, name: str, payload: dict):
+    """With --out, write `name` (format_version, then payload) and the manifest there."""
+    if args.out:
+        out = _out_dir(args)
+        path = modelio.write_json(out / name, {"format_version": modelio.FORMAT_VERSION,
+                                               **payload})
+        _write_manifest(args, out, [path])
+
+
 def _merge_profile(a: probes.LayerProfile, b: probes.LayerProfile) -> probes.LayerProfile:
     """One layer's record from a t-only and a p-only run: each side fills the other's NaNs."""
     first = {f: getattr(a, f) if getattr(a, f) == getattr(a, f) else getattr(b, f)
@@ -100,8 +109,8 @@ def cmd_gen_data(args) -> int:
     dataset = modelio.gen_dataset(model, args.n, seed=args.seed)
     paths = modelio.save_dataset(dataset, out / args.name)
     _write_manifest(args, out, list(paths))
-    acc = nn.evaluate_accuracy(model, dataset, threads=args.threads)
-    print(f"dataset: {len(dataset)} teacher-labelled samples, baseline accuracy {acc}")
+    # the labels are the argmax of the labelling forward, so the model scores 1 on them
+    print(f"dataset: {len(dataset)} teacher-labelled samples, baseline accuracy 1.0")
     return 0
 
 
@@ -124,17 +133,12 @@ def cmd_estimate_t(args) -> int:
     config = probes.ProbeConfig(delta_acc=args.delta_acc, seed=args.seed,
                                 acc_tolerance=args.acc_tolerance, max_iters=args.max_iters,
                                 last_n=args.last_n, threads=args.threads)
-    probes.probed_layers(model, config.last_n)  # reject a bad --last-n before any forward
-    cache = nn.prefix_cache(model, dataset.inputs, threads=args.threads)
-    acc_f = nn.accuracy(cache.logits, dataset.labels)
-    margins = probes.margin_stats(model, dataset, threads=args.threads, cache=cache)
-    _progress(f"baseline accuracy {acc_f}, mean margin {margins.mean_r_star:.6g}")
-    t_probes = probes.estimate_t(model, dataset, config, margins=margins, cache=cache)
-    delta = config.delta_acc if config.delta_acc is not None else 0.5 * acc_f
-    profiles = probes.build_profiles(model, t_probes, None, delta)
-    path = modelio.save_profiles(profiles, out / "profiles_t.json", meta={
-        "baseline_accuracy": acc_f, "mean_r_star": margins.mean_r_star,
-        "delta_acc": delta, "seed": args.seed})
+    _, margins, t_probes, meta = harness.calibrate_t(model, dataset, config)
+    _progress(f"baseline accuracy {meta['baseline_accuracy']}, "
+              f"mean margin {margins.mean_r_star:.6g}")
+    profiles = probes.build_profiles(model, t_probes, None, meta["delta_acc"])
+    path = modelio.save_profiles(profiles, out / "profiles_t.json",
+                                 meta={**meta, "seed": config.seed})
     csv_path = modelio.save_profiles_csv(profiles, out / "profiles_t.csv")
     _write_manifest(args, out, [path, csv_path])
     for r in t_probes:
@@ -196,11 +200,7 @@ def cmd_evaluate(args) -> int:
     dataset = modelio.load_dataset(args.data)
     acc = nn.evaluate_accuracy(model, dataset, threads=args.threads)
     print(f"top1 {acc!r} on {len(dataset)} samples")
-    if args.out:
-        out = _out_dir(args)
-        path = modelio.write_json(out / "evaluation.json", {
-            "format_version": modelio.FORMAT_VERSION, "top1": acc, "n": len(dataset)})
-        _write_manifest(args, out, [path])
+    _write_report(args, "evaluation.json", {"top1": acc, "n": len(dataset)})
     return 0
 
 
@@ -232,8 +232,7 @@ def cmd_compare(args) -> int:
     curves: dict[str, list[harness.CurvePoint]] = {}
     for path in args.curves:
         for row in modelio.load_curve(path):
-            pt = harness.CurvePoint(row["method"], row["b1"], row["variant"],
-                                    row["size_bits"], row["size_mb"], row["top1"])
+            pt = harness.CurvePoint(**row)
             curves.setdefault(pt.method, []).append(pt)
     if len(curves) < 2:
         return _err(f"need curves from at least two methods, found {sorted(curves)}")
@@ -255,12 +254,7 @@ def cmd_lemma_check(args) -> int:
     status = "ok" if report.passed else "VIOLATED"
     print(f"d={report.d} delta={report.delta}: flip rate {report.flip_rate} "
           f"<= bound {report.bound}: {status}")
-    if args.out:
-        out = _out_dir(args)
-        path = modelio.write_json(out / "lemma.json", {
-            "format_version": modelio.FORMAT_VERSION, **asdict(report),
-            "passed": report.passed})
-        _write_manifest(args, out, [path])
+    _write_report(args, "lemma.json", {**asdict(report), "passed": report.passed})
     return 0 if report.passed else 2
 
 
@@ -279,7 +273,7 @@ def cmd_verify(args) -> int:
         lemma_trials=2000 if args.quick else 10_000,
         kkt_sets=20 if args.quick else 100,
         grid_step=0.05 if args.quick else 0.01,
-        anchors=tuple(_parse_grid(args.b1_grid)) if args.b1_grid else None,
+        anchors=None if args.b1_grid is None else tuple(_parse_grid(args.b1_grid)),
         max_variants=4 if args.quick else 16)
     results = harness.verify(model, dataset, config)
     failures = 0
@@ -287,18 +281,13 @@ def cmd_verify(args) -> int:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
         failures += 0 if r.passed else 1
     print(f"{len(results) - failures}/{len(results)} checks passed")
-    if args.out:
-        out = _out_dir(args)
-        path = modelio.write_json(out / "verify.json", {
-            "format_version": modelio.FORMAT_VERSION,
-            "results": [asdict(r) for r in results]})
-        _write_manifest(args, out, [path])
+    _write_report(args, "verify.json", {"results": [asdict(r) for r in results]})
     return 0 if failures == 0 else 2
 
 
 def _parse_grid(text: str | None):
-    """Anchor grid: 'lo:hi:step' or a comma-separated list."""
-    if not text:
+    """Anchor grid: 'lo:hi:step' or a comma-separated list; None is the default grid."""
+    if text is None:
         return harness.default_anchor_grid()
     if ":" in text:
         try:
@@ -310,7 +299,10 @@ def _parse_grid(text: str | None):
             raise ValueError(f"--b1-grid {text!r}: need finite lo <= hi and a finite step > 0")
         n = int(round(span))
         return [lo + i * step for i in range(n + 1)]
-    return [float(v) for v in text.split(",")]
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--b1-grid {text!r}: expected lo:hi:step or a comma list") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -408,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        return _err(f"--threads must be >= 1, got {args.threads}")
     try:
         return args.func(args)
     except (modelio.LoadError, probes.CalibrationError, nn.ShapeError, ValueError) as e:

@@ -55,6 +55,25 @@ def default_anchor_grid() -> list[float]:
     return [4 + 0.5 * i for i in range(17)]
 
 
+def calibrate_t(model: nn.Model, dataset: nn.Dataset, config: probes.ProbeConfig):
+    """Prefix cache -> baseline accuracy -> delta_acc -> margins -> t probes.
+
+    The front `run_pipeline` and `qalloc estimate-t` share.  Returns (cache,
+    margins, t_probes, meta); meta holds baseline_accuracy, mean_r_star and
+    delta_acc, the first keys of both callers' profiles meta.
+    """
+    probes.probed_layers(model, config.last_n)  # a bad last_n fails before any forward
+    cache = nn.prefix_cache(model, dataset.inputs, threads=config.threads)
+    acc_f = nn.accuracy(cache.logits, dataset.labels)
+    delta_acc = config.delta_acc if config.delta_acc is not None else 0.5 * acc_f
+    margins = probes.margin_stats(model, dataset, threads=config.threads, cache=cache)
+    t_probes = probes.estimate_t(model, dataset, replace(config, delta_acc=delta_acc),
+                                 margins=margins, cache=cache)
+    meta = {"baseline_accuracy": acc_f, "mean_r_star": margins.mean_r_star,
+            "delta_acc": delta_acc}
+    return cache, margins, t_probes, meta
+
+
 def run_pipeline(model: nn.Model, dataset: nn.Dataset,
                  config: probes.ProbeConfig = probes.ProbeConfig(),
                  out_dir=None) -> list[probes.LayerProfile]:
@@ -63,25 +82,14 @@ def run_pipeline(model: nn.Model, dataset: nn.Dataset,
     All stages share one prefix cache, so the unmodified model is forwarded
     once.  With out_dir set, margins and the merged profiles are persisted.
     """
-    cache = nn.prefix_cache(model, dataset.inputs, threads=config.threads)
-    acc_f = nn.accuracy(cache.logits, dataset.labels)
-    delta_acc = config.delta_acc if config.delta_acc is not None else 0.5 * acc_f
-    margins = probes.margin_stats(model, dataset, threads=config.threads, cache=cache)
-    t_probes = probes.estimate_t(model, dataset, replace(config, delta_acc=delta_acc),
-                                 margins=margins, cache=cache)
+    cache, margins, t_probes, meta = calibrate_t(model, dataset, config)
     p_probes = probes.estimate_p(model, dataset, b_probe=config.b_probe,
                                  threads=config.threads, cache=cache)
-    profiles = probes.build_profiles(model, t_probes, p_probes, delta_acc)
+    profiles = probes.build_profiles(model, t_probes, p_probes, meta["delta_acc"])
     if out_dir is not None:
-        meta = {
-            "baseline_accuracy": acc_f,
-            "mean_r_star": margins.mean_r_star,
-            "delta_acc": delta_acc,
-            "b_probe": config.b_probe,
-            "seed": config.seed,
-            "noise_powers_t": [modelio.nan_to_null(p.noise_power) for p in t_probes],
-            "noise_powers_p": [modelio.nan_to_null(p.noise_power) for p in p_probes],
-        }
+        meta.update(b_probe=config.b_probe, seed=config.seed,
+                    noise_powers_t=[modelio.nan_to_null(p.noise_power) for p in t_probes],
+                    noise_powers_p=[modelio.nan_to_null(p.noise_power) for p in p_probes])
         modelio.save_profiles(profiles, f"{out_dir}/profiles.json", meta=meta)
         modelio.save_profiles_csv(profiles, f"{out_dir}/profiles.csv")
         modelio.save_margins(margins, f"{out_dir}/margins.json")
@@ -102,7 +110,7 @@ def _allocations_for(method: str, b1: float, profiles, sizes, max_variants: int,
         base = alloc.allocate_adaptive(profiles, b1, pinned=pinned)
         weights = [p.p / p.t if not p.degenerate else 0.0 for p in profiles]
         return alloc.round_allocation(base.b_real, sizes, max_variants=max_variants,
-                                      weights=weights, method="adaptive", b1=b1)
+                                      weights=weights, b1=b1)
     if method == "sqnr":
         base = alloc.allocate_sqnr(sizes, b1, pinned=pinned)
         return [base]
@@ -278,10 +286,6 @@ class VerifyConfig:
 
     seed: int = 0
     quantizer_weights: int = 100_000
-    linearity_samples: int = 2000
-    additivity_samples: int = 2000
-    t_ratio_samples: int = 2000
-    sweep_samples: int = 2000
     lemma_trials: int = 10_000
     kkt_sets: int = 100
     grid_step: float = 0.01
@@ -343,19 +347,17 @@ def _random_profiles(rng, n_layers: int) -> list[probes.LayerProfile]:
     return out
 
 
-def check_kkt(n_sets: int = 100, seed: int = 0, rel_tol: float = 1e-9,
-              profile_sets=None) -> CheckResult:
+def check_kkt(n_sets: int = 100, seed: int = 0, rel_tol: float = 1e-9) -> CheckResult:
     """Stationarity of the closed form: equal ratios p*exp(-a*b)/(t*s)."""
     rng = np.random.default_rng(seed)
-    if profile_sets is None:
-        profile_sets = [_random_profiles(rng, int(rng.integers(2, 7))) for _ in range(n_sets)]
+    profile_sets = [_random_profiles(rng, int(rng.integers(2, 7))) for _ in range(n_sets)]
     worst = 0.0
     for profs in profile_sets:
         b1 = float(rng.uniform(4, 12))
         a = alloc.allocate_adaptive(profs, b1)
         worst = max(worst, alloc.stationarity_residual(profs, a.b_real))
     return CheckResult("kkt_stationarity", worst <= rel_tol,
-                       f"worst log-ratio spread = {worst:.3e} over {len(profile_sets)} profile sets")
+                       f"worst log-ratio spread = {worst:.3e} over {n_sets} profile sets")
 
 
 def check_optimality(n_sets: int = 20, seed: int = 0, grid_step: float = 0.01,
@@ -452,12 +454,12 @@ def check_dominance(model, dataset, profiles, anchors=None, min_fraction: float 
             curves, report)
 
 
-def check_equal_envelope(points, tol: float = 0.01, allowed_violations: int = 1) -> CheckResult:
-    """Equal-method accuracy should be non-decreasing in b (within noise)."""
+def check_equal_envelope(points) -> CheckResult:
+    """Equal-method accuracy should be non-decreasing in b: one drop beyond 0.01 is allowed."""
     pts = sorted((p for p in points if p.method == "equal"), key=lambda p: p.b1)
-    violations = [(a.b1, b.b1) for a, b in zip(pts, pts[1:]) if b.top1 < a.top1 - tol]
-    return CheckResult("equal_envelope", len(violations) <= allowed_violations,
-                       f"{len(violations)} drop(s) beyond {tol} along the equal curve")
+    violations = [(a.b1, b.b1) for a, b in zip(pts, pts[1:]) if b.top1 < a.top1 - 0.01]
+    return CheckResult("equal_envelope", len(violations) <= 1,
+                       f"{len(violations)} drop(s) beyond 0.01 along the equal curve")
 
 
 def check_roundtrips(model, dataset, profiles, tmp_dir) -> CheckResult:

@@ -22,11 +22,14 @@ the number of rows, so blocking changes no bit.  Dense layers run on the whole
 chunk, because OpenBLAS dense results depend on the row count of the call.
 
 A `PrefixCache` holds a model's baseline logits on an input stack plus the
-input of every weighted layer.  `forward_from` evaluates a copy of that model
-with one layer changed by running only the layers from the changed one on,
-and its result equals `forward_batch` on the copy bit for bit.
-`forward_trie` evaluates many copies that differ only in their weighted
-layers, running each layer segment once per distinct prefix of changes.
+input of every weighted layer: `prefix_cache` runs the forward one
+weighted-layer segment at a time and keeps each segment's output.
+`forward_from` evaluates a copy of that model with one layer changed by
+running only the layers from the changed one on, and its result equals
+`forward_batch` on the copy bit for bit.  `forward_trie` evaluates many
+copies that differ only in their weighted layers, running each layer segment
+once per distinct prefix of changes.  A segment boundary only splits a
+row-local stretch in two, which changes no bit either.
 """
 
 from __future__ import annotations
@@ -279,28 +282,24 @@ def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _forward_chunk(layers, x: np.ndarray, start: int, stop: int, keep) -> tuple[np.ndarray, list]:
-    """Run layers[start:stop] on one chunk; also return the inputs of the layers in keep.
+def _forward_chunk(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Run layers[start:stop] on one chunk.
 
     A dense layer runs on the whole chunk, since OpenBLAS dense results
     depend on the row count of the call.  Each maximal stretch of row-local
-    layers runs in row blocks (`_run_blocked`); a stretch ends at `stop` and
-    at every kept index, so each kept input is one whole-chunk array.
+    layers runs in row blocks (`_run_blocked`); a stretch ends at `stop`.
     """
-    kept = []
     i = start
     while i < stop:
-        if i in keep:
-            kept.append(x)
         end = i + 1
         if layers[i].kind in _ROW_LOCAL:
-            while end < stop and end not in keep and layers[end].kind in _ROW_LOCAL:
+            while end < stop and layers[end].kind in _ROW_LOCAL:
                 end += 1
             x = _run_blocked(layers, x, i, end)
         else:
             x = _apply_dense(x, layers[i])
         i = end
-    return x, kept
+    return x
 
 
 def _split(rows: np.ndarray, threads: int) -> list[np.ndarray]:
@@ -311,19 +310,17 @@ def _split(rows: np.ndarray, threads: int) -> list[np.ndarray]:
     return [rows[i:i + _CHUNK] for i in range(0, n, _CHUNK)]
 
 
-def _forward_chunks(layers, start: int, chunks, threads: int, keep=(), stop: int | None = None):
-    """Run layers[start:stop] on each chunk: (outputs per chunk, kept inputs per chunk)."""
+def _forward_chunks(layers, start: int, chunks, threads: int, stop: int | None = None):
+    """Run layers[start:stop] on each chunk; the outputs, one per chunk."""
     stop = len(layers) if stop is None else stop
 
     def run(x):
-        return _forward_chunk(layers, x, start, stop, keep)
+        return _forward_chunk(layers, x, start, stop)
 
     if len(chunks) == 1:
-        results = [run(chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, chunks))
-    return [r[0] for r in results], [r[1] for r in results]
+        return [run(chunks[0])]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, chunks))
 
 
 def _join(outs: list[np.ndarray]) -> np.ndarray:
@@ -346,7 +343,7 @@ def forward_batch(model: Model, inputs: np.ndarray, threads: int = 1) -> np.ndar
     chunks and results concatenated in chunk order.
     """
     inputs = _check_inputs(model, inputs)
-    return _join(_forward_chunks(model.layers, 0, _split(inputs, threads), threads)[0])
+    return _join(_forward_chunks(model.layers, 0, _split(inputs, threads), threads))
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,19 +365,23 @@ class PrefixCache:
 
 
 def prefix_cache(model: Model, inputs: np.ndarray, threads: int = 1) -> PrefixCache:
-    """One baseline forward, keeping the logits and the input of each weighted layer."""
+    """One baseline forward, keeping the logits and the input of each weighted layer.
+
+    It runs the segments [0, w1), [w1, w2), ... [w_last, len) one after another
+    and keeps each segment's output, the next weighted layer's input.
+    """
     inputs = _check_inputs(model, inputs)
     if len(inputs) == 0:
         raise ValueError("cannot cache a forward over an empty input stack")
-    keep = tuple(i for i in model.weighted_indices if i > 0)
-    parts = _split(inputs, threads)
-    outs, kept = _forward_chunks(model.layers, 0, parts, threads, keep)
-    logits = _join(outs)
-    chunks = {0: tuple(parts)}
-    for j, i in enumerate(keep):
-        chunks[i] = tuple(k[j] for k in kept)
-        for a in chunks[i]:
+    chunks = {0: tuple(_split(inputs, threads))}
+    ends = [i for i in model.weighted_indices if i > 0]
+    start, x = 0, chunks[0]
+    for end in ends:
+        x = chunks[end] = tuple(_forward_chunks(model.layers, start, x, threads, stop=end))
+        for a in x:
             a.flags.writeable = False
+        start = end
+    logits = _join(_forward_chunks(model.layers, start, x, threads))
     logits.flags.writeable = False
     return PrefixCache(model, inputs, threads, logits, chunks)
 
@@ -399,7 +400,7 @@ def forward_from(cache: PrefixCache, model: Model, index: int) -> np.ndarray:
     if model.input_shape != cache.model.input_shape or any(
             a is not b for a, b in zip(model.layers[:index], cache.model.layers)):
         raise ValueError(f"layers before {index} differ from the cached model's")
-    return _join(_forward_chunks(model.layers, index, cache.chunks[index], cache.threads)[0])
+    return _join(_forward_chunks(model.layers, index, cache.chunks[index], cache.threads))
 
 
 def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: int = 1):
@@ -430,7 +431,7 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
     layers = list(model.layers)
     ends = (*weighted[1:], len(layers))  # weighted layer j's segment is layers[weighted[j]:ends[j]]
     first = weighted[0] if weighted else len(layers)
-    stack = [_forward_chunks(layers, 0, _split(inputs, threads), threads, stop=first)[0]]
+    stack = [_forward_chunks(layers, 0, _split(inputs, threads), threads, stop=first)]
     stack += [None] * len(weighted)
     prev = ()
     for path in paths:
@@ -439,7 +440,7 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
         for j in range(k, len(weighted)):
             i = weighted[j]
             layers[i] = layer_for(i, path[j])
-            stack[j + 1] = _forward_chunks(layers, i, stack[j], threads, stop=ends[j])[0]
+            stack[j + 1] = _forward_chunks(layers, i, stack[j], threads, stop=ends[j])
         yield path, _join(stack[-1])
         prev = path
 
@@ -485,13 +486,12 @@ def evaluate_accuracy(model: Model, dataset: Dataset, threads: int = 1) -> float
     return accuracy(forward_batch(model, dataset.inputs, threads=threads), dataset.labels)
 
 
-def perturb_layer(model: Model, index: int, noise: np.ndarray,
-                  bias_noise: np.ndarray | None = None) -> Model:
+def perturb_layer(model: Model, index: int, noise: np.ndarray) -> Model:
     """Return a copy of the model with noise added to the weights of one layer.
 
     The perturbed weights are kept in float64 so the injected noise is exact
     even when it is orders of magnitude below the weight scale.  The bias is
-    left untouched unless bias_noise is supplied.
+    left untouched.
     """
     layer = model.layers[index]
     if layer.kind not in WEIGHTED_KINDS:
@@ -502,13 +502,7 @@ def perturb_layer(model: Model, index: int, noise: np.ndarray,
             f"layer {index} ({layer.kind}): noise shape {noise.shape} "
             f"!= weights shape {layer.weights.shape}")
     new_w = layer.weights.astype(np.float64) + noise
-    new_b = layer.bias
-    if bias_noise is not None:
-        bias_noise = np.asarray(bias_noise, dtype=np.float64)
-        if layer.bias is None or bias_noise.shape != layer.bias.shape:
-            raise ShapeError(f"layer {index} ({layer.kind}): bias noise shape mismatch")
-        new_b = layer.bias.astype(np.float64) + bias_noise
-    return model.replace_layer(index, replace(layer, weights=new_w, bias=new_b))
+    return model.replace_layer(index, replace(layer, weights=new_w))
 
 
 def mean_power(diff: np.ndarray) -> float:

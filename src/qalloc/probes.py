@@ -61,6 +61,12 @@ class ProbeConfig:
     last_n: int | None = None  # probe only the last n weighted layers, copy t backward
     threads: int = 1
 
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.acc_tolerance >= 0:
+            raise ValueError(f"acc_tolerance must be >= 0, got {self.acc_tolerance}")
+
 
 @dataclass(frozen=True)
 class MarginStats:
@@ -120,9 +126,9 @@ def _cache_for(model: Model, dataset: Dataset, threads: int,
     return cache
 
 
-def margin_stats(model: Model, dataset: Dataset, bins: int = 50, threads: int = 1, *,
+def margin_stats(model: Model, dataset: Dataset, threads: int = 1, *,
                  cache: nn.PrefixCache | None = None) -> MarginStats:
-    """Per-sample margins (z1 - z2)^2 / 2 over the dataset.
+    """Per-sample margins (z1 - z2)^2 / 2 over the dataset, in a 50-bin histogram.
 
     One forward, or none when a prefix cache supplies the baseline logits.
     """
@@ -134,7 +140,7 @@ def margin_stats(model: Model, dataset: Dataset, bins: int = 50, threads: int = 
         z = _cache_for(model, dataset, threads, cache).logits
     top2 = np.partition(z, z.shape[1] - 2, axis=1)[:, -2:]
     margins = (top2[:, 1] - top2[:, 0]) ** 2 / 2.0
-    counts, edges = np.histogram(margins, bins=bins)
+    counts, edges = np.histogram(margins, bins=50)
     return MarginStats(float(margins.mean()), tuple(int(c) for c in counts),
                        tuple(float(e) for e in edges), len(dataset))
 
@@ -266,18 +272,15 @@ def measurement(profiles, noise_powers) -> tuple[list[float], float]:
     return m, sum(m)
 
 
-def default_scale_ladder(model: Model, layer_index: int, count: int = 6,
-                         smallest: float = 1e-3, ratio: float = 4.0) -> list[float]:
-    """Geometric noise-scale ladder relative to the layer's weight spread.
+def default_scale_ladder(model: Model, layer_index: int) -> list[float]:
+    """Six noise scales, geometric in the layer's weight spread.
 
     A scale k adds uniform(-k/2, k/2) noise; k = rel * std(W) * sqrt(12) makes
-    the noise std equal to rel times the weight std.
+    the noise std equal to rel times the weight std, for rel = 1e-3 * 4**j.
     """
-    if count < 2:
-        raise ValueError("ladder needs at least 2 scales")
     sigma = float(np.std(model.layers[layer_index].weights))
     base = sigma * math.sqrt(12.0)
-    return [smallest * ratio ** j * base for j in range(count)]
+    return [1e-3 * 4.0 ** j * base for j in range(6)]
 
 
 def linearity_probe(model: Model, dataset: Dataset, layer_index: int, scales,

@@ -57,30 +57,18 @@ class QuantSpec:
         return (self.w_max - self.w_min) / self.cells
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Predicted residual power p' * exp(-alpha * b) for a weight tensor."""
+def expected_noise_power(count: int, w_min: float, w_max: float, bits: float) -> float:
+    """Expected total squared residual for count values quantized at `bits`.
 
-    p_prime: float
-    alpha: float = ALPHA
-
-    def predict(self, bits: float) -> float:
-        return self.p_prime * math.exp(-self.alpha * bits)
-
-
-def weight_noise_model(count: int, w_min: float, w_max: float) -> NoiseModel:
-    """Noise model for `count` values uniformly covering (w_min, w_max)."""
+    The values uniformly cover (w_min, w_max): count * range**2 / 12, scaled by
+    exp(-ALPHA * bits).
+    """
+    if bits < 1:
+        raise ValueError(f"bits must be >= 1, got {bits}")
     if count < 1:
         raise ValueError("count must be >= 1")
     spec = QuantSpec(1, w_min, w_max)  # validates the range
-    return NoiseModel(count * (spec.w_max - spec.w_min) ** 2 / 12.0)
-
-
-def expected_noise_power(count: int, w_min: float, w_max: float, bits: float) -> float:
-    """Expected total squared residual for count values quantized at `bits`."""
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
-    return weight_noise_model(count, w_min, w_max).predict(bits)
+    return count * (spec.w_max - spec.w_min) ** 2 / 12.0 * math.exp(-ALPHA * bits)
 
 
 def quantize_uniform(values, spec: QuantSpec) -> np.ndarray:

@@ -41,18 +41,21 @@ class TestGenAndEvaluate:
         assert (tmp_path / "run" / "fixture.model.json").exists()
         assert (tmp_path / "run" / "manifest.json").exists()
 
-    def test_gen_data_baseline_accuracy_uses_threads(self, rig, tmp_path, monkeypatch):
-        seen = []
-        real = nn.evaluate_accuracy
+    def test_gen_data_forwards_once(self, rig, tmp_path, monkeypatch, capsys):
+        rows = []
+        real = nn.forward_batch
 
-        def spy(model, dataset, threads=1):
-            seen.append(threads)
-            return real(model, dataset, threads=threads)
+        def spy(model, inputs, threads=1):
+            rows.append(len(inputs))
+            return real(model, inputs, threads=threads)
 
-        monkeypatch.setattr(nn, "evaluate_accuracy", spy)
+        # modelio imported forward_batch by name, so patch its binding too
+        monkeypatch.setattr(nn, "forward_batch", spy)
+        monkeypatch.setattr(modelio, "forward_batch", spy)
         assert main(["gen-data", "--model", str(rig / "m"), "--n", "30", "--threads", "3",
                      "--out", str(tmp_path)]) == 0
-        assert seen == [3]
+        assert rows == [30]
+        assert "baseline accuracy 1.0" in capsys.readouterr().out
 
     def test_evaluate_prints_accuracy(self, rig, capsys):
         assert main(["evaluate", "--model", str(rig / "m"), "--data", str(rig / "d")]) == 0
@@ -164,13 +167,44 @@ class TestFlagRanges:
         assert err.startswith("error: last_n must lie in 1..2") and err.count("\n") == 1
 
     @pytest.mark.parametrize("grid", ["4:12:0", "4:12:-1", "12:4:1", "4:12", "4:x:1",
-                                      "4:inf:1", "4:12:nan"])
+                                      "4:inf:1", "4:12:nan", "", "4,x"])
     def test_bad_b1_grid_is_one_line_exit_1(self, rig, tmp_path, capsys, grid):
         path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
         assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      "--profiles", str(path), "--b1-grid", grid, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --b1-grid") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_one_line_exit_1(self, rig, capsys, threads):
+        assert main(["evaluate", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--threads", threads]) == 1
+        assert capsys.readouterr().err == f"error: --threads must be >= 1, got {threads}\n"
+
+    @pytest.mark.parametrize("max_variants", ["0", "-1"])
+    def test_max_variants_below_one_is_one_line_exit_1(self, rig, tmp_path, capsys,
+                                                       max_variants):
+        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--profiles", str(path), "--b1-grid", "6,7", "--max-variants", max_variants,
+                     "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: max_variants must be >= 1, got {max_variants}\n")
+        assert err.count("error") == 1 and not (tmp_path / "s" / "curve.csv").exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--max-iters", "0", "max_iters must be >= 1, got 0"),
+        ("--acc-tolerance", "-0.1", "acc_tolerance must be >= 0, got -0.1")],
+        ids=["max-iters", "acc-tolerance"])
+    def test_bad_probe_settings_are_one_line_exit_1_before_any_forward(
+            self, rig, tmp_path, capsys, monkeypatch, flag, value, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(nn, "prefix_cache", fail)
+        assert main(["estimate-t", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     flag, value, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_valid_b1_grids_parse_as_before(self):
         from qalloc import harness
@@ -180,6 +214,26 @@ class TestFlagRanges:
         assert _parse_grid("4:12:0.5") == harness.default_anchor_grid()
         assert _parse_grid("7:7:1") == [7.0]
         assert _parse_grid("5,6.5") == [5.0, 6.5]
+
+
+class TestCalibrationFront:
+    def test_cli_and_library_calibrate_alike(self, rig, tmp_path):
+        from qalloc import harness
+        from qalloc.cli import _load_merged_profiles
+        from qalloc.probes import ProbeConfig
+
+        cal = tmp_path / "cal"
+        for command in ("estimate-t", "estimate-p"):
+            assert main([command, "--model", str(rig / "m"), "--data", str(rig / "d"),
+                         "--out", str(cal)]) == 0
+        merged, _ = _load_merged_profiles([cal / "profiles_t.json", cal / "profiles_p.json"])
+        lib = harness.run_pipeline(modelio.load_model(rig / "m"), modelio.load_dataset(rig / "d"),
+                                   ProbeConfig(), out_dir=tmp_path / "lib")
+        assert merged == lib
+        _, meta_t = modelio.load_profiles(cal / "profiles_t.json")
+        _, meta = modelio.load_profiles(tmp_path / "lib" / "profiles.json")
+        keys = ("baseline_accuracy", "mean_r_star", "delta_acc", "seed")
+        assert list(meta_t.items()) == [(k, meta[k]) for k in keys]
 
 
 class TestQuantizeEvaluate:

@@ -316,9 +316,9 @@ class TestSweepTrie:
             quantized.append(index)
             return real_layer(layer, bits, index)
 
-        def counting_chunks(layers, start, chunks, threads, keep=(), stop=None):
+        def counting_chunks(layers, start, chunks, threads, stop=None):
             segments.append((start, stop))
-            return real_chunks(layers, start, chunks, threads, keep, stop)
+            return real_chunks(layers, start, chunks, threads, stop)
 
         monkeypatch.setattr(quantize, "_quantize_layer", counting_layer)
         monkeypatch.setattr(nn, "_forward_chunks", counting_chunks)
@@ -352,6 +352,14 @@ class TestSweepTrie:
         ds = Dataset(fixture_dataset.inputs, labels)
         with pytest.raises(ValueError, match=f"label {fixture_model.d} out of range"):
             harness.sweep(fixture_model, ds, made_up_profiles(fixture_model), b1_values=[8])
+
+    @pytest.mark.parametrize("max_variants", [0, -1])
+    def test_max_variants_below_one_is_rejected_before_any_forward(self, fixture_model,
+                                                                   fixture_dataset, no_forward,
+                                                                   max_variants):
+        with pytest.raises(ValueError, match=f"^max_variants must be >= 1, got {max_variants}$"):
+            harness.sweep(fixture_model, fixture_dataset, made_up_profiles(fixture_model),
+                          b1_values=[6, 7], max_variants=max_variants)
 
     @pytest.mark.parametrize("b1", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("methods", [("adaptive", "sqnr", "equal"), ("equal",)])

@@ -323,6 +323,17 @@ class TestPrefixCache:
         with pytest.raises(ValueError):
             cache.chunks[3][0][0, 0, 0, 0] = 1.0
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_cached_layers_of_models_without_a_later_weighted_layer(self, threads):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((600, 6)).astype(np.float32)
+        dense = Layer("dense", rng.uniform(-0.5, 0.5, (6, 3)))
+        for layers in ((), (Layer("relu"),), (dense,), (Layer("relu"), dense, Layer("relu"))):
+            model = Model(layers, (6,))
+            cache = nn.prefix_cache(model, x.copy(), threads)
+            assert set(cache.chunks) == {0, *model.weighted_indices}
+            assert np.array_equal(cache.logits, nn.forward_batch(model, x, threads))
+
 
 class TestForwardTrie:
     @given(padding=st.sampled_from(["same", "valid"]), n=st.sampled_from([1, 511, 513, 1100]),

@@ -133,6 +133,13 @@ class TestEstimateT:
         with pytest.raises(ValueError, match="last_n must lie in 1..2"):
             probes.estimate_t(model, ds, ProbeConfig(delta_acc=0.4, last_n=last_n))
 
+    @pytest.mark.parametrize("field,value", [("max_iters", 0), ("max_iters", -3),
+                                             ("acc_tolerance", -0.1),
+                                             ("acc_tolerance", float("nan"))])
+    def test_config_rejects_settings_no_search_can_meet(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+            ProbeConfig(**{field: value})
+
 
 class TestSharedCache:
     def test_probes_with_a_shared_cache_equal_their_own(self):
