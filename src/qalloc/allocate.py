@@ -50,6 +50,12 @@ def check_anchor(b1) -> float:
     return b1
 
 
+def check_max_variants(max_variants: int):
+    """ValueError unless `max_variants` is at least 1."""
+    if max_variants < 1:
+        raise ValueError(f"max_variants must be >= 1, got {max_variants}")
+
+
 def _clamp_int(b: float) -> int:
     rounded = math.floor(b + 0.5)  # half rounds up, deterministically
     return min(max(rounded, B_MIN), B_MAX)
@@ -147,8 +153,7 @@ def round_allocation(b_real, sizes, max_variants: int = 16, weights=None,
     predicted m_all ascending, then by total size; at most max_variants
     (at least 1) are returned.
     """
-    if max_variants < 1:
-        raise ValueError(f"max_variants must be >= 1, got {max_variants}")
+    check_max_variants(max_variants)
     b_real = [float(b) for b in b_real]
     if not all(math.isfinite(b) for b in b_real):
         raise ValueError("b_real must be finite")

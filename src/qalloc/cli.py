@@ -312,18 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qalloc {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
+    def add(name, fn, help_text, threads_help="worker thread cap"):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=fn, command=name)
         p.add_argument("--out", help="output directory (default: $QALLOC_OUTDIR or .)")
-        p.add_argument("--threads", type=int, default=1, help="worker thread cap")
+        p.add_argument("--threads", type=int, default=1, help=threads_help)
         return p
 
     p = add("gen-model", cmd_gen_model, "generate the deterministic fixture model")
     p.add_argument("--seed", type=int, default=modelio.DEFAULT_SEED)
     p.add_argument("--name", default="fixture", help="output file prefix")
 
-    p = add("gen-data", cmd_gen_data, "generate a teacher-labelled dataset for a model")
+    p = add("gen-data", cmd_gen_data, "generate a teacher-labelled dataset for a model",
+            threads_help="no effect: labels are made at one thread, so the dataset files "
+                         "are the same at every --threads")
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=modelio.DEFAULT_SEED + 1)

@@ -141,6 +141,7 @@ def sweep(model: nn.Model, dataset: nn.Dataset, profiles, b1_values=None,
     b1_values = [alloc.check_anchor(b) for b in b1_values]
     if not b1_values:
         raise ValueError("need at least one anchor value")
+    alloc.check_max_variants(max_variants)
     sizes = [p.s for p in profiles]
     pinned = dense_pins(profiles, fc_bits)
     plan = {method: [(b1, variant, allocation) for b1 in b1_values

@@ -15,11 +15,15 @@ picks its argmax (softmax never changes the argmax, so it is not applied).
 A forward splits its input stack into evaluation chunks (`_CHUNK` rows when
 threaded).  Within a chunk, each maximal stretch of row-local layers (conv2d,
 relu, maxpool2d) runs in `_BLOCK`-row blocks: a block passes through the whole
-stretch while its temporaries are still in cache, and its result is written
-into one output array for the chunk.  Each output row of these layers depends
-on its input row alone, and numpy computes it with the same products whatever
-the number of rows, so blocking changes no bit.  Dense layers run on the whole
-chunk, because OpenBLAS dense results depend on the row count of the call.
+stretch while its workspaces are still in cache, and the stretch's last layer
+writes it straight into one output array for the chunk.  The workspaces (each
+layer's block output, a conv's zero-bordered float64 input and its product
+buffer) are allocated once per stretch and chunk and reused by every block;
+relu runs in place on them, never on an array the engine did not make.  Each
+output row of these layers depends on its input row alone, and numpy
+computes it with the same products whatever the number of rows, so blocking
+changes no bit.  Dense layers run on the whole chunk, because OpenBLAS dense
+results depend on the row count of the call.
 
 A `PrefixCache` holds a model's baseline logits on an input stack plus the
 input of every weighted layer: `prefix_cache` runs the forward one
@@ -43,7 +47,7 @@ WEIGHTED_KINDS = ("dense", "conv2d")
 LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d")
 
 _CHUNK = 512  # fixed evaluation chunk; reduction order never depends on thread count
-_BLOCK = 64  # rows per block of a conv/relu/maxpool stretch: its temporaries stay in cache
+_BLOCK = 32  # rows per block of a conv/relu/maxpool stretch: its workspaces stay in cache
 _ROW_LOCAL = ("conv2d", "relu", "maxpool2d")  # kinds whose output row depends only on its input row
 
 
@@ -215,41 +219,45 @@ class Dataset:
         return len(self.labels)
 
 
-def _apply_conv2d(x, layer: Layer):
-    # x: (n, h, w, c), float32 or float64
-    w = layer.weights.astype(np.float64, copy=False)
-    kh, kw, cin, cout = w.shape
-    s = layer.stride
-    n, h, wd, _ = x.shape
-    oh, ow = _conv_out_hw(h, wd, kh, kw, s, layer.padding)
-    if layer.padding == "same":
-        ph = max((oh - 1) * s + kh - h, 0)
-        pw = max((ow - 1) * s + kw - wd, 0)
-        x = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
-    # Cast after padding: the cast is exact, and a float64 copy of an unpadded
-    # float32 input would otherwise be alive beside the padded one.
-    x = x.astype(np.float64, copy=False)
-    out = np.zeros((n, oh, ow, cout), dtype=np.float64)
+def _conv_into(x, w, bias, stride, dst, pad, tmp):
+    """A conv2d of one row block x into dst, through the workspaces pad and tmp.
+
+    w and bias are float64.  pad is the float64 input buffer, zero-bordered
+    for "same" padding; only its interior is written, so its border stays
+    zero.  tmp is C-contiguous like dst, which keeps every product in BLAS.
+    The sum runs in (dy, dx) order from 0.0: the first product lands in dst
+    and `dst += 0.0` makes it 0.0 + p bit for bit (-0.0 becomes +0.0 either
+    way); the bias comes last.
+    """
+    kh, kw = w.shape[:2]
+    h, wd = x.shape[1:3]
+    oh, ow = dst.shape[1:3]
+    top, left = (pad.shape[1] - h) // 2, (pad.shape[2] - wd) // 2
+    pad[:, top:top + h, left:left + wd] = x  # the float64 cast is exact
     for dy in range(kh):
         for dx in range(kw):
-            xs = x[:, dy:dy + (oh - 1) * s + 1:s, dx:dx + (ow - 1) * s + 1:s, :]
-            out += xs @ w[dy, dx]
-    if layer.bias is not None:
-        out += layer.bias.astype(np.float64, copy=False)
-    return out
+            xs = pad[:, dy:dy + (oh - 1) * stride + 1:stride, dx:dx + (ow - 1) * stride + 1:stride]
+            if dy == dx == 0:
+                np.matmul(xs, w[0, 0], out=dst)
+                dst += 0.0
+            else:
+                np.matmul(xs, w[dy, dx], out=tmp)
+                dst += tmp
+    if bias is not None:
+        dst += bias
+    return dst
 
 
-def _apply_maxpool2d(x, layer: Layer):
+def _maxpool_into(x, layer: Layer, dst):
     # A running maximum over the k*k strided window views: exact in any order.
     k, s = layer.pool_size, layer.stride
-    h, w = x.shape[1:3]
-    oh, ow = (h - k) // s + 1, (w - k) // s + 1
-    views = (x[:, dy:dy + (oh - 1) * s + 1:s, dx:dx + (ow - 1) * s + 1:s, :]
+    oh, ow = dst.shape[1:3]
+    views = (x[:, dy:dy + (oh - 1) * s + 1:s, dx:dx + (ow - 1) * s + 1:s]
              for dy in range(k) for dx in range(k))
-    out = next(views).astype(np.float64)
+    dst[...] = next(views)
     for view in views:
-        np.maximum(out, view, out=out)
-    return out
+        np.maximum(dst, view, out=dst)
+    return dst
 
 
 def _apply_dense(x, layer: Layer):
@@ -260,25 +268,57 @@ def _apply_dense(x, layer: Layer):
     return out
 
 
-def _apply_row_local(layer: Layer, x):
-    if layer.kind == "conv2d":
-        return _apply_conv2d(x, layer)
-    if layer.kind == "relu":
-        return np.maximum(x.astype(np.float64, copy=False), 0.0)
-    return _apply_maxpool2d(x, layer)
+def _padded_shape(layer: Layer, in_shape, out_shape):
+    """Shape of a conv2d's input buffer: the input plus its "same" border."""
+    if layer.padding == "valid":
+        return in_shape
+    h, w, c = in_shape
+    kh, kw = layer.weights.shape[:2]
+    (oh, ow), s = out_shape[:2], layer.stride
+    return (h + max((oh - 1) * s + kh - h, 0), w + max((ow - 1) * s + kw - w, 0), c)
 
 
 def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output."""
-    shape = x.shape[1:]
+    """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output.
+
+    The workspaces are allocated here, once per call, so each chunk's thread
+    has its own and every block reuses them.  Each layer but the last writes
+    into a block-sized workspace, and the last into its rows of the output.
+    A relu after another layer of the stretch runs in place on that layer's
+    workspace; x itself is never written.
+    """
+    shapes = [x.shape[1:]]
     for i in range(start, stop):
-        shape = _layer_out_shape(layers[i], shape, i)
-    out = np.empty((len(x), *shape), dtype=np.float64)
+        shapes.append(_layer_out_shape(layers[i], shapes[-1], i))
+    out = np.empty((len(x), *shapes[-1]), dtype=np.float64)
+    rows = min(len(x), _BLOCK)
+    steps = []  # (layer, where it writes: out, a workspace or None for in place, conv buffers)
+    for k, layer in enumerate(layers[start:stop]):
+        if start + k == stop - 1:
+            ws = out
+        elif layer.kind == "relu" and k > 0:
+            ws = None
+        else:
+            ws = np.empty((rows, *shapes[k + 1]))
+        conv = None
+        if layer.kind == "conv2d":
+            conv = (layer.weights.astype(np.float64, copy=False),
+                    None if layer.bias is None else layer.bias.astype(np.float64, copy=False),
+                    np.zeros((rows, *_padded_shape(layer, shapes[k], shapes[k + 1]))),
+                    np.empty((rows, *shapes[k + 1])))
+        steps.append((layer, ws, conv))
     for b in range(0, len(x), _BLOCK):
         y = x[b:b + _BLOCK]
-        for i in range(start, stop):
-            y = _apply_row_local(layers[i], y)
-        out[b:b + _BLOCK] = y
+        n = len(y)
+        for layer, ws, conv in steps:
+            dst = out[b:b + n] if ws is out else (y if ws is None else ws[:n])
+            if conv is not None:
+                w, bias, pad, tmp = conv
+                y = _conv_into(y, w, bias, layer.stride, dst, pad[:n], tmp[:n])
+            elif layer.kind == "relu":
+                y = np.maximum(y, 0.0, out=dst, dtype=np.float64)
+            else:
+                y = _maxpool_into(y, layer, dst)
     return out
 
 
@@ -288,7 +328,11 @@ def _forward_chunk(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
     A dense layer runs on the whole chunk, since OpenBLAS dense results
     depend on the row count of the call.  Each maximal stretch of row-local
     layers runs in row blocks (`_run_blocked`); a stretch ends at `stop`.
+    A layerless model's output is a float64 copy of its input, never the
+    input itself.
     """
+    if start == len(layers):
+        return x.astype(np.float64)
     i = start
     while i < stop:
         end = i + 1

@@ -57,6 +57,18 @@ class TestGenAndEvaluate:
         assert rows == [30]
         assert "baseline accuracy 1.0" in capsys.readouterr().out
 
+    def test_gen_data_threads_has_no_effect_and_says_so(self, rig, tmp_path, capsys):
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            assert main(["gen-data", "--model", str(rig / "m"), "--n", "600",
+                         "--threads", threads, "--out", str(out)]) == 0
+            written.append({p.name: p.read_bytes() for p in out.glob("data.dataset.*")})
+        assert len(written[0]) == 2 and written[0] == written[1]
+        with pytest.raises(SystemExit):
+            main(["gen-data", "--help"])
+        assert "no effect" in " ".join(capsys.readouterr().out.split())
+
     def test_evaluate_prints_accuracy(self, rig, capsys):
         assert main(["evaluate", "--model", str(rig / "m"), "--data", str(rig / "d")]) == 0
         assert "top1 1.0" in capsys.readouterr().out
@@ -190,6 +202,21 @@ class TestFlagRanges:
                      "--out", str(tmp_path / "s")]) == 1
         err = capsys.readouterr().err
         assert err.endswith(f"error: max_variants must be >= 1, got {max_variants}\n")
+        assert err.count("error") == 1 and not (tmp_path / "s" / "curve.csv").exists()
+
+    def test_max_variants_below_one_without_adaptive_is_exit_1_before_any_forward(
+            self, rig, tmp_path, capsys, monkeypatch):
+        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+
+        def fail(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(nn, "_forward_chunks", fail)
+        assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--profiles", str(path), "--b1-grid", "6,7", "--methods", "sqnr,equal",
+                     "--max-variants", "0", "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: max_variants must be >= 1, got 0\n")
         assert err.count("error") == 1 and not (tmp_path / "s" / "curve.csv").exists()
 
     @pytest.mark.parametrize("flag,value,message", [

@@ -361,6 +361,14 @@ class TestSweepTrie:
             harness.sweep(fixture_model, fixture_dataset, made_up_profiles(fixture_model),
                           b1_values=[6, 7], max_variants=max_variants)
 
+    @pytest.mark.parametrize("methods", [("sqnr",), ("equal",), ("sqnr", "equal")])
+    def test_max_variants_below_one_is_rejected_without_adaptive(self, fixture_model,
+                                                                 fixture_dataset, no_forward,
+                                                                 methods):
+        with pytest.raises(ValueError, match="^max_variants must be >= 1, got 0$"):
+            harness.sweep(fixture_model, fixture_dataset, made_up_profiles(fixture_model),
+                          b1_values=[6, 7], methods=methods, max_variants=0)
+
     @pytest.mark.parametrize("b1", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("methods", [("adaptive", "sqnr", "equal"), ("equal",)])
     def test_non_finite_anchor_is_rejected_before_any_forward(self, fixture_model,

@@ -404,16 +404,58 @@ def engine_net(padding, stride, first=None, seed=0):
                           Layer("dense", u(6, 5), u(5))), (13, 13, 2))
 
 
+def _ref_conv2d(x, layer):
+    """conv2d with the engine's arithmetic, frozen: pad, cast, zeros, += xs @ w per offset, bias."""
+    w = layer.weights.astype(np.float64, copy=False)
+    kh, kw, _, cout = w.shape
+    s = layer.stride
+    n, h, wd, _ = x.shape
+    oh, ow = nn._conv_out_hw(h, wd, kh, kw, s, layer.padding)
+    if layer.padding == "same":
+        ph = max((oh - 1) * s + kh - h, 0)
+        pw = max((ow - 1) * s + kw - wd, 0)
+        x = np.pad(x, ((0, 0), (ph // 2, ph - ph // 2), (pw // 2, pw - pw // 2), (0, 0)))
+    x = x.astype(np.float64, copy=False)
+    out = np.zeros((n, oh, ow, cout), dtype=np.float64)
+    for dy in range(kh):
+        for dx in range(kw):
+            out += x[:, dy:dy + (oh - 1) * s + 1:s, dx:dx + (ow - 1) * s + 1:s, :] @ w[dy, dx]
+    if layer.bias is not None:
+        out += layer.bias.astype(np.float64, copy=False)
+    return out
+
+
+def _ref_maxpool2d(x, layer):
+    k, s = layer.pool_size, layer.stride
+    h, w = x.shape[1:3]
+    oh, ow = (h - k) // s + 1, (w - k) // s + 1
+    views = (x[:, dy:dy + (oh - 1) * s + 1:s, dx:dx + (ow - 1) * s + 1:s, :]
+             for dy in range(k) for dx in range(k))
+    out = next(views).astype(np.float64)
+    for view in views:
+        np.maximum(out, view, out=out)
+    return out
+
+
+def _ref_dense(x, layer):
+    x = x.reshape(len(x), layer.weights.shape[0]).astype(np.float64, copy=False)
+    out = x @ layer.weights.astype(np.float64, copy=False)
+    if layer.bias is not None:
+        out += layer.bias.astype(np.float64, copy=False)
+    return out
+
+
 def reference_forward(model, x, threads):
     """The engine's arithmetic with no row blocks: every layer on each whole evaluation chunk.
 
-    Returns the logits and, per chunk, the input of every layer (and the chunk's logits).
+    The layer functions are a frozen copy of the arithmetic, not the engine's
+    own.  Returns the logits and, per chunk, the input of every layer (and
+    the chunk's logits).
     """
     n = len(x)
     chunks = ([x] if threads <= 1 or n <= nn._CHUNK
               else [x[i:i + nn._CHUNK] for i in range(0, n, nn._CHUNK)])
-    apply = {"dense": nn._apply_dense, "conv2d": nn._apply_conv2d,
-             "maxpool2d": nn._apply_maxpool2d,
+    apply = {"dense": _ref_dense, "conv2d": _ref_conv2d, "maxpool2d": _ref_maxpool2d,
              "relu": lambda a, _: np.maximum(a.astype(np.float64), 0.0)}
     per_chunk = []
     for a in chunks:
@@ -424,45 +466,137 @@ def reference_forward(model, x, threads):
     return np.concatenate([seen[-1] for seen in per_chunk]), per_chunk
 
 
+def same_bits(a, b):
+    """Equal dtype, shape and bit patterns; unlike np.array_equal, -0.0 differs from +0.0."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    bits = np.dtype(f"u{a.itemsize}")
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a.view(bits), b.view(bits))
+
+
 ENGINE_NETS = [("same", 1, None), ("same", 2, None), ("valid", 1, None), ("valid", 2, None),
                ("valid", 1, "relu"), ("same", 2, "maxpool2d")]
+# Around one and two blocks of the current block size, plus fixed counts.
+ENGINE_ROWS = sorted({1, 63, 64, 65, 130, 513,
+                      nn._BLOCK - 1, nn._BLOCK, nn._BLOCK + 1, 2 * nn._BLOCK + 1})
+
+
+def bias_free_net(padding, seed=0):
+    """conv 1x1 -> conv 3x3 -> relu -> maxpool -> dense, no biases, 9x9x2 inputs.
+
+    No bias is added after the products, and the two convs share one stretch.
+    The 1x1 conv's output channel 0 has zero weights, so all its products are
+    zeros: the sum must start from 0.0 as the reference's does, whatever the
+    sign of a zero product.
+    """
+    rng = np.random.default_rng(seed)
+
+    def u(*shape):
+        return rng.uniform(-0.5, 0.5, size=shape).astype(np.float32)
+
+    w0 = u(1, 1, 2, 3)
+    w0[..., 0] = 0.0
+    front = (Layer("conv2d", w0), Layer("conv2d", u(3, 3, 3, 4), padding=padding),
+             Layer("relu"), Layer("maxpool2d", pool_size=2, stride=2))
+    shape = (9, 9, 2)
+    for i, layer in enumerate(front):
+        shape = nn._layer_out_shape(layer, shape, i)
+    return Model(front + (Layer("dense", u(int(np.prod(shape)), 5)),), (9, 9, 2))
+
+
+def check_engine_against_reference(model, x32, rng):
+    """Every entry point against reference_forward, bit for bit, at threads 1/2, float32/64."""
+    from qalloc.quantize import quantize_model, quantize_single_layer
+
+    paths = [(4, 4, 4, 4), (4, 4, 8, 3), (4, 6, 8, 3), (8, 4, 4, 4)]
+    paths = sorted({p[:len(model.weighted_indices)] for p in paths})
+
+    def layer_for(i, bits):
+        return quantize_single_layer(model, i, bits).layers[i]
+
+    for threads in (1, 2):
+        for x in (x32, x32.astype(np.float64)):
+            want, per_chunk = reference_forward(model, x, threads)
+            assert same_bits(nn.forward_batch(model, x, threads), want)
+            cache = nn.prefix_cache(model, x, threads)
+            assert same_bits(cache.logits, want)
+            assert set(cache.chunks) == {0, *model.weighted_indices}
+            for i, parts in cache.chunks.items():
+                assert len(parts) == len(per_chunk)
+                for part, seen in zip(parts, per_chunk):
+                    assert same_bits(part, seen[i])
+            for i in model.weighted_indices:
+                noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
+                changed = nn.perturb_layer(model, i, noise)
+                assert same_bits(nn.forward_from(cache, changed, i),
+                                 reference_forward(changed, x, threads)[0])
+            trie = list(nn.forward_trie(model, x, paths, layer_for, threads))
+            assert [p for p, _ in trie] == paths
+            for path, z in trie:
+                assert same_bits(z, reference_forward(quantize_model(model, path), x, threads)[0])
 
 
 class TestEngineOracle:
     """Row-blocked stretches against reference_forward, bit for bit, at every entry point."""
 
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130, 513])
+    @pytest.mark.parametrize("n", ENGINE_ROWS)
     @pytest.mark.parametrize("padding,stride,first", ENGINE_NETS)
     def test_engine_equals_unblocked_reference(self, padding, stride, first, n):
-        from qalloc.quantize import quantize_model, quantize_single_layer
-
         model = engine_net(padding, stride, first, seed=n)
         rng = np.random.default_rng(n)
         x32 = rng.standard_normal((n, *model.input_shape)).astype(np.float32)
-        paths = [(4, 4, 4, 4), (4, 4, 8, 3), (4, 6, 8, 3), (8, 4, 4, 4)]
+        check_engine_against_reference(model, x32, rng)
 
-        def layer_for(i, bits):
-            return quantize_single_layer(model, i, bits).layers[i]
+    @pytest.mark.parametrize("n", ENGINE_ROWS)
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_bias_free_convs_equal_unblocked_reference(self, padding, n):
+        model = bias_free_net(padding, seed=n)
+        rng = np.random.default_rng(n)
+        x32 = rng.standard_normal((n, *model.input_shape)).astype(np.float32)
+        x32[::3, ::2] = -0.0
+        check_engine_against_reference(model, x32, rng)
 
-        for threads in (1, 2):
-            for x in (x32, x32.astype(np.float64)):
-                want, per_chunk = reference_forward(model, x, threads)
-                got = nn.forward_batch(model, x, threads)
-                assert got.dtype == np.float64 and np.array_equal(got, want)
-                cache = nn.prefix_cache(model, x, threads)
-                assert np.array_equal(cache.logits, want)
-                assert set(cache.chunks) == {0, *model.weighted_indices}
-                for i, parts in cache.chunks.items():
-                    assert len(parts) == len(per_chunk)
-                    for part, seen in zip(parts, per_chunk):
-                        assert np.array_equal(part, seen[i])
-                for i in model.weighted_indices:
-                    noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
-                    changed = nn.perturb_layer(model, i, noise)
-                    assert np.array_equal(nn.forward_from(cache, changed, i),
-                                          reference_forward(changed, x, threads)[0])
-                trie = list(nn.forward_trie(model, x, paths, layer_for, threads))
-                assert [p for p, _ in trie] == sorted(paths)
-                for path, z in trie:
-                    assert np.array_equal(
-                        z, reference_forward(quantize_model(model, path), x, threads)[0])
+
+class TestOwnership:
+    """The engine writes only arrays it made: never a caller's input or a cached chunk."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_engine_writes_no_array_it_does_not_own(self, dtype, threads):
+        from qalloc.quantize import quantize_single_layer
+
+        model = engine_net("same", 1, "relu")  # relu reads the caller's input first
+        x = np.random.default_rng(3).standard_normal((600, *model.input_shape)).astype(dtype)
+        x_before = x.copy()
+
+        def unchanged():
+            return same_bits(x, x_before) and x.flags.writeable
+
+        nn.forward_batch(model, x, threads)
+        assert unchanged()
+        cache = nn.prefix_cache(model, x, threads)
+        assert unchanged()
+        cached = {i: [(p.copy(), p.flags.writeable) for p in parts]
+                  for i, parts in cache.chunks.items()}
+        for i in model.weighted_indices:
+            nn.forward_from(cache, quantize_single_layer(model, i, 4), i)
+        list(nn.forward_trie(model, x, [(4, 4, 4, 4), (4, 8, 4, 4)],
+                             lambda i, bits: quantize_single_layer(model, i, bits).layers[i],
+                             threads))
+        assert unchanged()
+        for i, parts in cache.chunks.items():
+            for part, (copy, writeable) in zip(parts, cached[i]):
+                assert same_bits(part, copy) and part.flags.writeable == writeable
+
+    @pytest.mark.parametrize("n,threads", [(5, 1), (600, 2)])
+    def test_layerless_model_returns_a_new_float64_array(self, n, threads):
+        model = Model((), (3,))
+        x = np.random.default_rng(4).standard_normal((n, 3)).astype(np.float32)
+        z = nn.forward_batch(model, x, threads)
+        assert z.dtype == np.float64 and not np.shares_memory(z, x)
+        assert np.array_equal(z, x)
+        cache = nn.prefix_cache(model, x, threads)
+        assert x.flags.writeable and not np.shares_memory(cache.logits, x)
+        assert same_bits(cache.logits, z)
+        assert same_bits(nn.forward_from(cache, model, 0), z)
+        (_, t), = nn.forward_trie(model, x, [()], None, threads)
+        assert same_bits(t, z) and not np.shares_memory(t, x)
