@@ -24,7 +24,7 @@ print(f"\nteacher-labelled dataset: {len(dataset)} samples, "
 counts = np.bincount(dataset.labels, minlength=model.d)
 print(f"label counts: {[int(c) for c in counts]}")
 
-stats = probes.margin_stats(model, dataset)
+stats = probes.margin_stats(nn.forward_batch(model, dataset.inputs))
 print(f"\nmean margin power (z1 - z2)^2 / 2: {stats.mean_r_star:.6g}")
 peak = max(stats.counts)
 print("margin histogram:")

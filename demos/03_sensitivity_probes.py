@@ -20,12 +20,12 @@ dataset = modelio.gen_dataset(model, 800, seed=spec.seed + 1)
 
 config = probes.ProbeConfig(delta_acc=0.4, acc_tolerance=0.01, seed=0)
 cache = nn.prefix_cache(model, dataset.inputs)
-margins = probes.margin_stats(model, dataset, cache=cache)
+margins = probes.margin_stats(cache.logits)
 print(f"baseline accuracy 1.0, target drop {config.delta_acc}, "
       f"mean margin {margins.mean_r_star:.5g}\n")
 
 print("t probes (binary search on noise scale):")
-t_probes = probes.estimate_t(model, dataset, config, margins=margins, cache=cache)
+t_probes = probes.estimate_t(model, dataset, config, cache=cache)
 for r in t_probes:
     print(f"  layer {r.index}: t={r.t:10.4g}  k={r.noise_scale:.4g}  "
           f"drop={r.accuracy_drop:.3f} in {r.iterations} steps")

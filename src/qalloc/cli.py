@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, allocate, harness, modelio, nn, probes, quantize
@@ -59,30 +59,14 @@ def _write_report(args, name: str, payload: dict):
         _write_manifest(args, out, [path])
 
 
-def _merge_profile(a: probes.LayerProfile, b: probes.LayerProfile) -> probes.LayerProfile:
-    """One layer's record from a t-only and a p-only run: each side fills the other's NaNs."""
-    first = {f: getattr(a, f) if getattr(a, f) == getattr(a, f) else getattr(b, f)
-             for f in ("t", "p", "noise_scale", "delta_acc")}
-    return replace(b, **first, b_probe=max(a.b_probe, b.b_probe),
-                   copied_t=a.copied_t or b.copied_t, degenerate=a.degenerate or b.degenerate)
-
-
 def _load_merged_profiles(paths):
-    """Merge one or more partial profile files (t-only and p-only runs)."""
-    merged: dict[int, probes.LayerProfile] = {}
-    meta = {}
+    """Load one or more partial profile files (t-only and p-only runs) and merge them."""
+    lists, meta = [], {}
     for path in paths:
         profiles, m = modelio.load_profiles(path)
+        lists.append(profiles)
         meta.update(m)
-        for p in profiles:
-            merged[p.index] = _merge_profile(merged[p.index], p) if p.index in merged else p
-    out = [merged[i] for i in sorted(merged)]
-    for p in out:
-        if p.t != p.t or p.p != p.p:
-            raise modelio.LoadError(
-                f"layer {p.index}: profiles incomplete (t={p.t}, p={p.p}); "
-                "supply both an estimate-t and an estimate-p output")
-    return out, meta
+    return probes.merge_profiles(lists), meta
 
 
 def _check_fc_bits(args):
@@ -117,7 +101,7 @@ def cmd_gen_data(args) -> int:
 def cmd_margins(args) -> int:
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
-    stats = probes.margin_stats(model, dataset, threads=args.threads)
+    stats = probes.margin_stats(nn.forward_batch(model, dataset.inputs, threads=args.threads))
     print(f"mean margin power (z1-z2)^2/2: {stats.mean_r_star!r} over {stats.n} samples")
     if args.out:
         out = _out_dir(args)
@@ -297,7 +281,7 @@ def _parse_grid(text: str | None):
         span = (hi - lo) / step if math.isfinite(step) and step > 0 else math.nan
         if not (math.isfinite(span) and span >= 0):
             raise ValueError(f"--b1-grid {text!r}: need finite lo <= hi and a finite step > 0")
-        n = int(round(span))
+        n = math.floor(span + 1e-9)  # the last anchor never passes hi
         return [lo + i * step for i in range(n + 1)]
     try:
         return [float(v) for v in text.split(",")]

@@ -14,7 +14,7 @@ they can be driven at other scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,12 +65,10 @@ def calibrate_t(model: nn.Model, dataset: nn.Dataset, config: probes.ProbeConfig
     probes.probed_layers(model, config.last_n)  # a bad last_n fails before any forward
     cache = nn.prefix_cache(model, dataset.inputs, threads=config.threads)
     acc_f = nn.accuracy(cache.logits, dataset.labels)
-    delta_acc = config.delta_acc if config.delta_acc is not None else 0.5 * acc_f
-    margins = probes.margin_stats(model, dataset, threads=config.threads, cache=cache)
-    t_probes = probes.estimate_t(model, dataset, replace(config, delta_acc=delta_acc),
-                                 margins=margins, cache=cache)
+    margins = probes.margin_stats(cache.logits)
+    t_probes = probes.estimate_t(model, dataset, config, cache=cache)
     meta = {"baseline_accuracy": acc_f, "mean_r_star": margins.mean_r_star,
-            "delta_acc": delta_acc}
+            "delta_acc": config.target_drop(acc_f)}
     return cache, margins, t_probes, meta
 
 
@@ -208,8 +206,6 @@ def _size_at_accuracy(frontier, acc: float) -> float | None:
         return frontier[0][0]
     for (s0, a0), (s1, a1) in zip(frontier, frontier[1:]):
         if a0 < acc <= a1:
-            if a1 == a0:
-                return s1
             return s0 + (s1 - s0) * (acc - a0) / (a1 - a0)
     return None
 
@@ -228,13 +224,12 @@ def compare(curves: dict[str, list[CurvePoint]], candidate: str | None = None) -
         if name == candidate:
             continue
         base_front = pareto_frontier(points)
-        if not cand_front or not base_front:
-            entries.append(MethodComparison(name, (), (), (), (), None, disjoint=True))
-            continue
-        lo = max(cand_front[0][1], base_front[0][1])
-        hi = min(cand_front[-1][1], base_front[-1][1])
-        levels = sorted({a for _, a in cand_front + base_front if lo <= a <= hi})
-        if not levels or hi < lo:
+        levels = []
+        if cand_front and base_front:
+            lo = max(cand_front[0][1], base_front[0][1])
+            hi = min(cand_front[-1][1], base_front[-1][1])
+            levels = sorted({a for _, a in cand_front + base_front if lo <= a <= hi})
+        if not levels:
             entries.append(MethodComparison(name, (), (), (), (), None, disjoint=True))
             continue
         cs, bs, ratios = [], [], []
@@ -295,47 +290,44 @@ class VerifyConfig:
     threads: int = 1
 
 
-def check_quantizer_law(n: int = 100_000, bits_range=range(4, 11), seed: int = 0,
-                        rel_tol: float = 0.05, ratio_band=(3.6, 4.4)) -> CheckResult:
-    """Measured residual power vs the analytic law on uniform random weights."""
+def check_quantizer_law(n: int = 100_000, seed: int = 0) -> CheckResult:
+    """Residual power at b = 4..10 within 5% of the law; adjacent-bit ratios in [3.6, 4.4]."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 1.0, size=n)
-    bits = list(bits_range)
+    bits = list(range(4, 11))
     measured = [quantize.residual_power(w, quantize.QuantSpec(b, -1.0, 1.0)) for b in bits]
     worst_rel = 0.0
     for b, m in zip(bits, measured):
         expected = quantize.expected_noise_power(n, -1.0, 1.0, b)
         worst_rel = max(worst_rel, abs(m / expected - 1.0))
     ratios = [m0 / m1 for m0, m1 in zip(measured, measured[1:])]
-    ratio_ok = all(ratio_band[0] <= r <= ratio_band[1] for r in ratios)
-    passed = worst_rel <= rel_tol and ratio_ok
+    passed = worst_rel <= 0.05 and all(3.6 <= r <= 4.4 for r in ratios)
     return CheckResult("quantizer_law", passed,
                        f"worst |measured/expected - 1| = {worst_rel:.4f}, "
                        f"per-bit ratios in [{min(ratios):.3f}, {max(ratios):.3f}]")
 
 
-def check_linearity(model, dataset, seed: int = 0, use_first: int = 3,
-                    slope_band=(0.9, 1.1), min_r2: float = 0.99, threads: int = 1) -> CheckResult:
-    """Log-log slope ~1 of feature-noise vs weight-noise power on small scales."""
+def check_linearity(model, dataset, seed: int = 0, threads: int = 1) -> CheckResult:
+    """Feature- vs weight-noise log-log slope in [0.9, 1.1], R^2 >= 0.99, on 3 smallest scales."""
     worst = []
     cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
     for i in model.weighted_indices:
         ladder = probes.default_scale_ladder(model, i)
         pts = probes.linearity_probe(model, dataset, i, ladder, seed=seed, threads=threads,
                                      cache=cache)
-        slope, r2 = probes.loglog_fit(pts, use_first=use_first)
+        slope, r2 = probes.loglog_fit(pts, use_first=3)
         worst.append((i, slope, r2))
-    passed = all(slope_band[0] <= s <= slope_band[1] and r2 >= min_r2 for _, s, r2 in worst)
+    passed = all(0.9 <= s <= 1.1 and r2 >= 0.99 for _, s, r2 in worst)
     detail = "; ".join(f"layer {i}: slope={s:.4f}, R2={r2:.5f}" for i, s, r2 in worst)
     return CheckResult("linearity", passed, detail)
 
 
-def check_additivity(model, dataset, bits: int = 10, max_gap: float = 0.10,
-                     threads: int = 1) -> CheckResult:
+def check_additivity(model, dataset, threads: int = 1) -> CheckResult:
+    """Single-layer noise powers at b = 10 sum to the joint power within 10%."""
     n = len(model.weighted_indices)
-    result = probes.additivity_probe(model, dataset, [bits] * n, threads=threads)
-    return CheckResult("additivity", result.relative_gap <= max_gap,
-                       f"|sum_singles - joint|/joint = {result.relative_gap:.4f} at b={bits}")
+    result = probes.additivity_probe(model, dataset, [10] * n, threads=threads)
+    return CheckResult("additivity", result.relative_gap <= 0.10,
+                       f"|sum_singles - joint|/joint = {result.relative_gap:.4f} at b=10")
 
 
 def _random_profiles(rng, n_layers: int) -> list[probes.LayerProfile]:
@@ -348,8 +340,8 @@ def _random_profiles(rng, n_layers: int) -> list[probes.LayerProfile]:
     return out
 
 
-def check_kkt(n_sets: int = 100, seed: int = 0, rel_tol: float = 1e-9) -> CheckResult:
-    """Stationarity of the closed form: equal ratios p*exp(-a*b)/(t*s)."""
+def check_kkt(n_sets: int = 100, seed: int = 0) -> CheckResult:
+    """Stationarity of the closed form: ratios p*exp(-a*b)/(t*s) equal within 1e-9 (log)."""
     rng = np.random.default_rng(seed)
     profile_sets = [_random_profiles(rng, int(rng.integers(2, 7))) for _ in range(n_sets)]
     worst = 0.0
@@ -357,13 +349,13 @@ def check_kkt(n_sets: int = 100, seed: int = 0, rel_tol: float = 1e-9) -> CheckR
         b1 = float(rng.uniform(4, 12))
         a = alloc.allocate_adaptive(profs, b1)
         worst = max(worst, alloc.stationarity_residual(profs, a.b_real))
-    return CheckResult("kkt_stationarity", worst <= rel_tol,
+    return CheckResult("kkt_stationarity", worst <= 1e-9,
                        f"worst log-ratio spread = {worst:.3e} over {n_sets} profile sets")
 
 
 def check_optimality(n_sets: int = 20, seed: int = 0, grid_step: float = 0.01,
-                     span: float = 3.0, tol: float = 1e-9) -> CheckResult:
-    """Closed form beats a brute-force grid at equal total size (3-layer sets)."""
+                     span: float = 3.0) -> CheckResult:
+    """Closed form within 1e-9 of a brute-force grid minimum at equal size (3-layer sets)."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for _ in range(n_sets):
@@ -382,12 +374,12 @@ def check_optimality(n_sets: int = 20, seed: int = 0, grid_step: float = 0.01,
                   + weights[1] * np.exp(-quantize.ALPHA * g2)
                   + weights[2] * np.exp(-quantize.ALPHA * g3))
         worst = max(worst, m_opt - float(m_grid.min()))
-    return CheckResult("optimality_vs_grid", worst <= tol,
+    return CheckResult("optimality_vs_grid", worst <= 1e-9,
                        f"worst (closed form - grid minimum) = {worst:.3e}")
 
 
-def check_sqnr_special_case(n_sets: int = 50, seed: int = 0, tol: float = 1e-12) -> CheckResult:
-    """With p/t constant the adaptive rule reduces to the SQNR rule."""
+def check_sqnr_special_case(n_sets: int = 50, seed: int = 0) -> CheckResult:
+    """With p/t constant the adaptive rule reduces to the SQNR rule, within 1e-12 bits."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_sets):
@@ -403,7 +395,7 @@ def check_sqnr_special_case(n_sets: int = 50, seed: int = 0, tol: float = 1e-12)
         a = alloc.allocate_adaptive(profs, b1)
         q = alloc.allocate_sqnr([p.s for p in profs], b1)
         worst = max(worst, max(abs(x - y) for x, y in zip(a.b_real, q.b_real)))
-    return CheckResult("sqnr_special_case", worst <= tol,
+    return CheckResult("sqnr_special_case", worst <= 1e-12,
                        f"worst per-layer |adaptive - sqnr| = {worst:.3e}")
 
 
@@ -415,13 +407,12 @@ def check_lemma(ds=(10, 100), deltas=(0.1, 0.3), trials: int = 10_000, seed: int
     return CheckResult("lemma_bound", passed, detail)
 
 
-def check_t_ratio_stability(model, dataset, seed: int = 0, rel_tol: float = 0.25,
-                            fractions=(0.25, 0.5), threads: int = 1) -> CheckResult:
-    """t_i/t_j should barely move when the accuracy-drop target changes."""
+def check_t_ratio_stability(model, dataset, seed: int = 0, threads: int = 1) -> CheckResult:
+    """t_i/t_j moves by at most 25% between drop targets of 0.25 and 0.5 of baseline."""
     cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
     acc_f = nn.accuracy(cache.logits, dataset.labels)
     results = []
-    for frac in fractions:
+    for frac in (0.25, 0.5):
         cfg = probes.ProbeConfig(delta_acc=frac * acc_f, seed=seed, threads=threads)
         results.append([r.t for r in probes.estimate_t(model, dataset, cfg, cache=cache)])
     ta, tb = results
@@ -431,14 +422,14 @@ def check_t_ratio_stability(model, dataset, seed: int = 0, rel_tol: float = 0.25
             if i == j:
                 continue
             worst = max(worst, abs((ta[i] / ta[j]) / (tb[i] / tb[j]) - 1.0))
-    return CheckResult("t_ratio_stability", worst <= rel_tol,
+    return CheckResult("t_ratio_stability", worst <= 0.25,
                        f"worst pairwise ratio change = {worst:.4f} "
-                       f"between targets {fractions[0]} and {fractions[1]} of baseline")
+                       "between targets 0.25 and 0.5 of baseline")
 
 
-def check_dominance(model, dataset, profiles, anchors=None, min_fraction: float = 0.7,
-                    max_variants: int = 16, threads: int = 1):
-    """Adaptive should need no more bits than equal at most matched accuracies.
+def check_dominance(model, dataset, profiles, anchors=None, max_variants: int = 16,
+                    threads: int = 1):
+    """Adaptive needs no more bits than equal at >= 70% of matched accuracy levels.
 
     Returns (CheckResult, curves, report) so callers can persist the sweep.
     """
@@ -448,7 +439,7 @@ def check_dominance(model, dataset, profiles, anchors=None, min_fraction: float 
     entry = next(e for e in report.entries if e.baseline == "equal")
     if entry.disjoint or entry.dominance_fraction is None:
         return CheckResult("dominance", False, "no matched accuracy levels"), curves, report
-    passed = entry.dominance_fraction >= min_fraction
+    passed = entry.dominance_fraction >= 0.7
     return (CheckResult("dominance", passed,
                         f"adaptive <= equal at {entry.dominance_fraction:.2%} "
                         f"of {len(entry.accuracies)} matched levels"),

@@ -88,21 +88,32 @@ def _read_doc(path: Path) -> dict:
     return doc
 
 
+def _write_doc(path, doc: dict) -> Path:
+    """Write `doc` to `path` as indented JSON plus a newline, creating its directory.
+
+    The save_* functions call this, not the public write_json, so code that
+    wraps the public writers (perfbench's tracer) sees one call per save.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # fixtures
 
 
 @dataclass(frozen=True)
 class FixtureSpec:
-    """Deterministic recipe for a synthetic model (and its default dataset size)."""
+    """Deterministic recipe for a synthetic model."""
 
     input_shape: tuple[int, ...]
     layers: tuple[dict, ...]
     seed: int = 0
-    dataset_size: int = 2000
 
 
-def default_fixture(seed: int = DEFAULT_SEED, dataset_size: int = 2000) -> FixtureSpec:
+def default_fixture(seed: int = DEFAULT_SEED) -> FixtureSpec:
     """Two conv blocks feeding two dense layers; 10 classes on 16x16x4 inputs.
 
     Weighted-layer parameter counts: 296, 584, 32832, 650 (biases included).
@@ -120,7 +131,6 @@ def default_fixture(seed: int = DEFAULT_SEED, dataset_size: int = 2000) -> Fixtu
             {"kind": "dense", "out_features": 10},
         ),
         seed=seed,
-        dataset_size=dataset_size,
     )
 
 
@@ -235,8 +245,7 @@ def save_model(model: Model, prefix) -> tuple[Path, Path]:
         "d": model.d,
         "layers": layers_doc,
     }
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(json.dumps(doc, indent=1) + "\n")
+    _write_doc(json_path, doc)
     bin_path.write_bytes(bytes(blob))
     return json_path, bin_path
 
@@ -292,8 +301,7 @@ def save_dataset(dataset: Dataset, prefix) -> tuple[Path, Path]:
         "labels": [int(v) for v in dataset.labels],
         "inputs_offset": 0,
     }
-    json_path.parent.mkdir(parents=True, exist_ok=True)
-    json_path.write_text(json.dumps(doc, indent=1) + "\n")
+    _write_doc(json_path, doc)
     bin_path.write_bytes(inputs.tobytes())
     return json_path, bin_path
 
@@ -330,8 +338,7 @@ def nan_to_null(v: float):
 
 
 def save_profiles(profiles, path, meta: dict | None = None) -> Path:
-    path = Path(path)
-    doc = {
+    return _write_doc(path, {
         "format_version": FORMAT_VERSION,
         "meta": dict(meta or {}),
         "layers": [
@@ -346,10 +353,7 @@ def save_profiles(profiles, path, meta: dict | None = None) -> Path:
             }
             for p in profiles
         ],
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    return path
+    })
 
 
 def load_profiles(path) -> tuple[list[LayerProfile], dict]:
@@ -394,8 +398,7 @@ def save_profiles_csv(profiles, path) -> Path:
 
 
 def save_allocation(allocation: BitAllocation, path) -> Path:
-    path = Path(path)
-    doc = {
+    return _write_doc(path, {
         "format_version": FORMAT_VERSION,
         "method": allocation.method,
         "b1": allocation.b1,
@@ -403,10 +406,7 @@ def save_allocation(allocation: BitAllocation, path) -> Path:
         "b_int": list(allocation.b_int),
         "size_bits": allocation.size_bits,
         "saturated": list(allocation.saturated),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    return path
+    })
 
 
 def load_allocation(path) -> BitAllocation:
@@ -458,7 +458,5 @@ def save_margins(stats: MarginStats, path) -> Path:
 
 
 def write_json(path, payload: dict) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=1) + "\n")
-    return path
+    """Write `payload` to `path` as indented JSON plus a newline."""
+    return _write_doc(path, payload)

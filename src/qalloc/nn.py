@@ -226,8 +226,9 @@ def _conv_into(x, w, bias, stride, dst, pad, tmp):
     for "same" padding; only its interior is written, so its border stays
     zero.  tmp is C-contiguous like dst, which keeps every product in BLAS.
     The sum runs in (dy, dx) order from 0.0: the first product lands in dst
-    and `dst += 0.0` makes it 0.0 + p bit for bit (-0.0 becomes +0.0 either
-    way); the bias comes last.
+    as it is, which equals 0.0 + p bit for bit, because numpy's matmul (with
+    BLAS or without) accumulates each entry from +0.0 and so never returns
+    -0.0.  The bias comes last.
     """
     kh, kw = w.shape[:2]
     h, wd = x.shape[1:3]
@@ -239,7 +240,6 @@ def _conv_into(x, w, bias, stride, dst, pad, tmp):
             xs = pad[:, dy:dy + (oh - 1) * stride + 1:stride, dx:dx + (ow - 1) * stride + 1:stride]
             if dy == dx == 0:
                 np.matmul(xs, w[0, 0], out=dst)
-                dst += 0.0
             else:
                 np.matmul(xs, w[dy, dx], out=tmp)
                 dst += tmp

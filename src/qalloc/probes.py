@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,10 +62,17 @@ class ProbeConfig:
     threads: int = 1
 
     def __post_init__(self):
+        if self.delta_acc is not None and not self.delta_acc > 0:
+            raise ValueError(f"delta_acc must be > 0, got {self.delta_acc}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.acc_tolerance >= 0:
             raise ValueError(f"acc_tolerance must be >= 0, got {self.acc_tolerance}")
+        check_bits(self.b_probe, "b_probe")
+
+    def target_drop(self, baseline: float) -> float:
+        """The accuracy-drop target: delta_acc, or half the baseline accuracy when None."""
+        return self.delta_acc if self.delta_acc is not None else 0.5 * baseline
 
 
 @dataclass(frozen=True)
@@ -126,23 +133,16 @@ def _cache_for(model: Model, dataset: Dataset, threads: int,
     return cache
 
 
-def margin_stats(model: Model, dataset: Dataset, threads: int = 1, *,
-                 cache: nn.PrefixCache | None = None) -> MarginStats:
-    """Per-sample margins (z1 - z2)^2 / 2 over the dataset, in a 50-bin histogram.
-
-    One forward, or none when a prefix cache supplies the baseline logits.
-    """
-    if model.d < 2:
+def margin_stats(logits: np.ndarray) -> MarginStats:
+    """Per-sample margins (z1 - z2)^2 / 2 of an (n, d) logit batch, in a 50-bin histogram."""
+    z = np.asarray(logits)
+    if z.shape[1] < 2:
         raise ValueError("margins need at least two classes")
-    if cache is None:
-        z = nn.forward_batch(model, dataset.inputs, threads=threads)
-    else:
-        z = _cache_for(model, dataset, threads, cache).logits
     top2 = np.partition(z, z.shape[1] - 2, axis=1)[:, -2:]
     margins = (top2[:, 1] - top2[:, 0]) ** 2 / 2.0
     counts, edges = np.histogram(margins, bins=50)
     return MarginStats(float(margins.mean()), tuple(int(c) for c in counts),
-                       tuple(float(e) for e in edges), len(dataset))
+                       tuple(float(e) for e in edges), len(z))
 
 
 # Salt for probe noise streams.  Layers own independent generators keyed by
@@ -174,15 +174,15 @@ def probed_layers(model: Model, last_n: int | None = None) -> tuple[int, ...]:
     return weighted[-last_n:]
 
 
-def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig(),
-               margins: MarginStats | None = None, *,
+def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig(), *,
                cache: nn.PrefixCache | None = None) -> list[TProbe]:
     """Robustness parameter t for each weighted layer (binary search on noise scale).
 
     For each probed layer a fixed uniform(-0.5, 0.5) direction is scaled by k,
     with k bisected geometrically in [k_min, k_max] until the accuracy drop is
-    within acc_tolerance of the target.  A layer that cannot be brought into
-    tolerance aborts the run with CalibrationError carrying partial results.
+    within acc_tolerance of `config.target_drop`.  A layer that cannot be
+    brought into tolerance aborts the run with CalibrationError carrying
+    partial results.
 
     Cost: one baseline forward to build the prefix cache (none when `cache`
     is given), then one forward of layers[i:] per bisection iteration on
@@ -192,11 +192,10 @@ def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig
     probe_set = probed_layers(model, config.last_n)
     cache = _cache_for(model, dataset, config.threads, cache)
     acc_f = nn.accuracy(cache.logits, dataset.labels)
-    target = config.delta_acc if config.delta_acc is not None else 0.5 * acc_f
+    target = config.target_drop(acc_f)
     if not (0 < target < acc_f):
         raise ValueError(f"delta_acc must lie in (0, baseline accuracy={acc_f}), got {target}")
-    if margins is None:
-        margins = margin_stats(model, dataset, threads=config.threads, cache=cache)
+    margins = margin_stats(cache.logits)
     if margins.mean_r_star <= 0:
         raise ValueError("mean margin is zero; cannot normalize t")
 
@@ -401,16 +400,15 @@ def lemma_check(d: int, delta: float, trials: int, seed: int = 0) -> LemmaReport
     return LemmaReport(d, delta, trials, float(np.mean(flips)), 2.0 * delta)
 
 
-def rank_diagnostic(model: Model, dataset: Dataset, layer_index: int,
-                    scale: float | None = None, seed: int = 0, threads: int = 1, *,
-                    cache: nn.PrefixCache | None = None) -> int:
+def rank_diagnostic(model: Model, dataset: Dataset, layer_index: int, seed: int = 0,
+                    threads: int = 1, *, cache: nn.PrefixCache | None = None) -> int:
     """Numerical rank of the per-sample feature-noise matrix for one layer.
 
-    Noise injected into earlier layers tends to reach the feature vector with
+    The probe direction is scaled by the layer's second ladder scale.  Noise
+    injected into earlier layers tends to reach the feature vector with
     lower rank.  Model-dependent; reported but never asserted.
     """
-    if scale is None:
-        scale = default_scale_ladder(model, layer_index)[1]
+    scale = default_scale_ladder(model, layer_index)[1]
     direction = _probe_direction(model, layer_index, seed)
     perturbed = nn.perturb_layer(model, layer_index, scale * direction)
     cache = _cache_for(model, dataset, threads, cache)
@@ -448,3 +446,25 @@ def build_profiles(model: Model, t_probes, p_probes, delta_acc: float) -> list[L
             b_probe=pr.b_probe, weight_range=(float(w.min()), float(w.max())),
             copied_t=tr.copied, degenerate=pr.degenerate))
     return profiles
+
+
+def merge_profiles(profile_lists) -> list[LayerProfile]:
+    """One profile per layer from partial lists, such as a t-only and a p-only run.
+
+    A later record fills the earlier one's NaN (unmeasured) fields; ValueError
+    names the first layer still missing t or p.
+    """
+    merged: dict[int, LayerProfile] = {}
+    for b in (p for profiles in profile_lists for p in profiles):
+        a = merged.get(b.index, b)
+        first = {f: getattr(a, f) if getattr(a, f) == getattr(a, f) else getattr(b, f)
+                 for f in ("t", "p", "noise_scale", "delta_acc")}
+        merged[b.index] = replace(b, **first, b_probe=max(a.b_probe, b.b_probe),
+                                  copied_t=a.copied_t or b.copied_t,
+                                  degenerate=a.degenerate or b.degenerate)
+    out = [merged[i] for i in sorted(merged)]
+    for p in out:
+        if p.t != p.t or p.p != p.p:
+            raise ValueError(f"layer {p.index}: profiles incomplete (t={p.t}, p={p.p}); "
+                             "supply both an estimate-t and an estimate-p output")
+    return out

@@ -93,21 +93,16 @@ def residual_power(values, spec: QuantSpec) -> float:
     return float(np.sum(r * r))
 
 
-def tensor_spec(values, bits: float) -> QuantSpec | None:
-    """Per-tensor min/max spec; None when the tensor is constant (nothing to do)."""
+def quantize_tensor(values: np.ndarray, bits: float) -> np.ndarray:
+    """Quantize one tensor at its own min/max range; float32 result.
+
+    A constant tensor has no range to split and comes back as a float32 copy.
+    """
     v = np.asarray(values)
     lo, hi = float(v.min()), float(v.max())
     if lo == hi:
-        return None
-    return QuantSpec(bits, lo, hi)
-
-
-def quantize_tensor(values: np.ndarray, bits: float) -> np.ndarray:
-    """Quantize one tensor at its own min/max range; float32 result."""
-    spec = tensor_spec(values, bits)
-    if spec is None:
-        return np.asarray(values, dtype=np.float32).copy()
-    return quantize_uniform(values, spec).astype(np.float32)
+        return v.astype(np.float32)
+    return quantize_uniform(v, QuantSpec(bits, lo, hi)).astype(np.float32)
 
 
 def _quantize_layer(layer: Layer, bits, index: int) -> Layer:
@@ -150,18 +145,17 @@ def quantize_single_layer(model: Model, index: int, bits: int) -> Model:
     return model.replace_layer(index, _quantize_layer(model.layers[index], bits, index))
 
 
-def empirical_alpha(values, b_lo: int, b_hi: int, w_min: float | None = None,
-                    w_max: float | None = None) -> float:
+def empirical_alpha(values, b_lo: int, b_hi: int) -> float:
     """Measured per-bit decay rate ln(P(b_lo)/P(b_hi)) / (b_hi - b_lo).
 
-    Diagnostic for how closely a weight tensor follows the ln(4)/bit law;
-    the allocator always uses the analytic ALPHA.
+    Both powers are measured at the tensor's own min/max range.  Diagnostic
+    for how closely a weight tensor follows the ln(4)/bit law; the allocator
+    always uses the analytic ALPHA.
     """
     if b_hi <= b_lo:
         raise ValueError("need b_hi > b_lo")
     v = np.asarray(values, dtype=np.float64)
-    if w_min is None or w_max is None:
-        w_min, w_max = float(v.min()), float(v.max())
+    w_min, w_max = float(v.min()), float(v.max())
     p_lo = residual_power(v, QuantSpec(b_lo, w_min, w_max))
     p_hi = residual_power(v, QuantSpec(b_hi, w_min, w_max))
     if p_lo <= 0 or p_hi <= 0:

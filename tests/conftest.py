@@ -11,8 +11,7 @@ def fixture_model():
 
 @pytest.fixture(scope="session")
 def fixture_dataset(fixture_model):
-    spec = modelio.default_fixture()
-    return modelio.gen_dataset(fixture_model, spec.dataset_size, seed=spec.seed + 1)
+    return modelio.gen_dataset(fixture_model, 2000, seed=modelio.default_fixture().seed + 1)
 
 
 @pytest.fixture(scope="session")

@@ -221,8 +221,12 @@ class TestFlagRanges:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--max-iters", "0", "max_iters must be >= 1, got 0"),
-        ("--acc-tolerance", "-0.1", "acc_tolerance must be >= 0, got -0.1")],
-        ids=["max-iters", "acc-tolerance"])
+        ("--acc-tolerance", "-0.1", "acc_tolerance must be >= 0, got -0.1"),
+        ("--delta-acc", "-0.1", "delta_acc must be > 0, got -0.1"),
+        ("--delta-acc", "0", "delta_acc must be > 0, got 0.0"),
+        ("--delta-acc", "nan", "delta_acc must be > 0, got nan")],
+        ids=["max-iters", "acc-tolerance", "delta-acc-negative", "delta-acc-zero",
+             "delta-acc-nan"])
     def test_bad_probe_settings_are_one_line_exit_1_before_any_forward(
             self, rig, tmp_path, capsys, monkeypatch, flag, value, message):
         def fail(*args, **kwargs):
@@ -241,6 +245,10 @@ class TestFlagRanges:
         assert _parse_grid("4:12:0.5") == harness.default_anchor_grid()
         assert _parse_grid("7:7:1") == [7.0]
         assert _parse_grid("5,6.5") == [5.0, 6.5]
+        # the last anchor never passes hi
+        assert _parse_grid("4:12:0.3")[-1] == pytest.approx(11.8)
+        assert _parse_grid("4:5:0.6") == [4.0, 4.6]
+        assert len(_parse_grid("4:12:0.1")) == 81
 
 
 class TestCalibrationFront:

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from qalloc import nn, probes
+from qalloc import harness, nn, probes
 from qalloc.nn import Dataset, Layer, Model
 from qalloc.probes import CalibrationError, ProbeConfig
-
-
-def logit_model(d=3):
-    """Identity model: feeding it logits directly makes margins easy to stage."""
-    return Model((Layer("dense", np.eye(d, dtype=np.float32)),), (d,))
 
 
 def small_fixture(seed=0, n=400):
@@ -26,25 +21,21 @@ def small_fixture(seed=0, n=400):
 
 class TestMarginStats:
     def test_single_vector_hand_value(self):
-        ds = Dataset(np.array([[3.0, 1.0, 0.0]], dtype=np.float32), [0])
-        stats = probes.margin_stats(logit_model(), ds)
+        stats = probes.margin_stats(np.array([[3.0, 1.0, 0.0]]))
         assert stats.mean_r_star == pytest.approx(2.0, rel=1e-12)  # (3-1)^2/2
 
     def test_equal_logits_give_zero(self):
-        ds = Dataset(np.array([[1.0, 1.0, 1.0]], dtype=np.float32), [0])
-        assert probes.margin_stats(logit_model(), ds).mean_r_star == 0.0
+        assert probes.margin_stats(np.array([[1.0, 1.0, 1.0]])).mean_r_star == 0.0
 
     def test_batch_mean(self):
         # margins 2.0 and 0.0 -> mean 1.0
-        ds = Dataset(np.array([[3.0, 1.0, 0.0], [1.0, 1.0, 0.0]], dtype=np.float32), [0, 0])
-        stats = probes.margin_stats(logit_model(), ds)
+        stats = probes.margin_stats(np.array([[3.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
         assert stats.mean_r_star == pytest.approx(1.0, rel=1e-12)
         assert sum(stats.counts) == 2
 
     def test_needs_two_classes(self):
-        model = Model((Layer("dense", np.ones((2, 1), dtype=np.float32)),), (2,))
         with pytest.raises(ValueError):
-            probes.margin_stats(model, Dataset(np.ones((1, 2), dtype=np.float32), [0]))
+            probes.margin_stats(np.ones((1, 1)))
 
 
 class TestGammaTheta:
@@ -94,13 +85,13 @@ class TestEstimateT:
         # noise the response through the doubled layer also scales by 4, so t
         # quartering must come from the margin term in the denominator.
         model, ds = small_fixture()
-        m1 = probes.margin_stats(model, ds)
+        m1 = probes.margin_stats(nn.forward_batch(model, ds.inputs))
         doubled = model.replace_layer(2, Layer("dense", 2.0 * model.layers[2].weights))
-        m2 = probes.margin_stats(doubled, ds)
+        m2 = probes.margin_stats(nn.forward_batch(doubled, ds.inputs))
         assert m2.mean_r_star == pytest.approx(4.0 * m1.mean_r_star, rel=1e-6)
 
         cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=0)
-        r1 = probes.estimate_t(model, ds, cfg, margins=m1)[0]
+        r1 = probes.estimate_t(model, ds, cfg)[0]
         # same fixture, same probe: recomputing t against the 4x margin
         # normalizer divides it by 4
         t_rescaled = r1.noise_power / m2.mean_r_star
@@ -135,10 +126,24 @@ class TestEstimateT:
 
     @pytest.mark.parametrize("field,value", [("max_iters", 0), ("max_iters", -3),
                                              ("acc_tolerance", -0.1),
-                                             ("acc_tolerance", float("nan"))])
+                                             ("acc_tolerance", float("nan")),
+                                             ("delta_acc", -0.1), ("delta_acc", 0.0),
+                                             ("delta_acc", float("nan")),
+                                             ("b_probe", 1), ("b_probe", 17), ("b_probe", 8.5)])
     def test_config_rejects_settings_no_search_can_meet(self, field, value):
-        with pytest.raises(ValueError, match=f"^{field} must be >= "):
+        rules = {"delta_acc": "be > 0", "b_probe": r"be an integer in \[2, 16\]"}
+        with pytest.raises(ValueError, match=f"^{field} must {rules.get(field, 'be >= ')}"):
             ProbeConfig(**{field: value})
+
+    def test_bad_b_probe_fails_before_any_forward(self, monkeypatch):
+        model, ds = small_fixture()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(nn, "prefix_cache", fail)
+        with pytest.raises(ValueError, match="^b_probe must"):
+            harness.run_pipeline(model, ds, ProbeConfig(delta_acc=0.4, b_probe=1))
 
 
 class TestSharedCache:
@@ -151,8 +156,8 @@ class TestSharedCache:
                     == probes.estimate_t(model, ds, cfg))
             assert (probes.estimate_p(model, ds, b_probe=8, threads=threads, cache=cache)
                     == probes.estimate_p(model, ds, b_probe=8, threads=threads))
-            assert (probes.margin_stats(model, ds, threads=threads, cache=cache)
-                    == probes.margin_stats(model, ds, threads=threads))
+            assert (probes.margin_stats(cache.logits)
+                    == probes.margin_stats(nn.forward_batch(model, ds.inputs, threads)))
 
     def test_cache_for_other_arguments_rejected(self):
         model, ds = small_fixture()
@@ -237,6 +242,27 @@ class TestBuildProfiles:
             assert (b.p, b.b_probe, b.degenerate) == (full.p, full.b_probe, full.degenerate)
             assert math.isnan(b.t) and math.isnan(b.noise_scale) and not b.copied_t
             assert (a.index, a.kind, a.s, a.weight_range) == (b.index, b.kind, b.s, b.weight_range)
+
+    def test_merging_t_only_and_p_only_equals_both_sides(self):
+        model, ds = small_fixture()
+        t = probes.estimate_t(model, ds, ProbeConfig(delta_acc=0.3, acc_tolerance=0.02))
+        p = probes.estimate_p(model, ds)
+        t_only = probes.build_profiles(model, t, None, 0.3)
+        p_only = probes.build_profiles(model, None, p, math.nan)
+        both = probes.build_profiles(model, t, p, 0.3)
+        assert probes.merge_profiles([t_only, p_only]) == both
+        assert probes.merge_profiles([p_only, t_only]) == both
+
+    def test_incomplete_merge_names_the_layer(self):
+        model, ds = small_fixture()
+        t_only = probes.build_profiles(
+            model, probes.estimate_t(model, ds, ProbeConfig(delta_acc=0.3, acc_tolerance=0.02)),
+            None, 0.3)
+        with pytest.raises(ValueError, match="^layer 0: profiles incomplete"):
+            probes.merge_profiles([t_only])
+        p_only = probes.build_profiles(model, None, probes.estimate_p(model, ds), math.nan)
+        with pytest.raises(ValueError, match="^layer 2: profiles incomplete"):
+            probes.merge_profiles([t_only[:1], p_only])
 
     def test_given_side_must_cover_every_layer(self):
         model, ds = small_fixture()
