@@ -132,10 +132,12 @@ def cmd_estimate_t(args) -> int:
 
 
 def cmd_estimate_p(args) -> int:
+    quantize.check_bits(args.b_probe, "b_probe")  # a bad --b-probe fails before any forward
     out = _out_dir(args)
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
-    p_probes = probes.estimate_p(model, dataset, b_probe=args.b_probe, threads=args.threads)
+    cache = nn.prefix_cache(model, dataset.inputs, threads=args.threads)
+    p_probes = probes.estimate_p(cache, b_probe=args.b_probe)
     profiles = probes.build_profiles(model, None, p_probes, math.nan)
     path = modelio.save_profiles(profiles, out / "profiles_p.json",
                                  meta={"b_probe": args.b_probe})
@@ -252,13 +254,8 @@ def cmd_verify(args) -> int:
         model = modelio.gen_model(modelio.default_fixture(seed=args.fixture_seed))
         dataset = modelio.gen_dataset(model, args.n, seed=args.fixture_seed + 1)
     config = harness.VerifyConfig(
-        seed=args.seed, threads=args.threads,
-        quantizer_weights=10_000 if args.quick else 100_000,
-        lemma_trials=2000 if args.quick else 10_000,
-        kkt_sets=20 if args.quick else 100,
-        grid_step=0.05 if args.quick else 0.01,
-        anchors=None if args.b1_grid is None else tuple(_parse_grid(args.b1_grid)),
-        max_variants=4 if args.quick else 16)
+        seed=args.seed, quick=args.quick, threads=args.threads,
+        anchors=None if args.b1_grid is None else tuple(_parse_grid(args.b1_grid)))
     results = harness.verify(model, dataset, config)
     failures = 0
     for r in results:

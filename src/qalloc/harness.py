@@ -66,7 +66,7 @@ def calibrate_t(model: nn.Model, dataset: nn.Dataset, config: probes.ProbeConfig
     cache = nn.prefix_cache(model, dataset.inputs, threads=config.threads)
     acc_f = nn.accuracy(cache.logits, dataset.labels)
     margins = probes.margin_stats(cache.logits)
-    t_probes = probes.estimate_t(model, dataset, config, cache=cache)
+    t_probes = probes.estimate_t(cache, dataset.labels, config)
     meta = {"baseline_accuracy": acc_f, "mean_r_star": margins.mean_r_star,
             "delta_acc": config.target_drop(acc_f)}
     return cache, margins, t_probes, meta
@@ -81,8 +81,7 @@ def run_pipeline(model: nn.Model, dataset: nn.Dataset,
     once.  With out_dir set, margins and the merged profiles are persisted.
     """
     cache, margins, t_probes, meta = calibrate_t(model, dataset, config)
-    p_probes = probes.estimate_p(model, dataset, b_probe=config.b_probe,
-                                 threads=config.threads, cache=cache)
+    p_probes = probes.estimate_p(cache, b_probe=config.b_probe)
     profiles = probes.build_profiles(model, t_probes, p_probes, meta["delta_acc"])
     if out_dir is not None:
         meta.update(b_probe=config.b_probe, seed=config.seed,
@@ -278,15 +277,11 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyConfig:
-    """Scales for the verification battery; defaults match the full battery."""
+    """Settings for the verification battery; `quick` runs it scaled down, for smoke tests."""
 
     seed: int = 0
-    quantizer_weights: int = 100_000
-    lemma_trials: int = 10_000
-    kkt_sets: int = 100
-    grid_step: float = 0.01
+    quick: bool = False
     anchors: tuple[float, ...] | None = None
-    max_variants: int = 16
     threads: int = 1
 
 
@@ -313,8 +308,7 @@ def check_linearity(model, dataset, seed: int = 0, threads: int = 1) -> CheckRes
     cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
     for i in model.weighted_indices:
         ladder = probes.default_scale_ladder(model, i)
-        pts = probes.linearity_probe(model, dataset, i, ladder, seed=seed, threads=threads,
-                                     cache=cache)
+        pts = probes.linearity_probe(cache, i, ladder, seed=seed)
         slope, r2 = probes.loglog_fit(pts, use_first=3)
         worst.append((i, slope, r2))
     passed = all(0.9 <= s <= 1.1 and r2 >= 0.99 for _, s, r2 in worst)
@@ -324,8 +318,8 @@ def check_linearity(model, dataset, seed: int = 0, threads: int = 1) -> CheckRes
 
 def check_additivity(model, dataset, threads: int = 1) -> CheckResult:
     """Single-layer noise powers at b = 10 sum to the joint power within 10%."""
-    n = len(model.weighted_indices)
-    result = probes.additivity_probe(model, dataset, [10] * n, threads=threads)
+    cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
+    result = probes.additivity_probe(cache, [10] * len(model.weighted_indices))
     return CheckResult("additivity", result.relative_gap <= 0.10,
                        f"|sum_singles - joint|/joint = {result.relative_gap:.4f} at b=10")
 
@@ -413,8 +407,8 @@ def check_t_ratio_stability(model, dataset, seed: int = 0, threads: int = 1) -> 
     acc_f = nn.accuracy(cache.logits, dataset.labels)
     results = []
     for frac in (0.25, 0.5):
-        cfg = probes.ProbeConfig(delta_acc=frac * acc_f, seed=seed, threads=threads)
-        results.append([r.t for r in probes.estimate_t(model, dataset, cfg, cache=cache)])
+        cfg = probes.ProbeConfig(delta_acc=frac * acc_f, seed=seed)
+        results.append([r.t for r in probes.estimate_t(cache, dataset.labels, cfg)])
     ta, tb = results
     worst = 0.0
     for i in range(len(ta)):
@@ -491,26 +485,27 @@ def verify(model, dataset, config: VerifyConfig = VerifyConfig(), tmp_dir=None) 
         except Exception as e:  # a crash is a failed check, not a crashed battery
             results.append(CheckResult(fn.__name__, False, f"raised {type(e).__name__}: {e}"))
 
-    run(check_quantizer_law, n=config.quantizer_weights, seed=config.seed)
+    quick = config.quick
+    max_variants = 4 if quick else 16
+    run(check_quantizer_law, n=10_000 if quick else 100_000, seed=config.seed)
     run(check_linearity, model, dataset, seed=config.seed, threads=config.threads)
     run(check_additivity, model, dataset, threads=config.threads)
-    run(check_kkt, n_sets=config.kkt_sets, seed=config.seed)
-    run(check_optimality, seed=config.seed, grid_step=config.grid_step)
+    run(check_kkt, n_sets=20 if quick else 100, seed=config.seed)
+    run(check_optimality, seed=config.seed, grid_step=0.05 if quick else 0.01)
     run(check_sqnr_special_case, seed=config.seed)
-    run(check_lemma, trials=config.lemma_trials, seed=config.seed)
+    run(check_lemma, trials=2000 if quick else 10_000, seed=config.seed)
     run(check_t_ratio_stability, model, dataset, seed=config.seed, threads=config.threads)
 
     try:
         cfg = probes.ProbeConfig(seed=config.seed, threads=config.threads)
         profiles = run_pipeline(model, dataset, cfg)
         dom, curves, _ = check_dominance(model, dataset, profiles, anchors=config.anchors,
-                                         max_variants=config.max_variants,
-                                         threads=config.threads)
+                                         max_variants=max_variants, threads=config.threads)
         results.append(dom)
         results.append(check_equal_envelope(curves["equal"]))
         csv_a = modelio.curve_csv_text(sorted_points(curves))
         curves_b = sweep(model, dataset, profiles, b1_values=config.anchors,
-                         methods=("adaptive", "equal"), max_variants=config.max_variants,
+                         methods=("adaptive", "equal"), max_variants=max_variants,
                          threads=config.threads)
         csv_b = modelio.curve_csv_text(sorted_points(curves_b))
         results.append(CheckResult("sweep_reproducible", csv_a == csv_b,

@@ -521,6 +521,8 @@ def accuracy(logits: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of rows of an (n, d) logit batch whose argmax matches the label."""
     labels = np.asarray(labels)
     check_labels(labels, logits.shape[1])
+    if len(labels) != len(logits):
+        raise ValueError(f"{len(labels)} labels for {len(logits)} rows")
     return int(np.count_nonzero(classify_batch(logits) == labels)) / len(labels)
 
 

@@ -18,8 +18,8 @@ Every probe changes one layer i at a time, so layers before i compute what
 the unmodified model computes.  The probes therefore share an
 `nn.PrefixCache`: one baseline forward gives the baseline logits (accuracy,
 margins, the baseline side of every feature-noise difference) and each
-probed copy runs only from layer i on.  Each probe takes the cache as an
-optional `cache=` argument and builds its own when none is given.
+probed copy runs only from layer i on.  Every probe takes the cache as its
+first argument and reads the model, the inputs and the thread count from it.
 
 Also here: linearity and additivity diagnostics for the small-noise
 assumptions behind p and t, and a Monte Carlo check of the random-versus-
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .nn import Dataset, Model
+from .nn import Model
 from .quantize import ALPHA, check_bits, quantize_model, quantize_single_layer
 
 
@@ -49,11 +49,14 @@ class CalibrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Settings for the t-probe binary search and the p-probe bit-width."""
+    """Settings for the t-probe binary search and the p-probe bit-width.
+
+    `threads` sets the thread count of the prefix cache that
+    `harness.calibrate_t` and `harness.run_pipeline` build; the probes
+    themselves run at their cache's thread count.
+    """
 
     delta_acc: float | None = None  # absolute accuracy drop target; None = half of baseline
-    k_min: float = 1e-5
-    k_max: float = 1e3
     acc_tolerance: float = 0.005
     max_iters: int = 40
     seed: int = 0
@@ -123,21 +126,13 @@ class LayerProfile:
     degenerate: bool = False
 
 
-def _cache_for(model: Model, dataset: Dataset, threads: int,
-               cache: nn.PrefixCache | None) -> nn.PrefixCache:
-    """The caller's cache, checked against the probe's arguments, or a new one."""
-    if cache is None:
-        return nn.prefix_cache(model, dataset.inputs, threads=threads)
-    if cache.model is not model or cache.inputs is not dataset.inputs or cache.threads != threads:
-        raise ValueError("prefix cache was built for a different model, dataset or thread count")
-    return cache
-
-
 def margin_stats(logits: np.ndarray) -> MarginStats:
     """Per-sample margins (z1 - z2)^2 / 2 of an (n, d) logit batch, in a 50-bin histogram."""
     z = np.asarray(logits)
     if z.shape[1] < 2:
         raise ValueError("margins need at least two classes")
+    if len(z) == 0:
+        raise ValueError("margins need at least one sample")
     top2 = np.partition(z, z.shape[1] - 2, axis=1)[:, -2:]
     margins = (top2[:, 1] - top2[:, 0]) ** 2 / 2.0
     counts, edges = np.histogram(margins, bins=50)
@@ -151,6 +146,10 @@ def margin_stats(logits: np.ndarray) -> MarginStats:
 # colliding stream would draw noise proportional to the weights themselves,
 # which a ReLU network simply rescales).
 _PROBE_SALT = 0x9E3779B97F4A7C15
+
+# the t search brackets the noise scale k in [_K_MIN, _K_MAX]
+_K_MIN = 1e-5
+_K_MAX = 1e3
 
 
 def _layer_rng(seed: int, layer_index: int) -> np.random.Generator:
@@ -174,24 +173,23 @@ def probed_layers(model: Model, last_n: int | None = None) -> tuple[int, ...]:
     return weighted[-last_n:]
 
 
-def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig(), *,
-               cache: nn.PrefixCache | None = None) -> list[TProbe]:
-    """Robustness parameter t for each weighted layer (binary search on noise scale).
+def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig()) -> list[TProbe]:
+    """Robustness parameter t for each weighted layer of `cache.model` (bisection on noise scale).
 
     For each probed layer a fixed uniform(-0.5, 0.5) direction is scaled by k,
-    with k bisected geometrically in [k_min, k_max] until the accuracy drop is
-    within acc_tolerance of `config.target_drop`.  A layer that cannot be
-    brought into tolerance aborts the run with CalibrationError carrying
-    partial results.
+    with k bisected geometrically in [_K_MIN, _K_MAX] until the accuracy drop
+    on `labels` is within acc_tolerance of `config.target_drop`.  A layer that
+    cannot be brought into tolerance aborts the run with CalibrationError
+    carrying partial results.
 
-    Cost: one baseline forward to build the prefix cache (none when `cache`
-    is given), then one forward of layers[i:] per bisection iteration on
-    layer i.  The accepted iterate's logits give its feature-noise power, so
-    that costs no further forward.
+    Cost: one forward of layers[i:] per bisection iteration on layer i, from
+    the cache; the baseline logits and margins come from the cache too.  The
+    accepted iterate's logits give its feature-noise power, so that costs no
+    further forward.
     """
+    model = cache.model
     probe_set = probed_layers(model, config.last_n)
-    cache = _cache_for(model, dataset, config.threads, cache)
-    acc_f = nn.accuracy(cache.logits, dataset.labels)
+    acc_f = nn.accuracy(cache.logits, labels)
     target = config.target_drop(acc_f)
     if not (0 < target < acc_f):
         raise ValueError(f"delta_acc must lie in (0, baseline accuracy={acc_f}), got {target}")
@@ -202,7 +200,7 @@ def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig
     results: list[TProbe] = []
     for i in probe_set:
         direction = _probe_direction(model, i, config.seed)
-        k_lo, k_hi = config.k_min, config.k_max
+        k_lo, k_hi = _K_MIN, _K_MAX
         found = None
         iters = 0
         drop = math.nan
@@ -210,7 +208,7 @@ def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig
             iters += 1
             k = math.sqrt(k_lo * k_hi)
             z = nn.forward_from(cache, nn.perturb_layer(model, i, k * direction), i)
-            drop = acc_f - nn.accuracy(z, dataset.labels)
+            drop = acc_f - nn.accuracy(z, labels)
             if abs(drop - target) <= config.acc_tolerance:
                 found = (k, z)
                 break
@@ -223,7 +221,7 @@ def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig
         if found is None:
             raise CalibrationError(
                 f"layer {i}: accuracy drop {drop:.4f} never reached target {target:.4f} "
-                f"+/- {config.acc_tolerance} within bounds [{config.k_min}, {config.k_max}] "
+                f"+/- {config.acc_tolerance} within bounds [{_K_MIN}, {_K_MAX}] "
                 f"({iters} iterations)", partial=results)
         k, z = found
         power = nn.mean_power(cache.logits - z)
@@ -237,15 +235,13 @@ def estimate_t(model: Model, dataset: Dataset, config: ProbeConfig = ProbeConfig
     return results
 
 
-def estimate_p(model: Model, dataset: Dataset, b_probe: int = 10, threads: int = 1, *,
-               cache: nn.PrefixCache | None = None) -> list[PProbe]:
-    """Noise coefficient p for each weighted layer via single-layer quantization.
+def estimate_p(cache: nn.PrefixCache, b_probe: int = 10) -> list[PProbe]:
+    """Noise coefficient p for each weighted layer of `cache.model` via single-layer quantization.
 
-    Cost: one baseline forward to build the prefix cache (none when `cache`
-    is given), then one forward of layers[i:] per weighted layer i.
+    Cost: one forward of layers[i:] per weighted layer i, from the cache.
     """
     b_probe = check_bits(b_probe, "b_probe")
-    cache = _cache_for(model, dataset, threads, cache)
+    model = cache.model
     scale = math.exp(-ALPHA * b_probe)
     results = []
     for i in model.weighted_indices:
@@ -282,14 +278,13 @@ def default_scale_ladder(model: Model, layer_index: int) -> list[float]:
     return [1e-3 * 4.0 ** j * base for j in range(6)]
 
 
-def linearity_probe(model: Model, dataset: Dataset, layer_index: int, scales,
-                    seed: int = 0, threads: int = 1, *,
-                    cache: nn.PrefixCache | None = None) -> list[tuple[float, float]]:
+def linearity_probe(cache: nn.PrefixCache, layer_index: int, scales,
+                    seed: int = 0) -> list[tuple[float, float]]:
     """(weight-noise power, feature-noise power) for one direction at several scales."""
     scales = [float(s) for s in scales]
     if len(scales) < 5:
         raise ValueError("need a ladder of at least 5 scales")
-    cache = _cache_for(model, dataset, threads, cache)
+    model = cache.model
     direction = _probe_direction(model, layer_index, seed)
     dir_power = float(np.sum(direction * direction))
     points = []
@@ -326,19 +321,17 @@ class AdditivityResult:
         return abs(self.sum_singles - self.joint) / self.joint if self.joint else 0.0
 
 
-def additivity_probe(model: Model, dataset: Dataset, allocation, threads: int = 1, *,
-                     cache: nn.PrefixCache | None = None) -> AdditivityResult:
+def additivity_probe(cache: nn.PrefixCache, allocation) -> AdditivityResult:
     """Compare per-layer quantization noise powers against joint quantization."""
     bits = list(getattr(allocation, "b_int", allocation))
-    weighted = model.weighted_indices
-    cache = _cache_for(model, dataset, threads, cache)
+    model = cache.model
     singles = []
-    for i, b in zip(weighted, bits, strict=True):
+    for i, b in zip(model.weighted_indices, bits, strict=True):
         q = quantize_single_layer(model, i, int(b))
         singles.append(nn.mean_power(cache.logits - nn.forward_from(cache, q, i)))
     joint_model = quantize_model(model, bits)
-    joint = nn.mean_power(cache.logits - nn.forward_batch(joint_model, dataset.inputs,
-                                                          threads=threads))
+    joint = nn.mean_power(cache.logits - nn.forward_batch(joint_model, cache.inputs,
+                                                          threads=cache.threads))
     return AdditivityResult(tuple(singles), float(sum(singles)), joint)
 
 
@@ -400,18 +393,17 @@ def lemma_check(d: int, delta: float, trials: int, seed: int = 0) -> LemmaReport
     return LemmaReport(d, delta, trials, float(np.mean(flips)), 2.0 * delta)
 
 
-def rank_diagnostic(model: Model, dataset: Dataset, layer_index: int, seed: int = 0,
-                    threads: int = 1, *, cache: nn.PrefixCache | None = None) -> int:
+def rank_diagnostic(cache: nn.PrefixCache, layer_index: int, seed: int = 0) -> int:
     """Numerical rank of the per-sample feature-noise matrix for one layer.
 
     The probe direction is scaled by the layer's second ladder scale.  Noise
     injected into earlier layers tends to reach the feature vector with
     lower rank.  Model-dependent; reported but never asserted.
     """
+    model = cache.model
     scale = default_scale_ladder(model, layer_index)[1]
     direction = _probe_direction(model, layer_index, seed)
     perturbed = nn.perturb_layer(model, layer_index, scale * direction)
-    cache = _cache_for(model, dataset, threads, cache)
     diffs = cache.logits - nn.forward_from(cache, perturbed, layer_index)
     return int(np.linalg.matrix_rank(diffs))
 

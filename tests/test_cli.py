@@ -84,6 +84,14 @@ class TestMargins:
         assert main(["margins", "--model", str(rig / "m"), "--data", str(rig / "d")]) == 0
         assert "mean margin power" in capsys.readouterr().out
 
+    def test_empty_dataset_is_one_line_exit_1(self, rig, tmp_path, capsys):
+        modelio.save_dataset(Dataset(np.zeros((0, 12), dtype=np.float32), []), tmp_path / "e")
+        out = tmp_path / "out"
+        assert main(["margins", "--model", str(rig / "m"), "--data", str(tmp_path / "e"),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: margins need at least one sample\n"
+        assert not (out / "margins.json").exists()
+
 
 class TestAllocate:
     def test_closed_form_example(self, tmp_path, capsys):
@@ -236,6 +244,17 @@ class TestFlagRanges:
         assert main(["estimate-t", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      flag, value, "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_bad_b_probe_is_one_line_exit_1_before_any_forward(self, rig, tmp_path, capsys,
+                                                               monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("forward ran")
+
+        monkeypatch.setattr(nn, "prefix_cache", fail)
+        assert main(["estimate-p", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--b-probe", "1", "--out", str(tmp_path / "p")]) == 1
+        assert capsys.readouterr().err == "error: b_probe must be an integer in [2, 16], got 1\n"
+        assert not (tmp_path / "p" / "profiles_p.json").exists()
 
     def test_valid_b1_grids_parse_as_before(self):
         from qalloc import harness

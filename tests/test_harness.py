@@ -199,9 +199,7 @@ class TestChecks:
 
     def test_verify_battery_on_small_rig(self, small_rig, tmp_path):
         model, ds = small_rig
-        cfg = harness.VerifyConfig(seed=1, quantizer_weights=20_000, lemma_trials=2000,
-                                   kkt_sets=10, grid_step=0.05,
-                                   anchors=(5.0, 6.0, 7.0, 8.0, 9.0, 10.0), max_variants=4)
+        cfg = harness.VerifyConfig(seed=1, quick=True, anchors=(5.0, 6.0, 7.0, 8.0, 9.0, 10.0))
         results = harness.verify(model, ds, cfg, tmp_dir=tmp_path)
         names = [r.name for r in results]
         assert "quantizer_law" in names and "roundtrips" in names
@@ -215,8 +213,7 @@ class TestChecks:
     def test_verify_handles_empty_dataset_as_failure_not_crash(self, small_rig, tmp_path):
         model, _ = small_rig
         empty = Dataset(np.zeros((0, 12), dtype=np.float32), [])
-        cfg = harness.VerifyConfig(quantizer_weights=5000, lemma_trials=2000,
-                                   kkt_sets=5, grid_step=0.1, anchors=(6.0,), max_variants=2)
+        cfg = harness.VerifyConfig(quick=True, anchors=(6.0,))
         results = harness.verify(model, empty, cfg, tmp_dir=tmp_path)
         fixture_bound = [r for r in results if r.name in ("linearity", "pipeline")]
         assert fixture_bound and not any(r.passed for r in fixture_bound)

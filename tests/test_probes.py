@@ -19,6 +19,11 @@ def small_fixture(seed=0, n=400):
     return model, Dataset(inputs, labels)
 
 
+def cached(model, ds, threads=1):
+    """The prefix cache every probe runs on: one baseline forward of `ds`."""
+    return nn.prefix_cache(model, ds.inputs, threads)
+
+
 class TestMarginStats:
     def test_single_vector_hand_value(self):
         stats = probes.margin_stats(np.array([[3.0, 1.0, 0.0]]))
@@ -36,6 +41,16 @@ class TestMarginStats:
     def test_needs_two_classes(self):
         with pytest.raises(ValueError):
             probes.margin_stats(np.ones((1, 1)))
+
+    def test_needs_one_sample(self):
+        with pytest.raises(ValueError, match="^margins need at least one sample$"):
+            probes.margin_stats(np.zeros((0, 3)))
+
+    def test_margins_of_the_cache_equal_margins_of_a_forward(self):
+        model, ds = small_fixture(n=1100)
+        for threads in (1, 2):
+            assert (probes.margin_stats(cached(model, ds, threads).logits)
+                    == probes.margin_stats(nn.forward_batch(model, ds.inputs, threads)))
 
 
 class TestGammaTheta:
@@ -67,15 +82,15 @@ class TestEstimateT:
     def test_stopping_rule_holds_for_every_layer(self):
         model, ds = small_fixture()
         cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=0)
-        for r in probes.estimate_t(model, ds, cfg):
+        for r in probes.estimate_t(cached(model, ds), ds.labels, cfg):
             assert r.converged
             assert abs(r.accuracy_drop - 0.4) <= 0.02
 
     def test_same_seed_is_bit_identical(self):
         model, ds = small_fixture()
         cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=7)
-        a = probes.estimate_t(model, ds, cfg)
-        b = probes.estimate_t(model, ds, cfg)
+        a = probes.estimate_t(cached(model, ds), ds.labels, cfg)
+        b = probes.estimate_t(cached(model, ds), ds.labels, cfg)
         assert a == b
 
     def test_quadrupled_margins_quarter_t_at_fixed_response(self):
@@ -91,7 +106,7 @@ class TestEstimateT:
         assert m2.mean_r_star == pytest.approx(4.0 * m1.mean_r_star, rel=1e-6)
 
         cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=0)
-        r1 = probes.estimate_t(model, ds, cfg)[0]
+        r1 = probes.estimate_t(cached(model, ds), ds.labels, cfg)[0]
         # same fixture, same probe: recomputing t against the 4x margin
         # normalizer divides it by 4
         t_rescaled = r1.noise_power / m2.mean_r_star
@@ -99,16 +114,15 @@ class TestEstimateT:
 
     def test_failure_flags_layer_and_carries_partials(self):
         model, ds = small_fixture()
-        # k_max too small to reach a 40% drop -> bracketing must fail
-        cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.001, seed=0,
-                          k_min=1e-7, k_max=1e-6, max_iters=12)
+        # an exact drop target and two bisection steps cannot be met
+        cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.0, seed=0, max_iters=2)
         with pytest.raises(CalibrationError, match="layer 0"):
-            probes.estimate_t(model, ds, cfg)
+            probes.estimate_t(cached(model, ds), ds.labels, cfg)
 
     def test_last_n_copies_t_backward(self):
         model, ds = small_fixture()
         cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=0, last_n=1)
-        res = probes.estimate_t(model, ds, cfg)
+        res = probes.estimate_t(cached(model, ds), ds.labels, cfg)
         assert [r.index for r in res] == [0, 2]
         assert res[0].copied and not res[1].copied
         assert res[0].t == res[1].t
@@ -116,13 +130,21 @@ class TestEstimateT:
     def test_delta_beyond_baseline_rejected(self):
         model, ds = small_fixture()
         with pytest.raises(ValueError, match="delta_acc"):
-            probes.estimate_t(model, ds, ProbeConfig(delta_acc=1.5))
+            probes.estimate_t(cached(model, ds), ds.labels, ProbeConfig(delta_acc=1.5))
+
+    def test_label_count_must_match_the_rows(self):
+        model, ds = small_fixture()
+        with pytest.raises(ValueError, match="^399 labels for 400 rows$"):
+            probes.estimate_t(cached(model, ds), ds.labels[:-1], ProbeConfig(delta_acc=0.4))
+        with pytest.raises(ValueError, match="^399 labels for 400 rows$"):
+            nn.accuracy(nn.forward_batch(model, ds.inputs), ds.labels[:-1])
 
     @pytest.mark.parametrize("last_n", [0, -1, 3])
     def test_last_n_outside_weighted_count_rejected(self, last_n):
         model, ds = small_fixture()  # two weighted layers
         with pytest.raises(ValueError, match="last_n must lie in 1..2"):
-            probes.estimate_t(model, ds, ProbeConfig(delta_acc=0.4, last_n=last_n))
+            probes.estimate_t(cached(model, ds), ds.labels,
+                              ProbeConfig(delta_acc=0.4, last_n=last_n))
 
     @pytest.mark.parametrize("field,value", [("max_iters", 0), ("max_iters", -3),
                                              ("acc_tolerance", -0.1),
@@ -146,38 +168,13 @@ class TestEstimateT:
             harness.run_pipeline(model, ds, ProbeConfig(delta_acc=0.4, b_probe=1))
 
 
-class TestSharedCache:
-    def test_probes_with_a_shared_cache_equal_their_own(self):
-        model, ds = small_fixture(n=1100)
-        for threads in (1, 2):
-            cache = nn.prefix_cache(model, ds.inputs, threads)
-            cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=3, threads=threads)
-            assert (probes.estimate_t(model, ds, cfg, cache=cache)
-                    == probes.estimate_t(model, ds, cfg))
-            assert (probes.estimate_p(model, ds, b_probe=8, threads=threads, cache=cache)
-                    == probes.estimate_p(model, ds, b_probe=8, threads=threads))
-            assert (probes.margin_stats(cache.logits)
-                    == probes.margin_stats(nn.forward_batch(model, ds.inputs, threads)))
-
-    def test_cache_for_other_arguments_rejected(self):
-        model, ds = small_fixture()
-        cache = nn.prefix_cache(model, ds.inputs, threads=1)
-        other, _ = small_fixture(seed=1)
-        with pytest.raises(ValueError, match="prefix cache"):
-            probes.estimate_p(other, ds, cache=cache)
-        with pytest.raises(ValueError, match="prefix cache"):
-            probes.estimate_p(model, ds, threads=2, cache=cache)
-        with pytest.raises(ValueError, match="prefix cache"):
-            probes.estimate_p(model, Dataset(ds.inputs.copy(), ds.labels), cache=cache)
-
-
 class TestEstimateP:
     def test_duplicating_dataset_leaves_p_unchanged(self):
         model, ds = small_fixture()
         doubled = Dataset(np.concatenate([ds.inputs, ds.inputs]),
                           np.concatenate([ds.labels, ds.labels]))
-        a = probes.estimate_p(model, ds, b_probe=8)
-        b = probes.estimate_p(model, doubled, b_probe=8)
+        a = probes.estimate_p(cached(model, ds), b_probe=8)
+        b = probes.estimate_p(cached(model, doubled), b_probe=8)
         for x, y in zip(a, b):
             assert x.p == pytest.approx(y.p, rel=1e-12)
 
@@ -190,8 +187,8 @@ class TestEstimateP:
         model = Model((Layer("dense", w),), (50,))
         inputs = rng.standard_normal((60, 50)).astype(np.float32)
         ds = Dataset(inputs, np.zeros(60, dtype=int))
-        p10 = probes.estimate_p(model, ds, b_probe=10)[0]
-        p8 = probes.estimate_p(model, ds, b_probe=8)[0]
+        p10 = probes.estimate_p(cached(model, ds), b_probe=10)[0]
+        p8 = probes.estimate_p(cached(model, ds), b_probe=8)[0]
         predicted = p10.p * math.exp(-probes.ALPHA * 8)
         assert predicted == pytest.approx(p8.noise_power, rel=0.25)
 
@@ -206,8 +203,8 @@ class TestEstimateP:
         m2 = Model((Layer("dense", (2.0 * w).astype(np.float32)),), (6,))
         labels = np.zeros(40, dtype=int)
         ds = Dataset(inputs, labels)
-        p1 = probes.estimate_p(m1, ds, b_probe=6)[0]
-        p2 = probes.estimate_p(m2, ds, b_probe=6)[0]
+        p1 = probes.estimate_p(cached(m1, ds), b_probe=6)[0]
+        p2 = probes.estimate_p(cached(m2, ds), b_probe=6)[0]
         assert p2.p == pytest.approx(4.0 * p1.p, rel=1e-6)
 
         from qalloc.quantize import quantize_single_layer
@@ -219,20 +216,21 @@ class TestEstimateP:
         model = Model((Layer("dense", w),), (3,))
         ds = Dataset(np.ones((4, 3), dtype=np.float32), [0, 0, 0, 0])
         with pytest.warns(UserWarning, match="degenerate"):
-            res = probes.estimate_p(model, ds, b_probe=10)
+            res = probes.estimate_p(cached(model, ds), b_probe=10)
         assert res[0].degenerate and res[0].p == 0.0
 
     def test_b_probe_validated(self):
         model, ds = small_fixture()
         with pytest.raises(ValueError):
-            probes.estimate_p(model, ds, b_probe=1)
+            probes.estimate_p(cached(model, ds), b_probe=1)
 
 
 class TestBuildProfiles:
     def test_missing_sides_are_nan_with_neutral_flags(self):
         model, ds = small_fixture()
-        t = probes.estimate_t(model, ds, ProbeConfig(delta_acc=0.3, acc_tolerance=0.02))
-        p = probes.estimate_p(model, ds)
+        t = probes.estimate_t(cached(model, ds), ds.labels,
+                              ProbeConfig(delta_acc=0.3, acc_tolerance=0.02))
+        p = probes.estimate_p(cached(model, ds))
         both = probes.build_profiles(model, t, p, 0.3)
         t_only = probes.build_profiles(model, t, None, 0.3)
         p_only = probes.build_profiles(model, None, p, math.nan)
@@ -245,8 +243,9 @@ class TestBuildProfiles:
 
     def test_merging_t_only_and_p_only_equals_both_sides(self):
         model, ds = small_fixture()
-        t = probes.estimate_t(model, ds, ProbeConfig(delta_acc=0.3, acc_tolerance=0.02))
-        p = probes.estimate_p(model, ds)
+        t = probes.estimate_t(cached(model, ds), ds.labels,
+                              ProbeConfig(delta_acc=0.3, acc_tolerance=0.02))
+        p = probes.estimate_p(cached(model, ds))
         t_only = probes.build_profiles(model, t, None, 0.3)
         p_only = probes.build_profiles(model, None, p, math.nan)
         both = probes.build_profiles(model, t, p, 0.3)
@@ -255,18 +254,18 @@ class TestBuildProfiles:
 
     def test_incomplete_merge_names_the_layer(self):
         model, ds = small_fixture()
-        t_only = probes.build_profiles(
-            model, probes.estimate_t(model, ds, ProbeConfig(delta_acc=0.3, acc_tolerance=0.02)),
-            None, 0.3)
+        t = probes.estimate_t(cached(model, ds), ds.labels,
+                              ProbeConfig(delta_acc=0.3, acc_tolerance=0.02))
+        t_only = probes.build_profiles(model, t, None, 0.3)
         with pytest.raises(ValueError, match="^layer 0: profiles incomplete"):
             probes.merge_profiles([t_only])
-        p_only = probes.build_profiles(model, None, probes.estimate_p(model, ds), math.nan)
+        p_only = probes.build_profiles(model, None, probes.estimate_p(cached(model, ds)), math.nan)
         with pytest.raises(ValueError, match="^layer 2: profiles incomplete"):
             probes.merge_profiles([t_only[:1], p_only])
 
     def test_given_side_must_cover_every_layer(self):
         model, ds = small_fixture()
-        p = probes.estimate_p(model, ds)
+        p = probes.estimate_p(cached(model, ds))
         with pytest.raises(ValueError, match="missing probe results for layer 0"):
             probes.build_profiles(model, None, p[1:], math.nan)
 
@@ -294,7 +293,7 @@ class TestLinearityProbe:
         model = Model((Layer("dense", rng.uniform(-1, 1, size=(8, 4)).astype(np.float32)),), (8,))
         ds = Dataset(rng.standard_normal((30, 8)).astype(np.float32), np.zeros(30, dtype=int))
         ladder = probes.default_scale_ladder(model, 0)
-        pts = probes.linearity_probe(model, ds, 0, ladder, seed=1)
+        pts = probes.linearity_probe(cached(model, ds), 0, ladder, seed=1)
         slope, r2 = probes.loglog_fit(pts)
         assert slope == pytest.approx(1.0, abs=1e-6)
         assert r2 >= 1 - 1e-9
@@ -302,7 +301,7 @@ class TestLinearityProbe:
     def test_needs_five_scales(self):
         model, ds = small_fixture()
         with pytest.raises(ValueError):
-            probes.linearity_probe(model, ds, 0, [0.1, 0.2])
+            probes.linearity_probe(cached(model, ds), 0, [0.1, 0.2])
 
 
 class TestAdditivityProbe:
@@ -310,17 +309,17 @@ class TestAdditivityProbe:
         rng = np.random.default_rng(3)
         model = Model((Layer("dense", rng.uniform(-1, 1, size=(5, 3)).astype(np.float32)),), (5,))
         ds = Dataset(rng.standard_normal((20, 5)).astype(np.float32), np.zeros(20, dtype=int))
-        res = probes.additivity_probe(model, ds, [6])
+        res = probes.additivity_probe(cached(model, ds), [6])
         assert res.sum_singles == res.joint
 
     def test_small_noise_gap_is_small(self):
         model, ds = small_fixture(seed=3)
-        res = probes.additivity_probe(model, ds, [10, 10])
+        res = probes.additivity_probe(cached(model, ds), [10, 10])
         assert res.relative_gap <= 0.10
 
     def test_large_noise_runs_as_diagnostic(self):
         model, ds = small_fixture(seed=3)
-        res = probes.additivity_probe(model, ds, [3, 3])
+        res = probes.additivity_probe(cached(model, ds), [3, 3])
         assert res.joint > 0  # no assertion on the gap; the regime is nonlinear
 
 
@@ -345,5 +344,5 @@ class TestLemma:
 class TestRankDiagnostic:
     def test_reports_an_integer_rank(self):
         model, ds = small_fixture()
-        rank = probes.rank_diagnostic(model, ds, 0, seed=0)
+        rank = probes.rank_diagnostic(cached(model, ds), 0, seed=0)
         assert 1 <= rank <= model.d
