@@ -80,6 +80,27 @@ def _profile_fields(profiles):
     return s, t, pw, degenerate
 
 
+def _closed_form(method: str, b1: float, s, t, pw, degenerate, pinned) -> BitAllocation:
+    """The water-filling solution anchored at b1 on the first free layer.
+
+    Pinned positions take their pin and degenerate ones B_MIN; every other
+    layer i gets b1 + ln(p_i*t_a*s_a / (p_a*t_i*s_i)) / a, with a the first
+    free layer.  The one copy of the closed form, for adaptive and SQNR.
+    """
+    b1 = check_anchor(b1)
+    pinned = pinned or {}
+    free = [i for i in range(len(s)) if i not in pinned and not degenerate[i]]
+    for i in free:
+        if s[i] <= 0 or t[i] <= 0 or pw[i] <= 0:
+            raise ValueError(f"profile {i}: s, t, p must all be positive (s={s[i]}, t={t[i]}, p={pw[i]})")
+    a = free[0] if free else None
+    b_real = [float(pinned[i]) if i in pinned
+              else float(B_MIN) if degenerate[i]
+              else b1 + math.log(pw[i] * t[a] * s[a] / (pw[a] * t[i] * s[i])) / ALPHA
+              for i in range(len(s))]
+    return _finish(method, b1, b_real, s)
+
+
 def allocate_adaptive(profiles, b1: float, pinned: dict[int, int] | None = None) -> BitAllocation:
     """Water-filling allocation anchored at b1 on the first free layer.
 
@@ -87,44 +108,14 @@ def allocate_adaptive(profiles, b1: float, pinned: dict[int, int] | None = None)
     assigned the minimum bit-width; `pinned` maps profile positions to fixed
     bit-widths that bypass the optimization entirely.
     """
-    b1 = check_anchor(b1)
-    pinned = pinned or {}
-    s, t, pw, degenerate = _profile_fields(profiles)
-    free = [i for i in range(len(s))
-            if i not in pinned and not degenerate[i]]
-    if not free:  # everything pinned or degenerate: nothing left to optimize
-        return _finish("adaptive", b1,
-                       [float(pinned.get(i, B_MIN)) for i in range(len(s))], s)
-    for i in free:
-        if s[i] <= 0 or t[i] <= 0 or pw[i] <= 0:
-            raise ValueError(f"profile {i}: s, t, p must all be positive (s={s[i]}, t={t[i]}, p={pw[i]})")
-    a = free[0]
-    b_real = [0.0] * len(s)
-    for i in range(len(s)):
-        if i in pinned:
-            b_real[i] = float(pinned[i])
-        elif degenerate[i]:
-            b_real[i] = float(B_MIN)
-        else:
-            b_real[i] = b1 + math.log(pw[i] * t[a] * s[a] / (pw[a] * t[i] * s[i])) / ALPHA
-    return _finish("adaptive", b1, b_real, s)
+    return _closed_form("adaptive", b1, *_profile_fields(profiles), pinned)
 
 
 def allocate_sqnr(sizes, b1: float, pinned: dict[int, int] | None = None) -> BitAllocation:
-    """Allocation equalizing exp(-a*b_i)/s_i: the adaptive rule with p/t dropped."""
-    b1 = check_anchor(b1)
-    pinned = pinned or {}
+    """Allocation equalizing exp(-a*b_i)/s_i: the adaptive rule with p = t = 1 on every layer."""
     s = [int(v) for v in sizes]
-    free = [i for i in range(len(s)) if i not in pinned]
-    if not free:
-        return _finish("sqnr", b1, [float(pinned[i]) for i in range(len(s))], s)
-    for i in free:
-        if s[i] <= 0:
-            raise ValueError(f"layer {i}: size must be positive, got {s[i]}")
-    a = free[0]
-    b_real = [float(pinned[i]) if i in pinned else b1 + math.log(s[a] / s[i]) / ALPHA
-              for i in range(len(s))]
-    return _finish("sqnr", b1, b_real, s)
+    ones = [1.0] * len(s)
+    return _closed_form("sqnr", b1, s, ones, ones, [False] * len(s), pinned)
 
 
 def allocate_equal(bits: int, sizes, pinned: dict[int, int] | None = None) -> BitAllocation:

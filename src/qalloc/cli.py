@@ -61,12 +61,7 @@ def _write_report(args, name: str, payload: dict):
 
 def _load_merged_profiles(paths):
     """Load one or more partial profile files (t-only and p-only runs) and merge them."""
-    lists, meta = [], {}
-    for path in paths:
-        profiles, m = modelio.load_profiles(path)
-        lists.append(profiles)
-        meta.update(m)
-    return probes.merge_profiles(lists), meta
+    return probes.merge_profiles([modelio.load_profiles(path)[0] for path in paths])
 
 
 def _check_fc_bits(args):
@@ -152,7 +147,7 @@ def cmd_estimate_p(args) -> int:
 def cmd_allocate(args) -> int:
     _check_fc_bits(args)
     out = _out_dir(args)
-    profiles, _ = _load_merged_profiles(args.profiles)
+    profiles = _load_merged_profiles(args.profiles)
     sizes = [p.s for p in profiles]
     pinned = harness.dense_pins(profiles, args.fc_bits)
     if args.method == "adaptive":
@@ -195,7 +190,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
-    profiles, _ = _load_merged_profiles(args.profiles)
+    profiles = _load_merged_profiles(args.profiles)
     anchors = _parse_grid(args.b1_grid)
     methods = tuple(args.methods.split(","))
     _progress(f"sweeping {len(anchors)} anchors x {methods}")
@@ -247,12 +242,11 @@ def cmd_lemma_check(args) -> int:
 def cmd_verify(args) -> int:
     if args.model:
         model = modelio.load_model(args.model)
-        dataset = modelio.load_dataset(args.data) if args.data else modelio.gen_dataset(
-            model, args.n, seed=args.fixture_seed + 1)
     else:
         _progress("no model given; generating the default fixture")
         model = modelio.gen_model(modelio.default_fixture(seed=args.fixture_seed))
-        dataset = modelio.gen_dataset(model, args.n, seed=args.fixture_seed + 1)
+    dataset = (modelio.load_dataset(args.data) if args.data
+               else modelio.gen_dataset(model, args.n, seed=args.fixture_seed + 1))
     config = harness.VerifyConfig(
         seed=args.seed, quick=args.quick, threads=args.threads,
         anchors=None if args.b1_grid is None else tuple(_parse_grid(args.b1_grid)))
@@ -368,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = add("verify", cmd_verify, "run the full verification battery")
-    p.add_argument("--model", default=None)
-    p.add_argument("--data", default=None)
+    p.add_argument("--model", default=None, help="model prefix (default: generate the fixture)")
+    p.add_argument("--data", default=None, help="dataset prefix (default: generate --n samples)")
     p.add_argument("--n", type=int, default=2000, help="dataset size when generating")
     p.add_argument("--seed", type=int, default=0, help="seed for probes and checks")
     p.add_argument("--fixture-seed", type=int, default=modelio.DEFAULT_SEED,

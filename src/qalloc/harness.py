@@ -7,12 +7,14 @@ by both methods it interpolates model size linearly along each curve's
 Pareto frontier and reports the size ratio plus a dominance fraction.
 
 `verify` re-runs the whole battery of statistical and algebraic checks the
-package is expected to satisfy; individual check functions are exposed so
-they can be driven at other scales.
+package is expected to satisfy.  Each check takes the data it checks (a
+prefix cache, a sweep's curves, or the scale of a synthetic test), so it can
+be driven at other scales; `verify` is the one place that builds that data.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +43,11 @@ class MethodComparison:
     baseline_sizes: tuple[float, ...]
     ratios: tuple[float, ...]
     dominance_fraction: float | None
-    disjoint: bool = False
+
+    @property
+    def disjoint(self) -> bool:
+        """True when the two curves share no accuracy level."""
+        return not self.accuracies
 
 
 @dataclass(frozen=True)
@@ -210,9 +216,13 @@ def _size_at_accuracy(frontier, acc: float) -> float | None:
 
 
 def compare(curves: dict[str, list[CurvePoint]], candidate: str | None = None) -> ComparisonReport:
-    """Matched-accuracy size ratios of one method against each of the others."""
+    """Matched-accuracy size ratios of one method against each of the others (size_bits >= 1)."""
     if len(curves) < 2:
         raise ValueError("need at least two curves to compare")
+    for name, points in curves.items():
+        for p in points:
+            if not p.size_bits >= 1:  # a size ratio needs positive sizes
+                raise ValueError(f"{name} curve: size_bits must be >= 1, got {p.size_bits}")
     if candidate is None:
         candidate = "adaptive" if "adaptive" in curves else next(iter(curves))
     if candidate not in curves:
@@ -229,7 +239,7 @@ def compare(curves: dict[str, list[CurvePoint]], candidate: str | None = None) -
             hi = min(cand_front[-1][1], base_front[-1][1])
             levels = sorted({a for _, a in cand_front + base_front if lo <= a <= hi})
         if not levels:
-            entries.append(MethodComparison(name, (), (), (), (), None, disjoint=True))
+            entries.append(MethodComparison(name, (), (), (), (), None))
             continue
         cs, bs, ratios = [], [], []
         for a in levels:
@@ -302,12 +312,14 @@ def check_quantizer_law(n: int = 100_000, seed: int = 0) -> CheckResult:
                        f"per-bit ratios in [{min(ratios):.3f}, {max(ratios):.3f}]")
 
 
-def check_linearity(model, dataset, seed: int = 0, threads: int = 1) -> CheckResult:
-    """Feature- vs weight-noise log-log slope in [0.9, 1.1], R^2 >= 0.99, on 3 smallest scales."""
+def check_linearity(cache: nn.PrefixCache, seed: int) -> CheckResult:
+    """Feature- vs weight-noise log-log slope in [0.9, 1.1], R^2 >= 0.99, on 3 smallest scales.
+
+    Every weighted layer of the cached model is probed from `cache`.
+    """
     worst = []
-    cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
-    for i in model.weighted_indices:
-        ladder = probes.default_scale_ladder(model, i)
+    for i in cache.model.weighted_indices:
+        ladder = probes.default_scale_ladder(cache.model, i)
         pts = probes.linearity_probe(cache, i, ladder, seed=seed)
         slope, r2 = probes.loglog_fit(pts, use_first=3)
         worst.append((i, slope, r2))
@@ -316,10 +328,9 @@ def check_linearity(model, dataset, seed: int = 0, threads: int = 1) -> CheckRes
     return CheckResult("linearity", passed, detail)
 
 
-def check_additivity(model, dataset, threads: int = 1) -> CheckResult:
-    """Single-layer noise powers at b = 10 sum to the joint power within 10%."""
-    cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
-    result = probes.additivity_probe(cache, [10] * len(model.weighted_indices))
+def check_additivity(cache: nn.PrefixCache) -> CheckResult:
+    """Single-layer noise powers at b = 10 sum to the joint power within 10%, from `cache`."""
+    result = probes.additivity_probe(cache, [10] * len(cache.model.weighted_indices))
     return CheckResult("additivity", result.relative_gap <= 0.10,
                        f"|sum_singles - joint|/joint = {result.relative_gap:.4f} at b=10")
 
@@ -401,14 +412,16 @@ def check_lemma(ds=(10, 100), deltas=(0.1, 0.3), trials: int = 10_000, seed: int
     return CheckResult("lemma_bound", passed, detail)
 
 
-def check_t_ratio_stability(model, dataset, seed: int = 0, threads: int = 1) -> CheckResult:
-    """t_i/t_j moves by at most 25% between drop targets of 0.25 and 0.5 of baseline."""
-    cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
-    acc_f = nn.accuracy(cache.logits, dataset.labels)
+def check_t_ratio_stability(cache: nn.PrefixCache, labels, seed: int) -> CheckResult:
+    """t_i/t_j moves by at most 25% between drop targets of 0.25 and 0.5 of baseline.
+
+    The baseline is the accuracy of the cache's logits on `labels`.
+    """
+    acc_f = nn.accuracy(cache.logits, labels)
     results = []
     for frac in (0.25, 0.5):
         cfg = probes.ProbeConfig(delta_acc=frac * acc_f, seed=seed)
-        results.append([r.t for r in probes.estimate_t(cache, dataset.labels, cfg)])
+        results.append([r.t for r in probes.estimate_t(cache, labels, cfg)])
     ta, tb = results
     worst = 0.0
     for i in range(len(ta)):
@@ -421,23 +434,18 @@ def check_t_ratio_stability(model, dataset, seed: int = 0, threads: int = 1) -> 
                        "between targets 0.25 and 0.5 of baseline")
 
 
-def check_dominance(model, dataset, profiles, anchors=None, max_variants: int = 16,
-                    threads: int = 1):
+def check_dominance(curves: dict[str, list[CurvePoint]]) -> CheckResult:
     """Adaptive needs no more bits than equal at >= 70% of matched accuracy levels.
 
-    Returns (CheckResult, curves, report) so callers can persist the sweep.
+    `curves` are a sweep's, with at least the "adaptive" and "equal" methods.
     """
-    curves = sweep(model, dataset, profiles, b1_values=anchors,
-                   methods=("adaptive", "equal"), max_variants=max_variants, threads=threads)
     report = compare(curves, candidate="adaptive")
     entry = next(e for e in report.entries if e.baseline == "equal")
-    if entry.disjoint or entry.dominance_fraction is None:
-        return CheckResult("dominance", False, "no matched accuracy levels"), curves, report
-    passed = entry.dominance_fraction >= 0.7
-    return (CheckResult("dominance", passed,
-                        f"adaptive <= equal at {entry.dominance_fraction:.2%} "
-                        f"of {len(entry.accuracies)} matched levels"),
-            curves, report)
+    if entry.disjoint:
+        return CheckResult("dominance", False, "no matched accuracy levels")
+    return CheckResult("dominance", entry.dominance_fraction >= 0.7,
+                       f"adaptive <= equal at {entry.dominance_fraction:.2%} "
+                       f"of {len(entry.accuracies)} matched levels")
 
 
 def check_equal_envelope(points) -> CheckResult:
@@ -474,40 +482,43 @@ def check_roundtrips(model, dataset, profiles, tmp_dir) -> CheckResult:
 
 
 def verify(model, dataset, config: VerifyConfig = VerifyConfig(), tmp_dir=None) -> list[CheckResult]:
-    """Run the full battery; failures are collected, never raised."""
+    """Run the full battery; failures are collected under each check's name, never raised.
+
+    It builds what the checks take: one prefix cache for the three model-bound
+    checks (each fails with the cache's error if it cannot be built), then
+    profiles and a pair of adaptive/equal sweeps.
+    """
     import tempfile
 
     results = []
+    cache = functools.cache(lambda: nn.prefix_cache(model, dataset.inputs, threads=config.threads))
 
-    def run(fn, *args, **kwargs):
+    def run(name, fn, *args, **kwargs):
         try:
             results.append(fn(*args, **kwargs))
         except Exception as e:  # a crash is a failed check, not a crashed battery
-            results.append(CheckResult(fn.__name__, False, f"raised {type(e).__name__}: {e}"))
+            results.append(CheckResult(name, False, f"raised {type(e).__name__}: {e}"))
 
     quick = config.quick
-    max_variants = 4 if quick else 16
-    run(check_quantizer_law, n=10_000 if quick else 100_000, seed=config.seed)
-    run(check_linearity, model, dataset, seed=config.seed, threads=config.threads)
-    run(check_additivity, model, dataset, threads=config.threads)
-    run(check_kkt, n_sets=20 if quick else 100, seed=config.seed)
-    run(check_optimality, seed=config.seed, grid_step=0.05 if quick else 0.01)
-    run(check_sqnr_special_case, seed=config.seed)
-    run(check_lemma, trials=2000 if quick else 10_000, seed=config.seed)
-    run(check_t_ratio_stability, model, dataset, seed=config.seed, threads=config.threads)
+    run("quantizer_law", check_quantizer_law, n=10_000 if quick else 100_000, seed=config.seed)
+    run("linearity", lambda: check_linearity(cache(), config.seed))
+    run("additivity", lambda: check_additivity(cache()))
+    run("kkt_stationarity", check_kkt, n_sets=20 if quick else 100, seed=config.seed)
+    run("optimality_vs_grid", check_optimality, seed=config.seed, grid_step=0.05 if quick else 0.01)
+    run("sqnr_special_case", check_sqnr_special_case, seed=config.seed)
+    run("lemma_bound", check_lemma, trials=2000 if quick else 10_000, seed=config.seed)
+    run("t_ratio_stability", lambda: check_t_ratio_stability(cache(), dataset.labels, config.seed))
+    cache.cache_clear()  # freed before the pipeline builds its own
 
     try:
         cfg = probes.ProbeConfig(seed=config.seed, threads=config.threads)
         profiles = run_pipeline(model, dataset, cfg)
-        dom, curves, _ = check_dominance(model, dataset, profiles, anchors=config.anchors,
-                                         max_variants=max_variants, threads=config.threads)
-        results.append(dom)
+        curves, curves_b = (sweep(model, dataset, profiles, b1_values=config.anchors,
+                                  methods=("adaptive", "equal"), max_variants=4 if quick else 16,
+                                  threads=config.threads) for _ in range(2))
+        results.append(check_dominance(curves))
         results.append(check_equal_envelope(curves["equal"]))
-        csv_a = modelio.curve_csv_text(sorted_points(curves))
-        curves_b = sweep(model, dataset, profiles, b1_values=config.anchors,
-                         methods=("adaptive", "equal"), max_variants=max_variants,
-                         threads=config.threads)
-        csv_b = modelio.curve_csv_text(sorted_points(curves_b))
+        csv_a, csv_b = (modelio.curve_csv_text(sorted_points(c)) for c in (curves, curves_b))
         results.append(CheckResult("sweep_reproducible", csv_a == csv_b,
                                    "identical curve CSV across two sweeps"
                                    if csv_a == csv_b else "curve CSV differs between sweeps"))

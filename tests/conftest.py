@@ -1,6 +1,6 @@
 import pytest
 
-from qalloc import harness, modelio
+from qalloc import harness, modelio, nn
 from qalloc.probes import ProbeConfig
 
 
@@ -12,6 +12,12 @@ def fixture_model():
 @pytest.fixture(scope="session")
 def fixture_dataset(fixture_model):
     return modelio.gen_dataset(fixture_model, 2000, seed=modelio.default_fixture().seed + 1)
+
+
+@pytest.fixture(scope="session")
+def fixture_cache(fixture_model, fixture_dataset):
+    """The baseline prefix cache the model-bound checks take (one forward, shared)."""
+    return nn.prefix_cache(fixture_model, fixture_dataset.inputs)
 
 
 @pytest.fixture(scope="session")

@@ -22,16 +22,16 @@ def test_criterion_1_quantizer_noise_law():
     report("criterion 1 (quantizer law)", r.passed, r.detail)
 
 
-def test_criterion_2_linearity(fixture_model, fixture_dataset):
+def test_criterion_2_linearity(fixture_cache):
     # per weighted layer: log-log slope over the 3 smallest probe scales in
     # [0.9, 1.1] with R^2 >= 0.99
-    r = harness.check_linearity(fixture_model, fixture_dataset, seed=0)
+    r = harness.check_linearity(fixture_cache, seed=0)
     report("criterion 2 (linearity)", r.passed, r.detail)
 
 
-def test_criterion_3_additivity(fixture_model, fixture_dataset):
+def test_criterion_3_additivity(fixture_cache):
     # |sum of single-layer noise powers - joint| / joint <= 0.10 at b = 10
-    r = harness.check_additivity(fixture_model, fixture_dataset)
+    r = harness.check_additivity(fixture_cache)
     report("criterion 3 (additivity at b=10)", r.passed, r.detail)
 
 
@@ -58,10 +58,10 @@ def test_criterion_7_lemma_monte_carlo():
     report("criterion 7 (noise-bound Monte Carlo)", r.passed, r.detail)
 
 
-def test_criterion_8_t_ratio_stability(fixture_model, fixture_dataset):
+def test_criterion_8_t_ratio_stability(fixture_cache, fixture_dataset):
     # t_i/t_j measured at accuracy drops of 25% and 50% of baseline (which is
     # 1 on the teacher-labelled fixture) agree within 25% for every pair
-    r = harness.check_t_ratio_stability(fixture_model, fixture_dataset, seed=0)
+    r = harness.check_t_ratio_stability(fixture_cache, fixture_dataset.labels, seed=0)
     report("criterion 8 (t-ratio stability)", r.passed, r.detail)
 
 
@@ -69,10 +69,11 @@ def test_criterion_9_end_to_end_dominance(fixture_model, fixture_dataset, fixtur
     # adaptive needs no more bits than equal at >= 70% of matched accuracy
     # levels on the full anchor grid, and the outputs reproduce bit-identically
     def run_once():
-        r, curves, rep = harness.check_dominance(fixture_model, fixture_dataset,
-                                                 fixture_profiles)
+        curves = harness.sweep(fixture_model, fixture_dataset, fixture_profiles,
+                               methods=("adaptive", "equal"))
         csv = modelio.curve_csv_text(harness.sorted_points(curves))
-        return r, csv, harness.comparison_payload(rep)
+        report = harness.compare(curves, candidate="adaptive")
+        return harness.check_dominance(curves), csv, harness.comparison_payload(report)
 
     r, csv_a, payload_a = run_once()
     _, csv_b, payload_b = run_once()

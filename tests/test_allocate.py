@@ -74,6 +74,11 @@ class TestSqnr:
         a = allocate.allocate_sqnr([300, 300, 300], 7.0)
         assert all(b == 7.0 for b in a.b_real)
 
+    def test_nonpositive_sizes_rejected_unless_pinned(self):
+        with pytest.raises(ValueError, match=r"^profile 1: s, t, p must all be positive \(s=0,"):
+            allocate.allocate_sqnr([100, 0], 8.0)
+        assert allocate.allocate_sqnr([100, 0], 8.0, pinned={1: 4}).b_int == (8, 4)
+
     def test_four_times_size_costs_one_bit(self):
         a = allocate.allocate_sqnr([100, 400], 8.0)
         assert a.b_real[1] == pytest.approx(7.0, rel=1e-12)
@@ -90,6 +95,20 @@ class TestSqnr:
             a = allocate.allocate_adaptive(profs, b1)
             q = allocate.allocate_sqnr([int(s) for s in sizes], b1)
             assert max(abs(x - y) for x, y in zip(a.b_real, q.b_real)) <= 1e-12
+
+    @given(st.lists(st.integers(1, 10**9), min_size=1, max_size=7),
+           st.floats(min_value=-30.0, max_value=40.0), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_is_adaptive_with_unit_profiles_bit_for_bit(self, sizes, b1, data):
+        # anchors from -30 to 40 saturate layers at both ends of [B_MIN, B_MAX]
+        pinned = data.draw(st.dictionaries(st.integers(0, len(sizes) - 1),
+                                           st.integers(allocate.B_MIN, allocate.B_MAX)))
+        q = allocate.allocate_sqnr(sizes, b1, pinned=pinned)
+        a = allocate.allocate_adaptive([profile(i, s, 1.0, 1.0) for i, s in enumerate(sizes)],
+                                       b1, pinned=pinned)
+        assert (q.method, a.method) == ("sqnr", "adaptive")
+        assert [b.hex() for b in (q.b1, *q.b_real)] == [b.hex() for b in (a.b1, *a.b_real)]
+        assert (q.b_int, q.size_bits, q.saturated) == (a.b_int, a.size_bits, a.saturated)
 
 
 class TestEqual:

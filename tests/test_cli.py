@@ -280,7 +280,7 @@ class TestCalibrationFront:
         for command in ("estimate-t", "estimate-p"):
             assert main([command, "--model", str(rig / "m"), "--data", str(rig / "d"),
                          "--out", str(cal)]) == 0
-        merged, _ = _load_merged_profiles([cal / "profiles_t.json", cal / "profiles_p.json"])
+        merged = _load_merged_profiles([cal / "profiles_t.json", cal / "profiles_p.json"])
         lib = harness.run_pipeline(modelio.load_model(rig / "m"), modelio.load_dataset(rig / "d"),
                                    ProbeConfig(), out_dir=tmp_path / "lib")
         assert merged == lib
@@ -343,6 +343,17 @@ class TestSweepCompare:
                            f"segments {first}/{second}")
         assert len(modelio.load_curve(tmp_path / "s" / "curve.csv")) == len(vectors)
 
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_compare_size_below_one_is_one_line_exit_1(self, tmp_path, capsys, size):
+        from qalloc.harness import CurvePoint
+        pts = [CurvePoint("adaptive", 8.0, 0, 100, 100 / 8 / 2 ** 20, 0.5),
+               CurvePoint("equal", 8.0, 0, size, size / 8 / 2 ** 20, 0.5)]
+        modelio.save_curve(pts, tmp_path / "c.csv")
+        assert main(["compare", "--curves", str(tmp_path / "c.csv"),
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: equal curve: size_bits must be >= 1, got {size}\n"
+        assert not (tmp_path / "comparison.json").exists()
+
     def test_compare_requires_two_methods(self, tmp_path, capsys):
         from qalloc.harness import CurvePoint
         pts = [CurvePoint("equal", 8.0, 0, 100, 100 / 8 / 2 ** 20, 0.5)]
@@ -370,6 +381,39 @@ class TestLemmaVerify:
         assert "[PASS] sweep_reproducible" in stdout
         assert "[PASS] roundtrips" in stdout
         assert (tmp_path / "v" / "verify.json").exists()
+
+    @pytest.mark.parametrize("given", ["model", "data", "both"])
+    def test_verify_loads_what_is_given_and_generates_the_rest(self, rig, capsys, monkeypatch,
+                                                               given):
+        from qalloc import harness
+
+        seen = []
+
+        def spy(model, dataset, config):
+            seen.append((model, dataset))
+            return []
+
+        monkeypatch.setattr(harness, "verify", spy)
+        argv = ["verify", "--n", "7"]
+        argv += ["--model", str(rig / "m")] if given in ("model", "both") else []
+        argv += ["--data", str(rig / "d")] if given in ("data", "both") else []
+        assert main(argv) == 0
+        (model, dataset), = seen
+        assert (model.input_shape == (12,)) == (given != "data")
+        assert len(dataset) == (7 if given == "model" else 300)
+        generating = "no model given; generating the default fixture\n"
+        assert capsys.readouterr().err == (generating if given == "data" else "")
+
+    def test_verify_missing_data_is_one_line_exit_1(self, rig, capsys, monkeypatch):
+        from qalloc import harness
+
+        monkeypatch.setattr(harness, "verify", lambda *args, **kwargs: [])
+        assert main(["verify", "--model", str(rig / "m"), "--data", str(rig / "nope")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert main(["verify", "--data", str(rig / "nope")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[1].startswith("error: ")
 
     def test_manifest_records_config_and_hashes(self, rig, tmp_path):
         out = tmp_path / "mm"

@@ -135,7 +135,7 @@ class TestCompare:
         pts = curve("adaptive", [(4, 100, 0.5), (6, 200, 0.7), (8, 300, 0.9)])
         report = harness.compare({"adaptive": pts, "equal": list(pts)})
         entry = report.entries[0]
-        assert entry.dominance_fraction == 1.0
+        assert entry.dominance_fraction == 1.0 and not entry.disjoint
         assert all(r == 1.0 for r in entry.ratios)
 
     def test_disjoint_ranges_flagged(self):
@@ -143,6 +143,8 @@ class TestCompare:
         b = curve("equal", [(4, 150, 0.8), (6, 250, 0.9)])
         report = harness.compare({"adaptive": a, "equal": b})
         assert report.entries[0].disjoint
+        assert report.entries[0].dominance_fraction is None
+        assert harness.comparison_payload(report)["entries"][0]["disjoint"] is True
 
     def test_interpolates_on_size(self):
         a = curve("adaptive", [(4, 100, 0.5), (8, 300, 0.9)])
@@ -152,6 +154,13 @@ class TestCompare:
         assert entry.accuracies == (0.5, 0.9)
         assert entry.ratios == (pytest.approx(100 / 200), pytest.approx(300 / 400))
         assert entry.dominance_fraction == 1.0
+
+    @pytest.mark.parametrize("size", [0, -5])
+    def test_size_below_one_bit_rejected_naming_the_method(self, size):
+        a = curve("adaptive", [(4, 100, 0.5), (8, 300, 0.9)])
+        b = curve("equal", [(4, size, 0.5), (8, 400, 0.9)])
+        with pytest.raises(ValueError, match=f"^equal curve: size_bits must be >= 1, got {size}$"):
+            harness.compare({"adaptive": a, "equal": b})
 
     def test_needs_two_curves(self):
         with pytest.raises(ValueError):
@@ -215,8 +224,59 @@ class TestChecks:
         empty = Dataset(np.zeros((0, 12), dtype=np.float32), [])
         cfg = harness.VerifyConfig(quick=True, anchors=(6.0,))
         results = harness.verify(model, empty, cfg, tmp_dir=tmp_path)
-        fixture_bound = [r for r in results if r.name in ("linearity", "pipeline")]
-        assert fixture_bound and not any(r.passed for r in fixture_bound)
+        by_name = {r.name: r for r in results}
+        for name in ("linearity", "additivity", "t_ratio_stability", "pipeline"):
+            assert name in by_name and not by_name[name].passed, name
+        assert "empty" in by_name["linearity"].detail
+
+    def test_crashed_check_is_reported_under_its_result_name(self, small_rig, tmp_path,
+                                                             monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(probes, "additivity_probe", fail)
+        model, ds = small_rig
+        cfg = harness.VerifyConfig(quick=True, anchors=(6.0,))
+        results = harness.verify(model, ds, cfg, tmp_dir=tmp_path)
+        crashed = [r for r in results if r.detail == "raised RuntimeError: boom"]
+        assert [r.name for r in crashed] == ["additivity"]
+
+    def test_verify_builds_one_cache_for_its_checks(self, small_rig, tmp_path, monkeypatch):
+        # one for linearity, additivity and the t-ratio; one per run_pipeline run
+        built = []
+        real = nn.prefix_cache
+
+        def spy(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(nn, "prefix_cache", spy)
+        model, ds = small_rig
+        harness.verify(model, ds, harness.VerifyConfig(quick=True, anchors=(6.0,)),
+                       tmp_dir=tmp_path)
+        assert len(built) == 3
+
+    def test_checks_take_what_they_check(self, small_rig, small_profiles, monkeypatch):
+        model, ds = small_rig
+        cache = nn.prefix_cache(model, ds.inputs)
+        curves = harness.sweep(model, ds, small_profiles, b1_values=[5, 6, 7, 8],
+                               methods=("adaptive", "equal"), max_variants=4)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a check built its own data")
+
+        monkeypatch.setattr(nn, "prefix_cache", fail)
+        monkeypatch.setattr(harness, "sweep", fail)
+        names = [harness.check_linearity(cache, 1).name, harness.check_additivity(cache).name,
+                 harness.check_t_ratio_stability(cache, ds.labels, 1).name,
+                 harness.check_dominance(curves).name]
+        assert names == ["linearity", "additivity", "t_ratio_stability", "dominance"]
+
+    def test_dominance_without_matched_levels_fails(self):
+        a = curve("adaptive", [(4, 100, 0.2), (6, 200, 0.3)])
+        b = curve("equal", [(4, 150, 0.8), (6, 250, 0.9)])
+        r = harness.check_dominance({"adaptive": a, "equal": b})
+        assert not r.passed and r.detail == "no matched accuracy levels"
 
 
 # ---------------------------------------------------------------------------
