@@ -39,7 +39,7 @@ print("\nlinearity of feature noise vs weight noise (log-log slope ~ 1):")
 for i in model.weighted_indices:
     ladder = probes.default_scale_ladder(model, i)
     points = probes.linearity_probe(cache, i, ladder, seed=0)
-    slope, r2 = probes.loglog_fit(points, use_first=3)
+    slope, r2 = probes.loglog_fit(points[:3])
     bend_slope, _ = probes.loglog_fit(points[-3:])
     print(f"  layer {i}: small-noise slope {slope:.4f} (R2={r2:.5f}); "
           f"largest scales bend to {bend_slope:.3f}")

@@ -247,6 +247,8 @@ def cmd_verify(args) -> int:
         model = modelio.gen_model(modelio.default_fixture(seed=args.fixture_seed))
     dataset = (modelio.load_dataset(args.data) if args.data
                else modelio.gen_dataset(model, args.n, seed=args.fixture_seed + 1))
+    nn.check_inputs(model, dataset.inputs)  # a dataset the model cannot run is a one-line
+    nn.check_labels(dataset.labels, model.d)  # error, not a battery of failed checks
     config = harness.VerifyConfig(
         seed=args.seed, quick=args.quick, threads=args.threads,
         anchors=None if args.b1_grid is None else tuple(_parse_grid(args.b1_grid)))

@@ -6,16 +6,17 @@ Comparison reads the curves "horizontally": at each accuracy level attained
 by both methods it interpolates model size linearly along each curve's
 Pareto frontier and reports the size ratio plus a dominance fraction.
 
-`verify` re-runs the whole battery of statistical and algebraic checks the
-package is expected to satisfy.  Each check takes the data it checks (a
-prefix cache, a sweep's curves, or the scale of a synthetic test), so it can
-be driven at other scales; `verify` is the one place that builds that data.
+`verify` runs the battery of statistical and algebraic checks the package is
+expected to satisfy: a table of 13 named checks.  Each check takes the data
+it checks (a prefix cache, a sweep's curves, or the scale of a synthetic
+test), so it can be driven at other scales; `verify` builds that data.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -295,7 +296,7 @@ class VerifyConfig:
     threads: int = 1
 
 
-def check_quantizer_law(n: int = 100_000, seed: int = 0) -> CheckResult:
+def check_quantizer_law(n: int, seed: int) -> CheckResult:
     """Residual power at b = 4..10 within 5% of the law; adjacent-bit ratios in [3.6, 4.4]."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 1.0, size=n)
@@ -321,7 +322,7 @@ def check_linearity(cache: nn.PrefixCache, seed: int) -> CheckResult:
     for i in cache.model.weighted_indices:
         ladder = probes.default_scale_ladder(cache.model, i)
         pts = probes.linearity_probe(cache, i, ladder, seed=seed)
-        slope, r2 = probes.loglog_fit(pts, use_first=3)
+        slope, r2 = probes.loglog_fit(pts[:3])
         worst.append((i, slope, r2))
     passed = all(0.9 <= s <= 1.1 and r2 >= 0.99 for _, s, r2 in worst)
     detail = "; ".join(f"layer {i}: slope={s:.4f}, R2={r2:.5f}" for i, s, r2 in worst)
@@ -345,7 +346,7 @@ def _random_profiles(rng, n_layers: int) -> list[probes.LayerProfile]:
     return out
 
 
-def check_kkt(n_sets: int = 100, seed: int = 0) -> CheckResult:
+def check_kkt(n_sets: int, seed: int) -> CheckResult:
     """Stationarity of the closed form: ratios p*exp(-a*b)/(t*s) equal within 1e-9 (log)."""
     rng = np.random.default_rng(seed)
     profile_sets = [_random_profiles(rng, int(rng.integers(2, 7))) for _ in range(n_sets)]
@@ -358,12 +359,11 @@ def check_kkt(n_sets: int = 100, seed: int = 0) -> CheckResult:
                        f"worst log-ratio spread = {worst:.3e} over {n_sets} profile sets")
 
 
-def check_optimality(n_sets: int = 20, seed: int = 0, grid_step: float = 0.01,
-                     span: float = 3.0) -> CheckResult:
-    """Closed form within 1e-9 of a brute-force grid minimum at equal size (3-layer sets)."""
+def check_optimality(grid_step: float, seed: int) -> CheckResult:
+    """Closed form within 1e-9 of a grid minimum at equal size (20 3-layer sets, +-3 bits)."""
     rng = np.random.default_rng(seed)
     worst = -math.inf
-    for _ in range(n_sets):
+    for _ in range(20):
         profs = _random_profiles(rng, 3)
         b1 = float(rng.uniform(6, 10))
         a = alloc.allocate_adaptive(profs, b1)
@@ -371,8 +371,8 @@ def check_optimality(n_sets: int = 20, seed: int = 0, grid_step: float = 0.01,
         sizes = [p.s for p in profs]
         total = sum(s * b for s, b in zip(sizes, a.b_real))
         m_opt = alloc.predicted_m_all(a.b_real, weights)
-        b2 = np.arange(a.b_real[1] - span, a.b_real[1] + span + grid_step / 2, grid_step)
-        b3 = np.arange(a.b_real[2] - span, a.b_real[2] + span + grid_step / 2, grid_step)
+        b2 = np.arange(a.b_real[1] - 3.0, a.b_real[1] + 3.0 + grid_step / 2, grid_step)
+        b3 = np.arange(a.b_real[2] - 3.0, a.b_real[2] + 3.0 + grid_step / 2, grid_step)
         g2, g3 = np.meshgrid(b2, b3, indexing="ij")
         g1 = (total - sizes[1] * g2 - sizes[2] * g3) / sizes[0]
         m_grid = (weights[0] * np.exp(-quantize.ALPHA * g1)
@@ -383,11 +383,11 @@ def check_optimality(n_sets: int = 20, seed: int = 0, grid_step: float = 0.01,
                        f"worst (closed form - grid minimum) = {worst:.3e}")
 
 
-def check_sqnr_special_case(n_sets: int = 50, seed: int = 0) -> CheckResult:
-    """With p/t constant the adaptive rule reduces to the SQNR rule, within 1e-12 bits."""
+def check_sqnr_special_case(seed: int) -> CheckResult:
+    """With p/t constant the adaptive rule reduces to the SQNR rule, within 1e-12 bits (50 sets)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n_sets):
+    for _ in range(50):
         n = int(rng.integers(2, 7))
         c = float(rng.uniform(0.5, 5.0))
         profs = []
@@ -404,8 +404,9 @@ def check_sqnr_special_case(n_sets: int = 50, seed: int = 0) -> CheckResult:
                        f"worst per-layer |adaptive - sqnr| = {worst:.3e}")
 
 
-def check_lemma(ds=(10, 100), deltas=(0.1, 0.3), trials: int = 10_000, seed: int = 0) -> CheckResult:
-    reports = [probes.lemma_check(d, delta, trials, seed=seed) for d in ds for delta in deltas]
+def check_lemma(trials: int, seed: int) -> CheckResult:
+    reports = [probes.lemma_check(d, delta, trials, seed=seed)
+               for d in (10, 100) for delta in (0.1, 0.3)]
     passed = all(r.passed for r in reports)
     detail = "; ".join(f"d={r.d}, delta={r.delta}: rate={r.flip_rate:.4f} <= {r.bound}"
                        for r in reports)
@@ -481,57 +482,59 @@ def check_roundtrips(model, dataset, profiles, tmp_dir) -> CheckResult:
     return CheckResult("roundtrips", not problems, "; ".join(problems) or "all artifacts bit-exact")
 
 
-def verify(model, dataset, config: VerifyConfig = VerifyConfig(), tmp_dir=None) -> list[CheckResult]:
-    """Run the full battery; failures are collected under each check's name, never raised.
+def verify(model, dataset, config: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
+    """Run the battery's 13 checks in order; a check that raises fails under its own name.
 
-    It builds what the checks take: one prefix cache for the three model-bound
-    checks (each fails with the cache's error if it cannot be built), then
-    profiles and a pair of adaptive/equal sweeps.
+    The shared data (one prefix cache for the three model-bound checks, the
+    pipeline's profiles, a pair of adaptive/equal sweeps) is built when a
+    check first needs it; a build that raises is retried by the next one.
     """
-    import tempfile
+    seed, quick, threads = config.seed, config.quick, config.threads
+    pipeline_config = probes.ProbeConfig(seed=seed, threads=threads)
+    cache = functools.cache(lambda: nn.prefix_cache(model, dataset.inputs, threads=threads))
+    profiles = functools.cache(lambda: run_pipeline(model, dataset, pipeline_config))
+    sweeps = functools.cache(lambda: [
+        sweep(model, dataset, profiles(), b1_values=config.anchors, methods=("adaptive", "equal"),
+              max_variants=4 if quick else 16, threads=threads) for _ in range(2)])
 
-    results = []
-    cache = functools.cache(lambda: nn.prefix_cache(model, dataset.inputs, threads=config.threads))
-
-    def run(name, fn, *args, **kwargs):
+    def t_ratio_stability():
         try:
-            results.append(fn(*args, **kwargs))
-        except Exception as e:  # a crash is a failed check, not a crashed battery
-            results.append(CheckResult(name, False, f"raised {type(e).__name__}: {e}"))
+            return check_t_ratio_stability(cache(), dataset.labels, seed)
+        finally:
+            cache.cache_clear()  # freed before the pipeline builds its own
 
-    quick = config.quick
-    run("quantizer_law", check_quantizer_law, n=10_000 if quick else 100_000, seed=config.seed)
-    run("linearity", lambda: check_linearity(cache(), config.seed))
-    run("additivity", lambda: check_additivity(cache()))
-    run("kkt_stationarity", check_kkt, n_sets=20 if quick else 100, seed=config.seed)
-    run("optimality_vs_grid", check_optimality, seed=config.seed, grid_step=0.05 if quick else 0.01)
-    run("sqnr_special_case", check_sqnr_special_case, seed=config.seed)
-    run("lemma_bound", check_lemma, trials=2000 if quick else 10_000, seed=config.seed)
-    run("t_ratio_stability", lambda: check_t_ratio_stability(cache(), dataset.labels, config.seed))
-    cache.cache_clear()  # freed before the pipeline builds its own
+    def sweep_reproducible():
+        csv_a, csv_b = (modelio.curve_csv_text(sorted_points(c)) for c in sweeps())
+        return CheckResult("sweep_reproducible", csv_a == csv_b,
+                           "identical curve CSV across two sweeps"
+                           if csv_a == csv_b else "curve CSV differs between sweeps")
 
-    try:
-        cfg = probes.ProbeConfig(seed=config.seed, threads=config.threads)
-        profiles = run_pipeline(model, dataset, cfg)
-        curves, curves_b = (sweep(model, dataset, profiles, b1_values=config.anchors,
-                                  methods=("adaptive", "equal"), max_variants=4 if quick else 16,
-                                  threads=config.threads) for _ in range(2))
-        results.append(check_dominance(curves))
-        results.append(check_equal_envelope(curves["equal"]))
-        csv_a, csv_b = (modelio.curve_csv_text(sorted_points(c)) for c in (curves, curves_b))
-        results.append(CheckResult("sweep_reproducible", csv_a == csv_b,
-                                   "identical curve CSV across two sweeps"
-                                   if csv_a == csv_b else "curve CSV differs between sweeps"))
-        profiles_b = run_pipeline(model, dataset, cfg)
-        results.append(CheckResult("pipeline_deterministic", profiles_b == profiles,
-                                   "identical profiles across two pipeline runs"
-                                   if profiles_b == profiles else "profiles differ between runs"))
-        if tmp_dir is None:
-            with tempfile.TemporaryDirectory() as td:
-                results.append(check_roundtrips(model, dataset, profiles, td))
-        else:
-            results.append(check_roundtrips(model, dataset, profiles, tmp_dir))
-    except Exception as e:
-        results.append(CheckResult("pipeline", False, f"raised {type(e).__name__}: {e}"))
+    def pipeline_deterministic():
+        same = run_pipeline(model, dataset, pipeline_config) == profiles()
+        return CheckResult("pipeline_deterministic", same,
+                           "identical profiles across two pipeline runs"
+                           if same else "profiles differ between runs")
 
+    checks = [
+        ("quantizer_law", lambda: check_quantizer_law(10_000 if quick else 100_000, seed)),
+        ("linearity", lambda: check_linearity(cache(), seed)),
+        ("additivity", lambda: check_additivity(cache())),
+        ("kkt_stationarity", lambda: check_kkt(20 if quick else 100, seed)),
+        ("optimality_vs_grid", lambda: check_optimality(0.05 if quick else 0.01, seed)),
+        ("sqnr_special_case", lambda: check_sqnr_special_case(seed)),
+        ("lemma_bound", lambda: check_lemma(2000 if quick else 10_000, seed)),
+        ("t_ratio_stability", t_ratio_stability),
+        ("dominance", lambda: check_dominance(sweeps()[0])),
+        ("equal_envelope", lambda: check_equal_envelope(sweeps()[0]["equal"])),
+        ("sweep_reproducible", sweep_reproducible),
+        ("pipeline_deterministic", pipeline_deterministic),
+        ("roundtrips", lambda: check_roundtrips(model, dataset, profiles(), tmp_dir)),
+    ]
+    results = []
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        for name, check in checks:
+            try:
+                results.append(check())
+            except Exception as e:  # a crash is a failed check, not a crashed battery
+                results.append(CheckResult(name, False, f"raised {type(e).__name__}: {e}"))
     return results

@@ -215,10 +215,16 @@ def _read_tensor(path, blob: bytes, entry: dict, name: str, spans: list) -> np.n
     return np.frombuffer(blob[start:end], dtype="<f4").reshape(shape).copy()
 
 
+def _files(prefix, suffix: str) -> tuple[Path, Path]:
+    """Manifest and sidecar named by a prefix `p`, `p<suffix>` or `p<suffix>.json`."""
+    path = Path(prefix)
+    name = path.name.removesuffix(".json") if path.name.endswith(suffix + ".json") else path.name
+    name = name if name.endswith(suffix) else name + suffix
+    return path.with_name(name + ".json"), path.with_name(name + ".bin")
+
+
 def save_model(model: Model, prefix) -> tuple[Path, Path]:
-    prefix = Path(prefix)
-    json_path = prefix.with_name(prefix.name + ".model.json")
-    bin_path = prefix.with_name(prefix.name + ".model.bin")
+    json_path, bin_path = _files(prefix, ".model")
     blob = bytearray()
     offset = 0
     layers_doc = []
@@ -250,19 +256,8 @@ def save_model(model: Model, prefix) -> tuple[Path, Path]:
     return json_path, bin_path
 
 
-def _resolve(prefix, suffix: str) -> Path:
-    path = Path(prefix)
-    if path.name.endswith(suffix + ".json"):
-        return path.with_name(path.name[: -len(".json")])
-    if path.name.endswith(suffix):
-        return path
-    return path.with_name(path.name + suffix)
-
-
 def load_model(prefix) -> Model:
-    base = _resolve(prefix, ".model")
-    json_path = base.with_name(base.name + ".json")
-    bin_path = base.with_name(base.name + ".bin")
+    json_path, bin_path = _files(prefix, ".model")
     with _loading(json_path):
         doc = _read_doc(json_path)
         with _loading(bin_path):
@@ -290,9 +285,7 @@ def load_model(prefix) -> Model:
 
 
 def save_dataset(dataset: Dataset, prefix) -> tuple[Path, Path]:
-    prefix = Path(prefix)
-    json_path = prefix.with_name(prefix.name + ".dataset.json")
-    bin_path = prefix.with_name(prefix.name + ".dataset.bin")
+    json_path, bin_path = _files(prefix, ".dataset")
     inputs = np.ascontiguousarray(dataset.inputs, dtype="<f4")
     doc = {
         "format_version": FORMAT_VERSION,
@@ -307,9 +300,7 @@ def save_dataset(dataset: Dataset, prefix) -> tuple[Path, Path]:
 
 
 def load_dataset(prefix) -> Dataset:
-    base = _resolve(prefix, ".dataset")
-    json_path = base.with_name(base.name + ".json")
-    bin_path = base.with_name(base.name + ".bin")
+    json_path, bin_path = _files(prefix, ".dataset")
     with _loading(json_path):
         doc = _read_doc(json_path)
         with _loading(bin_path):

@@ -372,7 +372,8 @@ def _join(outs: list[np.ndarray]) -> np.ndarray:
     return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
 
-def _check_inputs(model: Model, inputs) -> np.ndarray:
+def check_inputs(model: Model, inputs) -> np.ndarray:
+    """`inputs` as an array; ShapeError unless each row has the model's input shape."""
     inputs = np.asarray(inputs)
     if inputs.shape[1:] != tuple(model.input_shape):
         raise ShapeError(
@@ -386,7 +387,7 @@ def forward_batch(model: Model, inputs: np.ndarray, threads: int = 1) -> np.ndar
     Deterministic for any thread count: inputs are split into fixed-size
     chunks and results concatenated in chunk order.
     """
-    inputs = _check_inputs(model, inputs)
+    inputs = check_inputs(model, inputs)
     return _join(_forward_chunks(model.layers, 0, _split(inputs, threads), threads))
 
 
@@ -414,7 +415,7 @@ def prefix_cache(model: Model, inputs: np.ndarray, threads: int = 1) -> PrefixCa
     It runs the segments [0, w1), [w1, w2), ... [w_last, len) one after another
     and keeps each segment's output, the next weighted layer's input.
     """
-    inputs = _check_inputs(model, inputs)
+    inputs = check_inputs(model, inputs)
     if len(inputs) == 0:
         raise ValueError("cannot cache a forward over an empty input stack")
     chunks = {0: tuple(_split(inputs, threads))}
@@ -463,7 +464,7 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
     layer to the next, runs and `layer_for` is called once per distinct
     prefix, and at most one input per weighted layer is held at a time.
     """
-    inputs = _check_inputs(model, inputs)
+    inputs = check_inputs(model, inputs)
     weighted = model.weighted_indices
     paths = sorted(set(map(tuple, paths)))
     for path in paths:

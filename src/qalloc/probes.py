@@ -295,9 +295,9 @@ def linearity_probe(cache: nn.PrefixCache, layer_index: int, scales,
     return points
 
 
-def loglog_fit(points, use_first: int | None = None) -> tuple[float, float]:
+def loglog_fit(points) -> tuple[float, float]:
     """Least-squares slope and R^2 of log(y) against log(x)."""
-    pts = list(points)[:use_first] if use_first else list(points)
+    pts = list(points)
     if len(pts) < 2:
         raise ValueError("need at least two points to fit")
     x = np.log([p[0] for p in pts])

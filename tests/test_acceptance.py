@@ -43,18 +43,18 @@ def test_criterion_4_kkt_stationarity():
 
 def test_criterion_5_allocator_optimality():
     # closed form within 1e-9 of the grid minimum
-    result = harness.check_optimality(n_sets=20, seed=11, grid_step=0.01, span=3.0)
+    result = harness.check_optimality(grid_step=0.01, seed=11)
     report("criterion 5 (optimality vs 0.01-bit grid)", result.passed, result.detail)
 
 
 def test_criterion_6_sqnr_special_case():
     # adaptive and sqnr bit-widths agree within 1e-12
-    r = harness.check_sqnr_special_case(n_sets=50, seed=13)
+    r = harness.check_sqnr_special_case(seed=13)
     report("criterion 6 (SQNR special case)", r.passed, r.detail)
 
 
 def test_criterion_7_lemma_monte_carlo():
-    r = harness.check_lemma(ds=(10, 100), deltas=(0.1, 0.3), trials=10_000, seed=0)
+    r = harness.check_lemma(trials=10_000, seed=0)
     report("criterion 7 (noise-bound Monte Carlo)", r.passed, r.detail)
 
 

@@ -394,6 +394,9 @@ class TestLemmaVerify:
             return []
 
         monkeypatch.setattr(harness, "verify", spy)
+        if given == "data":  # a dataset the generated fixture can run
+            fixture = modelio.gen_model(modelio.default_fixture())
+            modelio.save_dataset(modelio.gen_dataset(fixture, 300, seed=0), rig / "d")
         argv = ["verify", "--n", "7"]
         argv += ["--model", str(rig / "m")] if given in ("model", "both") else []
         argv += ["--data", str(rig / "d")] if given in ("data", "both") else []
@@ -414,6 +417,29 @@ class TestLemmaVerify:
         assert main(["verify", "--data", str(rig / "nope")]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and err[1].startswith("error: ")
+
+    @pytest.mark.parametrize("case", ["12 inputs", "label 10", "0 rows"])
+    def test_verify_rejects_a_dataset_the_model_cannot_run(self, tmp_path, capsys, monkeypatch,
+                                                           case):
+        from qalloc import harness
+
+        called = []
+        monkeypatch.setattr(harness, "verify", lambda *args, **kwargs: called.append(1) or [])
+        fixture = modelio.gen_model(modelio.default_fixture())
+        modelio.save_model(fixture, tmp_path / "fixture")
+        data = modelio.gen_dataset(fixture, 4, seed=0)
+        if case == "12 inputs":
+            data = Dataset(np.zeros((4, 12), np.float32), data.labels)
+        elif case == "label 10":
+            data = Dataset(data.inputs, np.array([0, 1, 10, 2]))
+        else:
+            data = Dataset(data.inputs[:0], data.labels[:0])
+        modelio.save_dataset(data, tmp_path / "d")
+        assert main(["verify", "--model", str(tmp_path / "fixture"),
+                     "--data", str(tmp_path / "d")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert called == []
 
     def test_manifest_records_config_and_hashes(self, rig, tmp_path):
         out = tmp_path / "mm"

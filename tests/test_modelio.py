@@ -133,6 +133,23 @@ class TestDatasetRoundTrip:
             modelio.load_dataset(tmp_path / "d")
 
 
+@pytest.mark.parametrize("kind, name", [(kind, name) for kind in ("model", "dataset")
+                                        for name in ("x", f"x.{kind}", f"x.{kind}.json")])
+def test_prefix_with_or_without_suffix_names_one_file_pair(fixture_model, tmp_path, kind, name):
+    save, load, obj = {
+        "model": (modelio.save_model, modelio.load_model, fixture_model),
+        "dataset": (modelio.save_dataset, modelio.load_dataset,
+                    modelio.gen_dataset(fixture_model, 8, seed=2)),
+    }[kind]
+    prefix = tmp_path / "run" / name
+    prefix.parent.mkdir()
+    pair = (tmp_path / "run" / f"x.{kind}.json", tmp_path / "run" / f"x.{kind}.bin")
+    assert save(obj, prefix) == pair
+    assert sorted(prefix.parent.iterdir()) == sorted(pair)
+    again = save(load(prefix), tmp_path / "again")
+    assert [p.read_bytes() for p in again] == [p.read_bytes() for p in pair]
+
+
 def make_profiles():
     return [
         LayerProfile(index=0, kind="conv2d", s=296, t=3.5, p=0.8, noise_scale=0.1,
