@@ -1,16 +1,18 @@
 """Command-line interface.
 
-Every subcommand resolves its flags into a manifest written next to its
-outputs, so a run can be reproduced exactly.  Data goes to files and stdout;
-progress goes to stderr.  Exit codes: 0 success, 1 precondition or input
-error, 2 verification failures.
+Each subcommand returns its exit code and the files it wrote.  `main` writes
+one manifest of the resolved flags and those files' hashes next to them, so a
+run can be reproduced exactly, and prints every error line.  A command that
+fails before it writes leaves nothing behind, not even its `--out` directory.
+Data goes to files and stdout; progress goes to stderr.  Exit codes: 0
+success, 1 precondition or input error (one line on stderr), 2 verification
+failures.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -18,6 +20,10 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, allocate, harness, modelio, nn, probes, quantize
+
+# --threads help on the commands that run no threaded forward
+NO_THREADS = ("no effect: this command runs no threaded forward, so its output is the same "
+              "at every --threads")
 
 
 def _err(msg: str) -> int:
@@ -29,34 +35,28 @@ def _progress(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _out_dir(args) -> Path:
-    out = Path(args.out if args.out else os.environ.get("QALLOC_OUTDIR", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    """The output directory; the writer of the first file creates it."""
+    return Path(args.out if args.out else os.environ.get("QALLOC_OUTDIR", "."))
 
 
-def _write_manifest(args, out: Path, outputs: list[Path]):
-    payload = {
+def _write_manifest(args, outputs: list[Path]):
+    modelio.write_json(_out_dir(args) / "manifest.json", {
         "format_version": modelio.FORMAT_VERSION,
         "tool": f"qalloc {__version__}",
         "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
-        "outputs": {p.name: _sha256(p) for p in sorted(outputs, key=lambda p: p.name)},
-    }
-    modelio.write_json(out / "manifest.json", payload)
+        "outputs": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in sorted(outputs, key=lambda p: p.name)},
+    })
 
 
-def _write_report(args, name: str, payload: dict):
-    """With --out, write `name` (format_version, then payload) and the manifest there."""
-    if args.out:
-        out = _out_dir(args)
-        path = modelio.write_json(out / name, {"format_version": modelio.FORMAT_VERSION,
-                                               **payload})
-        _write_manifest(args, out, [path])
+def _write_report(args, name: str, payload: dict) -> list[Path]:
+    """With --out, write `name` (format_version, then payload) there; the files written."""
+    if not args.out:
+        return []
+    return [modelio.write_json(_out_dir(args) / name,
+                               {"format_version": modelio.FORMAT_VERSION, **payload})]
 
 
 def _load_merged_profiles(paths):
@@ -70,43 +70,35 @@ def _check_fc_bits(args):
         quantize.check_bits(args.fc_bits, "--fc-bits")
 
 
-def cmd_gen_model(args) -> int:
-    out = _out_dir(args)
+def cmd_gen_model(args) -> tuple[int, list[Path]]:
     spec = modelio.default_fixture(seed=args.seed)
     model = modelio.gen_model(spec)
-    paths = modelio.save_model(model, out / args.name)
-    _write_manifest(args, out, list(paths))
+    paths = modelio.save_model(model, _out_dir(args) / args.name)
     sizes = model.layer_sizes()
     print(f"model: {len(model.layers)} layers, d={model.d}, "
           f"weighted layer sizes {list(sizes)}, total params {sum(sizes)}")
-    return 0
+    return 0, list(paths)
 
 
-def cmd_gen_data(args) -> int:
-    out = _out_dir(args)
+def cmd_gen_data(args) -> tuple[int, list[Path]]:
     model = modelio.load_model(args.model)
     dataset = modelio.gen_dataset(model, args.n, seed=args.seed)
-    paths = modelio.save_dataset(dataset, out / args.name)
-    _write_manifest(args, out, list(paths))
+    paths = modelio.save_dataset(dataset, _out_dir(args) / args.name)
     # the labels are the argmax of the labelling forward, so the model scores 1 on them
     print(f"dataset: {len(dataset)} teacher-labelled samples, baseline accuracy 1.0")
-    return 0
+    return 0, list(paths)
 
 
-def cmd_margins(args) -> int:
+def cmd_margins(args) -> tuple[int, list[Path]]:
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
     stats = probes.margin_stats(nn.forward_batch(model, dataset.inputs, threads=args.threads))
     print(f"mean margin power (z1-z2)^2/2: {stats.mean_r_star!r} over {stats.n} samples")
-    if args.out:
-        out = _out_dir(args)
-        path = modelio.save_margins(stats, out / "margins.json")
-        _write_manifest(args, out, [path])
-    return 0
+    return 0, ([modelio.save_margins(stats, _out_dir(args) / "margins.json")] if args.out
+               else [])
 
 
-def cmd_estimate_t(args) -> int:
-    out = _out_dir(args)
+def cmd_estimate_t(args) -> tuple[int, list[Path]]:
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
     config = probes.ProbeConfig(delta_acc=args.delta_acc, seed=args.seed,
@@ -116,37 +108,33 @@ def cmd_estimate_t(args) -> int:
     _progress(f"baseline accuracy {meta['baseline_accuracy']}, "
               f"mean margin {margins.mean_r_star:.6g}")
     profiles = probes.build_profiles(model, t_probes, None, meta["delta_acc"])
-    path = modelio.save_profiles(profiles, out / "profiles_t.json",
+    path = modelio.save_profiles(profiles, _out_dir(args) / "profiles_t.json",
                                  meta={**meta, "seed": config.seed})
-    csv_path = modelio.save_profiles_csv(profiles, out / "profiles_t.csv")
-    _write_manifest(args, out, [path, csv_path])
+    csv_path = modelio.save_profiles_csv(profiles, path.with_suffix(".csv"))
     for r in t_probes:
         print(f"layer {r.index}: t={r.t!r} (k={r.noise_scale!r}, drop={r.accuracy_drop}, "
               f"iters={r.iterations}{', copied' if r.copied else ''})")
-    return 0
+    return 0, [path, csv_path]
 
 
-def cmd_estimate_p(args) -> int:
+def cmd_estimate_p(args) -> tuple[int, list[Path]]:
     quantize.check_bits(args.b_probe, "b_probe")  # a bad --b-probe fails before any forward
-    out = _out_dir(args)
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
     cache = nn.prefix_cache(model, dataset.inputs, threads=args.threads)
     p_probes = probes.estimate_p(cache, b_probe=args.b_probe)
     profiles = probes.build_profiles(model, None, p_probes, math.nan)
-    path = modelio.save_profiles(profiles, out / "profiles_p.json",
+    path = modelio.save_profiles(profiles, _out_dir(args) / "profiles_p.json",
                                  meta={"b_probe": args.b_probe})
-    csv_path = modelio.save_profiles_csv(profiles, out / "profiles_p.csv")
-    _write_manifest(args, out, [path, csv_path])
+    csv_path = modelio.save_profiles_csv(profiles, path.with_suffix(".csv"))
     for r in p_probes:
         flag = " (degenerate)" if r.degenerate else ""
         print(f"layer {r.index}: p={r.p!r} at b={r.b_probe}{flag}")
-    return 0
+    return 0, [path, csv_path]
 
 
-def cmd_allocate(args) -> int:
+def cmd_allocate(args) -> tuple[int, list[Path]]:
     _check_fc_bits(args)
-    out = _out_dir(args)
     profiles = _load_merged_profiles(args.profiles)
     sizes = [p.s for p in profiles]
     pinned = harness.dense_pins(profiles, args.fc_bits)
@@ -156,38 +144,33 @@ def cmd_allocate(args) -> int:
         allocation = allocate.allocate_sqnr(sizes, args.b1, pinned=pinned)
     else:
         allocation = allocate.allocate_equal(args.b1, sizes, pinned=pinned)
-    path = modelio.save_allocation(allocation, out / "allocation.json")
-    _write_manifest(args, out, [path])
+    path = modelio.save_allocation(allocation, _out_dir(args) / "allocation.json")
     b_real = ", ".join(f"{b:g}" for b in allocation.b_real)
     print(f"method={allocation.method} b=({b_real}) b_int={list(allocation.b_int)} "
           f"size_bits={allocation.size_bits}")
-    return 0
+    return 0, [path]
 
 
-def cmd_quantize(args) -> int:
-    out = _out_dir(args)
+def cmd_quantize(args) -> tuple[int, list[Path]]:
     model = modelio.load_model(args.model)
     allocation = modelio.load_allocation(args.allocation)
     q = quantize.quantize_model(model, allocation)
-    paths = modelio.save_model(q, out / args.name)
-    _write_manifest(args, out, list(paths))
+    paths = modelio.save_model(q, _out_dir(args) / args.name)
     print(f"quantized model written with b={list(allocation.b_int)}, "
           f"size_bits={allocation.size_bits}")
-    return 0
+    return 0, list(paths)
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> tuple[int, list[Path]]:
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
     acc = nn.evaluate_accuracy(model, dataset, threads=args.threads)
     print(f"top1 {acc!r} on {len(dataset)} samples")
-    _write_report(args, "evaluation.json", {"top1": acc, "n": len(dataset)})
-    return 0
+    return 0, _write_report(args, "evaluation.json", {"top1": acc, "n": len(dataset)})
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[int, list[Path]]:
     _check_fc_bits(args)
-    out = _out_dir(args)
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
     profiles = _load_merged_profiles(args.profiles)
@@ -202,24 +185,22 @@ def cmd_sweep(args) -> int:
     segments = "/".join(map(str, harness.prefix_counts(vectors))) or "none"
     _progress(f"{len(points)} points, {len(set(vectors))} distinct vectors, "
               f"segments {segments}")
-    path = modelio.save_curve(points, out / "curve.csv")
-    _write_manifest(args, out, [path])
+    path = modelio.save_curve(points, _out_dir(args) / "curve.csv")
     print(f"{len(points)} curve points -> {path}")
-    return 0
+    return 0, [path]
 
 
-def cmd_compare(args) -> int:
-    out = _out_dir(args)
+def cmd_compare(args) -> tuple[int, list[Path]]:
     curves: dict[str, list[harness.CurvePoint]] = {}
     for path in args.curves:
         for row in modelio.load_curve(path):
             pt = harness.CurvePoint(**row)
             curves.setdefault(pt.method, []).append(pt)
     if len(curves) < 2:
-        return _err(f"need curves from at least two methods, found {sorted(curves)}")
+        raise ValueError(f"need curves from at least two methods, found {sorted(curves)}")
     report = harness.compare(curves, candidate=args.candidate)
-    path = modelio.write_json(out / "comparison.json", harness.comparison_payload(report))
-    _write_manifest(args, out, [path])
+    path = modelio.write_json(_out_dir(args) / "comparison.json",
+                              harness.comparison_payload(report))
     for e in report.entries:
         if e.disjoint:
             print(f"{report.candidate} vs {e.baseline}: no overlapping accuracy range")
@@ -227,19 +208,19 @@ def cmd_compare(args) -> int:
             print(f"{report.candidate} vs {e.baseline}: dominance {e.dominance_fraction:.2%} "
                   f"over {len(e.accuracies)} matched levels, "
                   f"median size ratio {sorted(e.ratios)[len(e.ratios) // 2]:.3f}")
-    return 0
+    return 0, [path]
 
 
-def cmd_lemma_check(args) -> int:
+def cmd_lemma_check(args) -> tuple[int, list[Path]]:
     report = probes.lemma_check(args.d, args.delta, args.trials, seed=args.seed)
     status = "ok" if report.passed else "VIOLATED"
     print(f"d={report.d} delta={report.delta}: flip rate {report.flip_rate} "
           f"<= bound {report.bound}: {status}")
-    _write_report(args, "lemma.json", {**asdict(report), "passed": report.passed})
-    return 0 if report.passed else 2
+    outputs = _write_report(args, "lemma.json", {**asdict(report), "passed": report.passed})
+    return (0 if report.passed else 2), outputs
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, list[Path]]:
     if args.model:
         model = modelio.load_model(args.model)
     else:
@@ -258,8 +239,8 @@ def cmd_verify(args) -> int:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")
         failures += 0 if r.passed else 1
     print(f"{len(results) - failures}/{len(results)} checks passed")
-    _write_report(args, "verify.json", {"results": [asdict(r) for r in results]})
-    return 0 if failures == 0 else 2
+    outputs = _write_report(args, "verify.json", {"results": [asdict(r) for r in results]})
+    return (0 if failures == 0 else 2), outputs
 
 
 def _parse_grid(text: str | None):
@@ -296,13 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1, help=threads_help)
         return p
 
-    p = add("gen-model", cmd_gen_model, "generate the deterministic fixture model")
+    p = add("gen-model", cmd_gen_model, "generate the deterministic fixture model", NO_THREADS)
     p.add_argument("--seed", type=int, default=modelio.DEFAULT_SEED)
     p.add_argument("--name", default="fixture", help="output file prefix")
 
     p = add("gen-data", cmd_gen_data, "generate a teacher-labelled dataset for a model",
-            threads_help="no effect: labels are made at one thread, so the dataset files "
-                         "are the same at every --threads")
+            threads_help=NO_THREADS)
     p.add_argument("--model", required=True)
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=modelio.DEFAULT_SEED + 1)
@@ -328,14 +308,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--b-probe", type=int, default=10)
 
-    p = add("allocate", cmd_allocate, "closed-form bit-width allocation from profiles")
+    p = add("allocate", cmd_allocate, "closed-form bit-width allocation from profiles", NO_THREADS)
     p.add_argument("--profiles", action="append", required=True,
                    help="profiles JSON (repeat to merge t-only and p-only files)")
     p.add_argument("--method", choices=("adaptive", "sqnr", "equal"), default="adaptive")
     p.add_argument("--b1", type=float, required=True, help="anchor bit-width")
     p.add_argument("--fc-bits", type=int, default=None, help="pin dense layers to this bit-width")
 
-    p = add("quantize", cmd_quantize, "apply an allocation to a model")
+    p = add("quantize", cmd_quantize, "apply an allocation to a model", NO_THREADS)
     p.add_argument("--model", required=True)
     p.add_argument("--allocation", required=True)
     p.add_argument("--name", default="quantized", help="output file prefix")
@@ -353,11 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-variants", type=int, default=16)
     p.add_argument("--fc-bits", type=int, default=None)
 
-    p = add("compare", cmd_compare, "matched-accuracy size ratios between methods")
+    p = add("compare", cmd_compare, "matched-accuracy size ratios between methods", NO_THREADS)
     p.add_argument("--curves", nargs="+", required=True, help="curve CSV files")
     p.add_argument("--candidate", default=None)
 
-    p = add("lemma-check", cmd_lemma_check, "Monte Carlo check of the noise bound")
+    p = add("lemma-check", cmd_lemma_check, "Monte Carlo check of the noise bound", NO_THREADS)
     p.add_argument("--d", type=int, default=10)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--trials", type=int, default=10_000)
@@ -377,15 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        return _err(f"--threads must be >= 1, got {args.threads}")
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (modelio.LoadError, probes.CalibrationError, nn.ShapeError, ValueError) as e:
-        return _err(str(e))
-    except OSError as e:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        code, outputs = args.func(args)
+        if outputs:
+            _write_manifest(args, outputs)
+        return code
+    except (probes.CalibrationError, ValueError, OSError) as e:  # LoadError, ShapeError too
         return _err(str(e))
 
 

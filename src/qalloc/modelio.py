@@ -47,8 +47,9 @@ def _loading(path):
     """Report any failure to read or parse the artifact at `path` as one LoadError.
 
     A missing field, a wrong type or an unparsable value deep in a document
-    surfaces as KeyError, IndexError, TypeError, ValueError (and so on); all
-    of them become a LoadError that names the file.
+    surfaces as KeyError, IndexError, TypeError, ValueError (and so on), a
+    document nested too deep as RecursionError, and an oversize CSV field as
+    csv.Error; all of them become a LoadError that names the file.
     """
     try:
         yield
@@ -56,7 +57,8 @@ def _loading(path):
         raise
     except OSError as e:
         raise LoadError(f"{path}: {e}") from e
-    except (AttributeError, KeyError, IndexError, OverflowError, TypeError, ValueError) as e:
+    except (AttributeError, KeyError, IndexError, OverflowError, RecursionError, TypeError,
+            ValueError, csv.Error) as e:
         raise LoadError(f"{path}: malformed ({type(e).__name__}: {e})") from e
 
 
@@ -88,16 +90,30 @@ def _read_doc(path: Path) -> dict:
     return doc
 
 
+def _write_text(path, text: str) -> Path:
+    """Write `text` to `path`, creating its directory (sidecars go in the same one)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+    return path
+
+
 def _write_doc(path, doc: dict) -> Path:
-    """Write `doc` to `path` as indented JSON plus a newline, creating its directory.
+    """Write `doc` to `path` as indented JSON plus a newline.
 
     The save_* functions call this, not the public write_json, so code that
     wraps the public writers (perfbench's tracer) sees one call per save.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=1) + "\n")
-    return path
+    return _write_text(path, json.dumps(doc, indent=1) + "\n")
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """CSV text of `header` then `rows`, each line ending in a newline."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -375,17 +391,11 @@ PROFILE_CSV_HEADER = ["index", "kind", "s", "t", "p", "noise_scale", "delta_acc"
 
 def save_profiles_csv(profiles, path) -> Path:
     """Tabular twin of profiles.json for spreadsheet-side inspection."""
-    path = Path(path)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PROFILE_CSV_HEADER)
-    for p in profiles:
-        writer.writerow([p.index, p.kind, p.s, repr(p.t), repr(p.p), repr(p.noise_scale),
-                         repr(p.delta_acc), p.b_probe, repr(p.weight_range[0]),
-                         repr(p.weight_range[1]), int(p.copied_t), int(p.degenerate)])
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(buf.getvalue())
-    return path
+    return _write_text(path, _csv_text(PROFILE_CSV_HEADER, (
+        [p.index, p.kind, p.s, repr(p.t), repr(p.p), repr(p.noise_scale), repr(p.delta_acc),
+         p.b_probe, repr(p.weight_range[0]), repr(p.weight_range[1]), int(p.copied_t),
+         int(p.degenerate)]
+        for p in profiles)))
 
 
 def save_allocation(allocation: BitAllocation, path) -> Path:
@@ -413,20 +423,14 @@ def load_allocation(path) -> BitAllocation:
 
 def curve_csv_text(points) -> str:
     """CSV with one row per sweep point; floats written via repr (round-trip exact)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CURVE_HEADER)
-    for p in points:
-        writer.writerow([p.method, repr(float(p.b1)), p.variant, p.size_bits,
-                         repr(float(p.size_mb)), repr(float(p.top1))])
-    return buf.getvalue()
+    return _csv_text(CURVE_HEADER, (
+        [p.method, repr(float(p.b1)), p.variant, p.size_bits, repr(float(p.size_mb)),
+         repr(float(p.top1))]
+        for p in points))
 
 
 def save_curve(points, path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(curve_csv_text(points))
-    return path
+    return _write_text(path, curve_csv_text(points))
 
 
 def load_curve(path) -> list[dict]:

@@ -133,11 +133,16 @@ def margin_stats(logits: np.ndarray) -> MarginStats:
         raise ValueError("margins need at least two classes")
     if len(z) == 0:
         raise ValueError("margins need at least one sample")
-    top2 = np.partition(z, z.shape[1] - 2, axis=1)[:, -2:]
-    margins = (top2[:, 1] - top2[:, 0]) ** 2 / 2.0
+    margins = _margin_power(z)
     counts, edges = np.histogram(margins, bins=50)
     return MarginStats(float(margins.mean()), tuple(int(c) for c in counts),
                        tuple(float(e) for e in edges), len(z))
+
+
+def _margin_power(z: np.ndarray) -> np.ndarray:
+    """(z1 - z2)^2 / 2 per row of `z`, z1 and z2 its two largest entries."""
+    top2 = np.partition(z, z.shape[1] - 2, axis=1)[:, -2:]
+    return (top2[:, 1] - top2[:, 0]) ** 2 / 2.0
 
 
 # Salt for probe noise streams.  Layers own independent generators keyed by
@@ -384,9 +389,7 @@ def lemma_check(d: int, delta: float, trials: int, seed: int = 0) -> LemmaReport
         raise ValueError("need at least 1000 trials")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((trials, d))
-    top2 = np.partition(z, d - 2, axis=1)[:, -2:]
-    margin_power = (top2[:, 1] - top2[:, 0]) ** 2 / 2.0
-    target_norm2 = margin_power * d / (math.log(d) * gamma(delta))
+    target_norm2 = _margin_power(z) * d / (math.log(d) * gamma(delta))
     noise = rng.standard_normal((trials, d))
     noise *= (np.sqrt(target_norm2) / np.linalg.norm(noise, axis=1))[:, None]
     flips = np.argmax(z + noise, axis=1) != np.argmax(z, axis=1)

@@ -1,26 +1,32 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from qalloc import modelio, nn
-from qalloc.cli import main
+from qalloc import harness, modelio, nn
+from qalloc.cli import build_parser, main
 from qalloc.nn import Dataset, Layer, Model
 from qalloc.probes import LayerProfile
 
 
-@pytest.fixture()
-def rig(tmp_path):
-    """Small dense model + dataset + profile files on disk."""
+def save_rig(path):
+    """Small dense model `m` + dataset `d` in `path`."""
     rng = np.random.default_rng(0)
     w1 = rng.uniform(-0.3, 0.3, size=(12, 16)).astype(np.float32)
     w2 = rng.uniform(-0.3, 0.3, size=(16, 5)).astype(np.float32)
     model = Model((Layer("dense", w1), Layer("relu"), Layer("dense", w2)), (12,))
     inputs = rng.standard_normal((300, 12)).astype(np.float32)
     ds = Dataset(inputs, nn.classify_batch(nn.forward_batch(model, inputs)))
-    modelio.save_model(model, tmp_path / "m")
-    modelio.save_dataset(ds, tmp_path / "d")
-    return tmp_path
+    modelio.save_model(model, path / "m")
+    modelio.save_dataset(ds, path / "d")
+    return path
+
+
+@pytest.fixture()
+def rig(tmp_path):
+    """Small dense model + dataset + profile files on disk."""
+    return save_rig(tmp_path)
 
 
 def profiles_file(tmp_path, rows):
@@ -458,3 +464,103 @@ class TestLemmaVerify:
         text = (out / "profiles_p.csv").read_text()
         assert text.splitlines()[0].startswith("index,kind,s,t,p")
         assert len(text.splitlines()) == 3  # header + two weighted layers
+
+
+# ---------------------------------------------------------------------------
+# one way out: each command names the files it wrote, main writes the manifest
+
+
+@pytest.fixture(scope="module")
+def staged(tmp_path_factory):
+    """The rig plus the profiles, allocation and curve the later commands read."""
+    w = save_rig(tmp_path_factory.mktemp("staged"))
+    for argv in (["estimate-t", "--model", f"{w}/m", "--data", f"{w}/d", "--delta-acc", "0.3",
+                  "--acc-tolerance", "0.02"],
+                 ["estimate-p", "--model", f"{w}/m", "--data", f"{w}/d"],
+                 ["allocate", "--profiles", f"{w}/profiles_t.json",
+                  "--profiles", f"{w}/profiles_p.json", "--b1", "8"],
+                 ["sweep", "--model", f"{w}/m", "--data", f"{w}/d",
+                  "--profiles", f"{w}/profiles_t.json", "--profiles", f"{w}/profiles_p.json",
+                  "--b1-grid", "5:9:1", "--max-variants", "4"]):
+        assert main([*argv, "--out", str(w)]) == 0
+    return w
+
+
+# command -> (arguments, relative to the staged directory w, and the files it writes)
+COMMANDS = {
+    "gen-model": (["--seed", "3"], {"fixture.model.json", "fixture.model.bin"}),
+    "gen-data": (["--model", "{w}/m", "--n", "40"], {"data.dataset.json", "data.dataset.bin"}),
+    "margins": (["--model", "{w}/m", "--data", "{w}/d"], {"margins.json"}),
+    "estimate-t": (["--model", "{w}/m", "--data", "{w}/d", "--delta-acc", "0.3",
+                    "--acc-tolerance", "0.02"], {"profiles_t.json", "profiles_t.csv"}),
+    "estimate-p": (["--model", "{w}/m", "--data", "{w}/d"], {"profiles_p.json", "profiles_p.csv"}),
+    "allocate": (["--profiles", "{w}/profiles_t.json", "--profiles", "{w}/profiles_p.json",
+                  "--b1", "8"], {"allocation.json"}),
+    "quantize": (["--model", "{w}/m", "--allocation", "{w}/allocation.json"],
+                 {"quantized.model.json", "quantized.model.bin"}),
+    "evaluate": (["--model", "{w}/m", "--data", "{w}/d"], {"evaluation.json"}),
+    "sweep": (["--model", "{w}/m", "--data", "{w}/d", "--profiles", "{w}/profiles_t.json",
+               "--profiles", "{w}/profiles_p.json", "--b1-grid", "6,7", "--max-variants", "2"],
+              {"curve.csv"}),
+    "compare": (["--curves", "{w}/curve.csv"], {"comparison.json"}),
+    "lemma-check": (["--trials", "2000"], {"lemma.json"}),
+    "verify": (["--model", "{w}/m", "--data", "{w}/d"], {"verify.json"}),
+}
+FORWARDING = {"margins", "estimate-t", "estimate-p", "evaluate", "sweep", "verify"}
+
+
+def stub_verify(monkeypatch):
+    """The battery is tested in test_harness; here only its report path matters."""
+    monkeypatch.setattr(harness, "verify", lambda *args, **kwargs: [])
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_manifest_lists_exactly_the_files_written(staged, tmp_path, monkeypatch, command):
+    stub_verify(monkeypatch)
+    args, written = COMMANDS[command]
+    out = tmp_path / "out"
+    argv = [command, *(a.format(w=staged) for a in args), "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads((out / "manifest.json").read_text())
+    assert {p.name for p in out.iterdir()} == written | {"manifest.json"}
+    assert doc["format_version"] == modelio.FORMAT_VERSION and doc["command"] == command
+    assert list(doc["outputs"]) == sorted(written)
+    assert doc["outputs"] == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                              for name in written}
+    parsed = vars(build_parser().parse_args(argv))
+    assert doc["config"] == {k: v for k, v in parsed.items() if k not in ("func", "command")}
+
+
+@pytest.mark.parametrize("command", ["margins", "evaluate", "lemma-check", "verify"])
+def test_report_commands_write_nothing_without_out(staged, tmp_path, monkeypatch, command):
+    stub_verify(monkeypatch)
+    monkeypatch.delenv("QALLOC_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    args, _ = COMMANDS[command]
+    assert main([command, *(a.format(w=staged) for a in args)]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["missing model", "unknown candidate", "one method"])
+def test_failed_command_leaves_no_out_directory(staged, tmp_path, capsys, case):
+    modelio.save_curve([harness.CurvePoint("equal", 8.0, 0, 100, 100 / 8 / 2 ** 20, 0.5)],
+                       tmp_path / "one.csv")
+    argv = {"missing model": ["estimate-t", "--model", str(tmp_path / "missing"),
+                              "--data", f"{staged}/d"],
+            "unknown candidate": ["compare", "--curves", f"{staged}/curve.csv",
+                                  "--candidate", "nope"],
+            "one method": ["compare", "--curves", str(tmp_path / "one.csv")]}[case]
+    out = tmp_path / "new"
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_threads_help_says_no_effect_where_no_forward_runs(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    # the last "--threads THREADS" is the option's entry; the first is in the usage line
+    threads_help = " ".join(capsys.readouterr().out.split()).split("--threads THREADS")[-1]
+    assert threads_help.startswith(" no effect") == (command not in FORWARDING)

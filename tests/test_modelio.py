@@ -246,7 +246,10 @@ LOADERS = {
 
 
 def assert_rejected(artifacts, work, kind, mutate):
-    """Stage fresh copies in `work`, mutate one file, expect LoadError and a one-line exit 1."""
+    """Stage fresh copies in `work`, mutate one file, expect LoadError and a one-line exit 1.
+
+    The failed command must leave no `--out` directory behind.
+    """
     shutil.rmtree(work, ignore_errors=True)
     shutil.copytree(artifacts, work)
     load, name, argv = LOADERS[kind]
@@ -258,6 +261,7 @@ def assert_rejected(artifacts, work, kind, mutate):
         code = main([a.format(w=work) for a in argv] + ["--out", str(work / "out")])
     assert code == 1
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert not (work / "out").exists()
     return str(info.value)
 
 
@@ -282,6 +286,23 @@ MALFORMED = {
 def test_malformed_artifact_is_a_load_error_naming_the_file(artifacts, tmp_path, kind):
     message = assert_rejected(artifacts, tmp_path / "w", kind, MALFORMED[kind])
     assert str(tmp_path / "w" / LOADERS[kind][1]) in message
+
+
+@pytest.mark.parametrize("kind", ["model", "dataset", "profiles", "allocation"])
+def test_deeply_nested_document_is_a_load_error(artifacts, tmp_path, kind):
+    def mutate(path):
+        path.write_text("[" * 100_000 + "]" * 100_000)
+
+    message = assert_rejected(artifacts, tmp_path / "w", kind, mutate)
+    assert message.startswith(f"{tmp_path / 'w' / LOADERS[kind][1]}: malformed (RecursionError")
+
+
+def test_oversize_curve_field_is_a_load_error(artifacts, tmp_path):
+    def mutate(path):
+        path.write_text(path.read_text() + "x" * 200_000 + "\n")
+
+    message = assert_rejected(artifacts, tmp_path / "w", "curve", mutate)
+    assert message.startswith(f"{tmp_path / 'w' / 'c.csv'}: malformed (Error: field larger")
 
 
 OPTIONAL = {"stride", "padding", "pool_size", "inputs_offset", "meta", "copied_t", "degenerate",
