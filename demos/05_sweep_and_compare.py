@@ -18,7 +18,7 @@ model = modelio.gen_model(spec)
 dataset = modelio.gen_dataset(model, 1000, seed=spec.seed + 1)
 
 print("calibrating (margins -> t probes -> p probes)...")
-profiles = harness.run_pipeline(model, dataset, probes.ProbeConfig(seed=0), out_dir=out)
+profiles = harness.run_pipeline(model, dataset, probes.ProbeConfig(seed=0))
 for p in profiles:
     print(f"  layer {p.index} ({p.kind}): s={p.s} t={p.t:.4g} p={p.p:.4g}")
 

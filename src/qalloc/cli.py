@@ -12,6 +12,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import math
 import os
@@ -20,6 +21,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, allocate, harness, modelio, nn, probes, quantize
+
+# the commands that write files only when --out is given
+OUT_ONLY = ("margins", "evaluate", "lemma-check", "verify")
 
 # --threads help on the commands that run no threaded forward
 NO_THREADS = ("no effect: this command runs no threaded forward, so its output is the same "
@@ -104,9 +108,9 @@ def cmd_estimate_t(args) -> tuple[int, list[Path]]:
     config = probes.ProbeConfig(delta_acc=args.delta_acc, seed=args.seed,
                                 acc_tolerance=args.acc_tolerance, max_iters=args.max_iters,
                                 last_n=args.last_n, threads=args.threads)
-    _, margins, t_probes, meta = harness.calibrate_t(model, dataset, config)
+    _, t_probes, meta = harness.calibrate_t(model, dataset, config)
     _progress(f"baseline accuracy {meta['baseline_accuracy']}, "
-              f"mean margin {margins.mean_r_star:.6g}")
+              f"mean margin {meta['mean_r_star']:.6g}")
     profiles = probes.build_profiles(model, t_probes, None, meta["delta_acc"])
     path = modelio.save_profiles(profiles, _out_dir(args) / "profiles_t.json",
                                  meta={**meta, "seed": config.seed})
@@ -361,6 +365,14 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        for flag in ("seed", "fixture_seed"):
+            value = getattr(args, flag, 0)
+            if value < 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+        out = _out_dir(args)
+        if (args.out or args.command not in OUT_ONLY) and out.exists() and not out.is_dir():
+            # the error the first write would raise, before any work rather than after it
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
         code, outputs = args.func(args)
         if outputs:
             _write_manifest(args, outputs)

@@ -66,38 +66,29 @@ def calibrate_t(model: nn.Model, dataset: nn.Dataset, config: probes.ProbeConfig
     """Prefix cache -> baseline accuracy -> delta_acc -> margins -> t probes.
 
     The front `run_pipeline` and `qalloc estimate-t` share.  Returns (cache,
-    margins, t_probes, meta); meta holds baseline_accuracy, mean_r_star and
-    delta_acc, the first keys of both callers' profiles meta.
+    t_probes, meta); meta holds baseline_accuracy, mean_r_star and delta_acc,
+    the first keys of the estimate-t profiles meta.
     """
     probes.probed_layers(model, config.last_n)  # a bad last_n fails before any forward
     cache = nn.prefix_cache(model, dataset.inputs, threads=config.threads)
     acc_f = nn.accuracy(cache.logits, dataset.labels)
-    margins = probes.margin_stats(cache.logits)
+    mean_r_star = probes.margin_stats(cache.logits).mean_r_star
     t_probes = probes.estimate_t(cache, dataset.labels, config)
-    meta = {"baseline_accuracy": acc_f, "mean_r_star": margins.mean_r_star,
+    meta = {"baseline_accuracy": acc_f, "mean_r_star": mean_r_star,
             "delta_acc": config.target_drop(acc_f)}
-    return cache, margins, t_probes, meta
+    return cache, t_probes, meta
 
 
 def run_pipeline(model: nn.Model, dataset: nn.Dataset,
-                 config: probes.ProbeConfig = probes.ProbeConfig(),
-                 out_dir=None) -> list[probes.LayerProfile]:
-    """margins -> t probes -> p probes, merged into per-layer profiles.
+                 config: probes.ProbeConfig = probes.ProbeConfig()) -> list[probes.LayerProfile]:
+    """margins -> t probes -> p probes, merged into per-layer profiles; writes nothing.
 
     All stages share one prefix cache, so the unmodified model is forwarded
-    once.  With out_dir set, margins and the merged profiles are persisted.
+    once.  A caller that keeps the profiles saves them with `modelio.save_profiles`.
     """
-    cache, margins, t_probes, meta = calibrate_t(model, dataset, config)
+    cache, t_probes, meta = calibrate_t(model, dataset, config)
     p_probes = probes.estimate_p(cache, b_probe=config.b_probe)
-    profiles = probes.build_profiles(model, t_probes, p_probes, meta["delta_acc"])
-    if out_dir is not None:
-        meta.update(b_probe=config.b_probe, seed=config.seed,
-                    noise_powers_t=[modelio.nan_to_null(p.noise_power) for p in t_probes],
-                    noise_powers_p=[modelio.nan_to_null(p.noise_power) for p in p_probes])
-        modelio.save_profiles(profiles, f"{out_dir}/profiles.json", meta=meta)
-        modelio.save_profiles_csv(profiles, f"{out_dir}/profiles.csv")
-        modelio.save_margins(margins, f"{out_dir}/margins.json")
-    return profiles
+    return probes.build_profiles(model, t_probes, p_probes, meta["delta_acc"])
 
 
 def dense_pins(profiles, fc_bits: int | None) -> dict[int, int] | None:

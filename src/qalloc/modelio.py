@@ -339,7 +339,7 @@ def load_dataset(prefix) -> Dataset:
 # profiles, allocations, curves, reports
 
 
-def nan_to_null(v: float):
+def _nan_to_null(v: float):
     """JSON value of a float that may be NaN (unmeasured): null for NaN."""
     return None if v != v else float(v)
 
@@ -351,9 +351,9 @@ def save_profiles(profiles, path, meta: dict | None = None) -> Path:
         "layers": [
             {
                 "index": p.index, "kind": p.kind, "s": p.s,
-                "t": nan_to_null(p.t), "p": nan_to_null(p.p),
-                "noise_scale": nan_to_null(p.noise_scale),
-                "delta_acc": nan_to_null(p.delta_acc),
+                "t": _nan_to_null(p.t), "p": _nan_to_null(p.p),
+                "noise_scale": _nan_to_null(p.noise_scale),
+                "delta_acc": _nan_to_null(p.delta_acc),
                 "b_probe": p.b_probe,
                 "weight_range": list(p.weight_range),
                 "copied_t": p.copied_t, "degenerate": p.degenerate,

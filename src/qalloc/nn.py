@@ -102,24 +102,6 @@ class Layer:
         return n
 
 
-def dense(weights, bias=None) -> Layer:
-    return Layer("dense", np.asarray(weights), None if bias is None else np.asarray(bias))
-
-
-def conv2d(weights, bias=None, stride=1, padding="valid") -> Layer:
-    return Layer("conv2d", np.asarray(weights), None if bias is None else np.asarray(bias),
-                 stride=stride, padding=padding)
-
-
-def relu() -> Layer:
-    return Layer("relu")
-
-
-def maxpool2d(pool_size=2, stride=None) -> Layer:
-    return Layer("maxpool2d", pool_size=pool_size,
-                 stride=pool_size if stride is None else stride)
-
-
 def _conv_out_hw(h, w, kh, kw, stride, padding):
     if padding == "same":
         return -(-h // stride), -(-w // stride)

@@ -97,11 +97,10 @@ def test_criterion_10_roundtrips_and_determinism(fixture_model, fixture_dataset,
         problems.append("curve")
 
     cfg = ProbeConfig(seed=0)
-    harness.run_pipeline(fixture_model, fixture_dataset, cfg, out_dir=tmp_path / "r1")
-    harness.run_pipeline(fixture_model, fixture_dataset, cfg, out_dir=tmp_path / "r2")
-    for name in ("profiles.json", "margins.json"):
-        if (tmp_path / "r1" / name).read_bytes() != (tmp_path / "r2" / name).read_bytes():
-            problems.append(f"pipeline output {name}")
+    saved = [modelio.save_profiles(harness.run_pipeline(fixture_model, fixture_dataset, cfg),
+                                   tmp_path / f"r{run}.json").read_bytes() for run in (1, 2)]
+    if saved[0] != saved[1]:
+        problems.append("pipeline output profiles.json")
 
     report("criterion 10 (round trips + determinism)", not problems,
            "all artifacts bit-exact; pipeline reruns identical" if not problems

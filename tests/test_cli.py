@@ -29,6 +29,15 @@ def rig(tmp_path):
     return save_rig(tmp_path)
 
 
+def forbid_work(monkeypatch):
+    """Make any forward, and the verification battery, fail the test."""
+    def fail(*args, **kwargs):
+        raise AssertionError("work ran")
+
+    monkeypatch.setattr(nn, "_forward_chunks", fail)
+    monkeypatch.setattr(harness, "verify", fail)
+
+
 def profiles_file(tmp_path, rows):
     profiles = [LayerProfile(index=i, kind=k, s=s, t=t, p=p, noise_scale=0.1,
                              delta_acc=0.4, b_probe=10, weight_range=(-0.3, 0.3))
@@ -274,6 +283,7 @@ class TestFlagRanges:
         assert _parse_grid("4:12:0.3")[-1] == pytest.approx(11.8)
         assert _parse_grid("4:5:0.6") == [4.0, 4.6]
         assert len(_parse_grid("4:12:0.1")) == 81
+        assert _parse_grid(None) == harness.default_anchor_grid()
 
 
 class TestCalibrationFront:
@@ -287,13 +297,11 @@ class TestCalibrationFront:
             assert main([command, "--model", str(rig / "m"), "--data", str(rig / "d"),
                          "--out", str(cal)]) == 0
         merged = _load_merged_profiles([cal / "profiles_t.json", cal / "profiles_p.json"])
-        lib = harness.run_pipeline(modelio.load_model(rig / "m"), modelio.load_dataset(rig / "d"),
-                                   ProbeConfig(), out_dir=tmp_path / "lib")
-        assert merged == lib
+        model, dataset = modelio.load_model(rig / "m"), modelio.load_dataset(rig / "d")
+        assert merged == harness.run_pipeline(model, dataset, ProbeConfig())
         _, meta_t = modelio.load_profiles(cal / "profiles_t.json")
-        _, meta = modelio.load_profiles(tmp_path / "lib" / "profiles.json")
-        keys = ("baseline_accuracy", "mean_r_star", "delta_acc", "seed")
-        assert list(meta_t.items()) == [(k, meta[k]) for k in keys]
+        _, _, meta = harness.calibrate_t(model, dataset, ProbeConfig())
+        assert list(meta_t.items()) == [*meta.items(), ("seed", 0)]
 
 
 class TestQuantizeEvaluate:
@@ -359,6 +367,28 @@ class TestSweepCompare:
                      "--out", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: equal curve: size_bits must be >= 1, got {size}\n"
         assert not (tmp_path / "comparison.json").exists()
+
+    def test_sweep_unknown_method_is_exit_1_before_any_forward(self, rig, tmp_path, capsys,
+                                                              monkeypatch):
+        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        forbid_work(monkeypatch)
+        assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--profiles", str(path), "--methods", "adaptive,foo",
+                     "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith("error: unknown method 'foo'\n") and err.count("error") == 1
+        assert not (tmp_path / "s").exists()
+
+    def test_compare_disjoint_curves_say_so(self, tmp_path, capsys):
+        from qalloc.harness import CurvePoint
+        pts = [CurvePoint("adaptive", 8.0, 0, 100, 100 / 8 / 2 ** 20, 0.5),
+               CurvePoint("equal", 8.0, 0, 200, 200 / 8 / 2 ** 20, 0.9)]
+        modelio.save_curve(pts, tmp_path / "c.csv")
+        assert main(["compare", "--curves", str(tmp_path / "c.csv"),
+                     "--out", str(tmp_path / "cmp")]) == 0
+        assert capsys.readouterr().out == "adaptive vs equal: no overlapping accuracy range\n"
+        entry, = json.loads((tmp_path / "cmp" / "comparison.json").read_text())["entries"]
+        assert entry["baseline"] == "equal" and entry["disjoint"] is True
 
     def test_compare_requires_two_methods(self, tmp_path, capsys):
         from qalloc.harness import CurvePoint
@@ -564,3 +594,55 @@ def test_threads_help_says_no_effect_where_no_forward_runs(capsys, command):
     # the last "--threads THREADS" is the option's entry; the first is in the usage line
     threads_help = " ".join(capsys.readouterr().out.split()).split("--threads THREADS")[-1]
     assert threads_help.startswith(" no effect") == (command not in FORWARDING)
+
+
+# ---------------------------------------------------------------------------
+# flags main rejects before the command runs
+
+
+SEEDED = {
+    "gen-model --seed": ["gen-model"],
+    "gen-data --seed": ["gen-data", "--model", "{w}/m"],
+    "estimate-t --seed": ["estimate-t", "--model", "{w}/m", "--data", "{w}/d"],
+    "lemma-check --seed": ["lemma-check"],
+    "verify --seed": ["verify", "--quick", "--n", "300"],
+    "verify --fixture-seed": ["verify", "--quick", "--n", "300"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEEDED))
+def test_negative_seed_is_one_line_exit_1_before_any_work(staged, tmp_path, monkeypatch, capsys,
+                                                          case):
+    forbid_work(monkeypatch)
+    flag = case.split()[1]
+    out = tmp_path / "out"
+    argv = [a.format(w=staged) for a in SEEDED[case]]
+    assert main([*argv, flag, "-1", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} must be >= 0, got -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["estimate-t --out", "margins --out", "sweep $QALLOC_OUTDIR"])
+def test_out_naming_a_file_fails_before_any_work(staged, tmp_path, monkeypatch, capsys, case):
+    forbid_work(monkeypatch)
+    command, where = case.split()
+    target = tmp_path / "file"
+    target.write_text("kept")
+    args, _ = COMMANDS[command]
+    argv = [command, *(a.format(w=staged) for a in args)]
+    if where == "--out":
+        argv += ["--out", str(target)]
+    else:
+        monkeypatch.setenv("QALLOC_OUTDIR", str(target))
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{target}'\n")
+    assert target.read_text() == "kept"
+
+
+def test_report_command_without_out_ignores_an_outdir_file(staged, tmp_path, monkeypatch):
+    # margins writes nothing without --out, so $QALLOC_OUTDIR is never used
+    target = tmp_path / "file"
+    target.write_text("kept")
+    monkeypatch.setenv("QALLOC_OUTDIR", str(target))
+    assert main(["margins", "--model", f"{staged}/m", "--data", f"{staged}/d"]) == 0
+    assert target.read_text() == "kept"

@@ -46,48 +46,51 @@ class TestPipeline:
                 for t in (1, 2, 4)]
         assert runs[0] == runs[1] == runs[2]
 
-    def test_single_layer_t_recomputable_from_persisted_parts(self, tmp_path):
+    def test_single_layer_t_recomputable_from_persisted_parts(self):
+        # t is the probe's feature-noise power over the margin power estimate-t persists
         rng = np.random.default_rng(8)
         w = rng.uniform(-0.5, 0.5, size=(10, 4)).astype(np.float32)
         model = Model((Layer("dense", w),), (10,))
         inputs = rng.standard_normal((300, 10)).astype(np.float32)
         ds = Dataset(inputs, nn.classify_batch(nn.forward_batch(model, inputs)))
         cfg = ProbeConfig(delta_acc=0.3, acc_tolerance=0.02, seed=2)
-        profiles = harness.run_pipeline(model, ds, cfg, out_dir=tmp_path)
-
-        import json
-        meta = json.loads((tmp_path / "profiles.json").read_text())["meta"]
-        margins = json.loads((tmp_path / "margins.json").read_text())
-        assert profiles[0].t == meta["noise_powers_t"][0] / margins["mean_r_star"]
-
-    def test_persists_profiles_and_margins(self, small_rig, tmp_path):
-        model, ds = small_rig
-        cfg = ProbeConfig(delta_acc=0.3, acc_tolerance=0.02, seed=1)
-        harness.run_pipeline(model, ds, cfg, out_dir=tmp_path)
-        assert (tmp_path / "profiles.json").exists()
-        assert (tmp_path / "margins.json").exists()
-        loaded, meta = modelio.load_profiles(tmp_path / "profiles.json")
-        assert meta["baseline_accuracy"] == 1.0
-        assert len(loaded) == 2
+        _, t_probes, meta = harness.calibrate_t(model, ds, cfg)
+        profiles = harness.run_pipeline(model, ds, cfg)
+        assert profiles[0].t == t_probes[0].t == t_probes[0].noise_power / meta["mean_r_star"]
 
     def test_profiles_json_is_strict_with_copied_layers(self, small_rig, tmp_path):
-        # last_n=1 copies t onto layer 0, whose noise power is NaN (never measured)
+        # --last-n 1 copies t onto layer 0, whose noise scale is NaN (never measured)
         import json
+
+        from qalloc.cli import main
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
 
         model, ds = small_rig
+        modelio.save_model(model, tmp_path / "m")
+        modelio.save_dataset(ds, tmp_path / "d")
+        assert main(["estimate-t", "--model", str(tmp_path / "m"), "--data", str(tmp_path / "d"),
+                     "--delta-acc", "0.3", "--acc-tolerance", "0.02", "--seed", "1",
+                     "--last-n", "1", "--out", str(tmp_path / "cal")]) == 0
+        path = tmp_path / "cal" / "profiles_t.json"
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert [(rec["copied_t"], rec["noise_scale"] is None) for rec in doc["layers"]] == \
+            [(True, True), (False, False)]
+        assert doc["layers"][1]["noise_scale"] > 0
         cfg = ProbeConfig(delta_acc=0.3, acc_tolerance=0.02, seed=1, last_n=1)
-        profiles = harness.run_pipeline(model, ds, cfg, out_dir=tmp_path)
-        doc = json.loads((tmp_path / "profiles.json").read_text(), parse_constant=reject)
-        assert doc["meta"]["noise_powers_t"][0] is None
-        assert doc["meta"]["noise_powers_t"][1] > 0
-        loaded, meta = modelio.load_profiles(tmp_path / "profiles.json")
-        assert loaded == profiles and meta["noise_powers_t"] == doc["meta"]["noise_powers_t"]
+        _, t_probes, meta = harness.calibrate_t(model, ds, cfg)
+        loaded, loaded_meta = modelio.load_profiles(path)
+        assert loaded == probes.build_profiles(model, t_probes, None, meta["delta_acc"])
+        assert loaded_meta == {**meta, "seed": 1}
 
 
 class TestSweep:
+    def test_empty_anchor_list_rejected(self, small_rig, small_profiles):
+        model, ds = small_rig
+        with pytest.raises(ValueError, match="need at least one anchor value"):
+            harness.sweep(model, ds, small_profiles, b1_values=[])
+
     def test_equal_at_16_bits_matches_float_baseline(self, small_rig, small_profiles):
         model, ds = small_rig
         curves = harness.sweep(model, ds, small_profiles, b1_values=[16.0],

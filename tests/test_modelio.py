@@ -305,6 +305,49 @@ def test_oversize_curve_field_is_a_load_error(artifacts, tmp_path):
     assert message.startswith(f"{tmp_path / 'w' / 'c.csv'}: malformed (Error: field larger")
 
 
+def nan_in_sidecar(path):
+    """Overwrite the first float32 of the manifest's sidecar (offset 0) with NaN."""
+    sidecar = path.with_suffix(".bin")
+    sidecar.write_bytes(np.float32(np.nan).astype("<f4").tobytes() + sidecar.read_bytes()[4:])
+
+
+# guard -> (artifact, mutation, what the error says); the model is conv 0, relu 1,
+# maxpool 2, dense 3 on (6, 6, 1)
+GUARDS = {
+    "conv stride 0": ("model", edit_json(lambda doc: doc["layers"][0].update(stride=0)),
+                      "stride must be a positive integer"),
+    "pool_size 0": ("model", edit_json(lambda doc: doc["layers"][2].update(pool_size=0)),
+                    "pool_size must be a positive integer"),
+    "padding full": ("model", edit_json(lambda doc: doc["layers"][0].update(padding="full")),
+                     "padding must be valid|same, got 'full'"),
+    "padding 3": ("model", edit_json(lambda doc: doc["layers"][0].update(padding=3)),
+                  "padding must be valid|same, got 3"),
+    "kind tanh": ("model", edit_json(lambda doc: doc["layers"][1].update(kind="tanh")),
+                  "unknown layer kind 'tanh'"),
+    "3-d dense weights": ("model", edit_json(
+        lambda doc: doc["layers"][3]["weights"].update(shape=[18, 3, 1])),
+        "dense weights must be 2-d"),
+    "3-d conv kernel": ("model", edit_json(
+        lambda doc: doc["layers"][0]["weights"].update(shape=[9, 1, 2])),
+        "conv2d kernel must be 4-d"),
+    "input channels": ("model", edit_json(lambda doc: doc.update(input_shape=[6, 6, 2])),
+                       "kernel expects 1 channels, input has 2"),
+    "NaN weight": ("model", nan_in_sidecar, "weights contain non-finite values"),
+    "negative label": ("dataset", edit_json(lambda doc: doc["labels"].__setitem__(0, -1)),
+                       "labels must be non-negative"),
+    "NaN input": ("dataset", nan_in_sidecar, "inputs contain non-finite values"),
+    "one label short": ("dataset", edit_json(lambda doc: doc["labels"].pop()),
+                        "19 labels for n=20"),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARDS))
+def test_loader_guard_is_a_load_error_naming_the_file(artifacts, tmp_path, guard):
+    kind, mutate, says = GUARDS[guard]
+    message = assert_rejected(artifacts, tmp_path / "w", kind, mutate)
+    assert message.startswith(f"{tmp_path / 'w' / LOADERS[kind][1]}: ") and says in message
+
+
 OPTIONAL = {"stride", "padding", "pool_size", "inputs_offset", "meta", "copied_t", "degenerate",
             "saturated"}
 NULLABLE = {"t", "p", "noise_scale", "delta_acc"}  # null is how a profile writes NaN
