@@ -108,9 +108,12 @@ def cmd_estimate_t(args) -> tuple[int, list[Path]]:
     config = probes.ProbeConfig(delta_acc=args.delta_acc, seed=args.seed,
                                 acc_tolerance=args.acc_tolerance, max_iters=args.max_iters,
                                 last_n=args.last_n, threads=args.threads)
-    _, t_probes, meta = harness.calibrate_t(model, dataset, config)
+    work = probes.SearchWork()
+    _, t_probes, meta = harness.calibrate_t(model, dataset, config, work)
     _progress(f"baseline accuracy {meta['baseline_accuracy']}, "
               f"mean margin {meta['mean_r_star']:.6g}")
+    _progress(f"t search: {work.iterations} iterations, {work.early} decided early, "
+              f"{work.rows / max(work.full_rows, 1):.1%} of full-forward rows")
     profiles = probes.build_profiles(model, t_probes, None, meta["delta_acc"])
     path = modelio.save_profiles(profiles, _out_dir(args) / "profiles_t.json",
                                  meta={**meta, "seed": config.seed})
@@ -370,9 +373,13 @@ def main(argv=None) -> int:
             if value < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
         out = _out_dir(args)
-        if (args.out or args.command not in OUT_ONLY) and out.exists() and not out.is_dir():
+        if args.out or args.command not in OUT_ONLY:
             # the error the first write would raise, before any work rather than after it
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+            found = next(p for p in (out, *out.absolute().parents) if p.exists())
+            if found is out and not out.is_dir():
+                raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(out))
+            if not found.is_dir():  # a file above the directory to be made
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(out))
         code, outputs = args.func(args)
         if outputs:
             _write_manifest(args, outputs)

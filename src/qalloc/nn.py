@@ -34,6 +34,21 @@ running only the layers from the changed one on, and its result equals
 copies that differ only in their weighted layers, running each layer segment
 once per distinct prefix of changes.  A segment boundary only splits a
 row-local stretch in two, which changes no bit either.
+
+`forward_stages` is `forward_from` in row stages, for a caller that needs
+only part of the answer, such as which side of a target an accuracy lies
+on.  On a stack of one evaluation chunk, the row-local stretch from the
+changed layer on runs on a few rows at a time, in any row order, into one
+output, and the dense tail runs on each stage's rows alone to give
+provisional logits.  Those can differ in the last bits from the final
+ones, because a dense layer run on fewer rows may sum its products in
+another order; so each row comes with a slack, a rounding-error bound
+(gamma_K times the sum of absolute terms, taken through every tail layer)
+on that difference, and `settled_argmax` trusts a row's class only when its
+top-2 gap exceeds twice the slack.  A caller that stops early skips the
+remaining rows; one that does not gets the tail run on the whole chunk, the
+same arithmetic as `forward_from`, which is itself `forward_stages` with no
+stage checked.
 """
 
 from __future__ import annotations
@@ -49,6 +64,7 @@ LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d")
 _CHUNK = 512  # fixed evaluation chunk; reduction order never depends on thread count
 _BLOCK = 32  # rows per block of a conv/relu/maxpool stretch: its workspaces stay in cache
 _ROW_LOCAL = ("conv2d", "relu", "maxpool2d")  # kinds whose output row depends only on its input row
+_STAGE = 128  # rows per checked stage of forward_stages
 
 
 class ShapeError(ValueError):
@@ -260,25 +276,23 @@ def _padded_shape(layer: Layer, in_shape, out_shape):
     return (h + max((oh - 1) * s + kh - h, 0), w + max((ow - 1) * s + kw - w, 0), c)
 
 
-def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output.
+def _stretch(layers, in_shape, start: int, stop: int, rows: int, gather: bool = False):
+    """The row-local layers[start:stop] set up for blocks of up to `rows` rows.
 
-    The workspaces are allocated here, once per call, so each chunk's thread
-    has its own and every block reuses them.  Each layer but the last writes
-    into a block-sized workspace, and the last into its rows of the output.
-    A relu after another layer of the stretch runs in place on that layer's
-    workspace; x itself is never written.
+    Returns the stretch's output row shape and its steps, one per layer:
+    (layer, workspace, conv buffers).  Each layer but the last writes into a
+    block-sized workspace, and the last straight into its rows of the
+    output; with `gather`, for blocks of gathered rows, the last writes into
+    a workspace too, to be scattered.  A relu after another layer of the
+    stretch runs in place on that layer's workspace (its workspace is None).
+    The stretch's input is never written.
     """
-    shapes = [x.shape[1:]]
+    shapes = [in_shape]
     for i in range(start, stop):
         shapes.append(_layer_out_shape(layers[i], shapes[-1], i))
-    out = np.empty((len(x), *shapes[-1]), dtype=np.float64)
-    rows = min(len(x), _BLOCK)
-    steps = []  # (layer, where it writes: out, a workspace or None for in place, conv buffers)
+    steps = []
     for k, layer in enumerate(layers[start:stop]):
-        if start + k == stop - 1:
-            ws = out
-        elif layer.kind == "relu" and k > 0:
+        if (layer.kind == "relu" and k > 0) or (start + k == stop - 1 and not gather):
             ws = None
         else:
             ws = np.empty((rows, *shapes[k + 1]))
@@ -289,11 +303,26 @@ def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
                     np.zeros((rows, *_padded_shape(layer, shapes[k], shapes[k + 1]))),
                     np.empty((rows, *shapes[k + 1])))
         steps.append((layer, ws, conv))
-    for b in range(0, len(x), _BLOCK):
-        y = x[b:b + _BLOCK]
+    return shapes[-1], steps
+
+
+def _run_rows(steps, x: np.ndarray, out: np.ndarray, rows):
+    """Run x[rows] through a stretch's steps in _BLOCK-row blocks, into out[rows].
+
+    `rows` is a slice, or an index array whose rows are gathered into each
+    block and whose outputs are scattered back from the last workspace.
+    """
+    last = len(steps) - 1
+    gather = not isinstance(rows, slice)
+    for b in range(0, len(rows), _BLOCK) if gather else range(rows.start, rows.stop, _BLOCK):
+        if gather:
+            idx = rows[b:b + _BLOCK]
+            y = x[idx]
+        else:
+            y = x[b:min(b + _BLOCK, rows.stop)]
         n = len(y)
-        for layer, ws, conv in steps:
-            dst = out[b:b + n] if ws is out else (y if ws is None else ws[:n])
+        for k, (layer, ws, conv) in enumerate(steps):
+            dst = out[b:b + n] if k == last and not gather else (y if ws is None else ws[:n])
             if conv is not None:
                 w, bias, pad, tmp = conv
                 y = _conv_into(y, w, bias, layer.stride, dst, pad[:n], tmp[:n])
@@ -301,6 +330,19 @@ def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
                 y = np.maximum(y, 0.0, out=dst, dtype=np.float64)
             else:
                 y = _maxpool_into(y, layer, dst)
+        if gather:
+            out[idx] = y
+
+
+def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output.
+
+    The workspaces are allocated here, once per call, so each chunk's thread
+    has its own and every block reuses them.
+    """
+    shape, steps = _stretch(layers, x.shape[1:], start, stop, min(len(x), _BLOCK))
+    out = np.empty((len(x), *shape))
+    _run_rows(steps, x, out, slice(0, len(x)))
     return out
 
 
@@ -419,7 +461,108 @@ def forward_from(cache: PrefixCache, model: Model, index: int) -> np.ndarray:
     Runs only layers[index:], from the cached input of layer `index`; the
     result equals forward_batch(model, cache.inputs, cache.threads) bit for
     bit.  Every layer before `index` must be the cached model's own layer
-    object, as perturb_layer and quantize_single_layer leave them.
+    object, as perturb_layer and quantize_single_layer leave them.  It is
+    `forward_stages` run to the end with no provisional stage.
+    """
+    *_, (_, logits, _) = forward_stages(cache, model, index)
+    return logits
+
+
+def _tail_sums(layers, start: int):
+    """Per layer of the tail layers[start:]: None for relu, and for a dense layer
+    (gamma_K, the largest column sum of |w|, the largest |b|) with K = in_features + 1."""
+    sums = []
+    for layer in layers[start:]:
+        if layer.kind == "relu":
+            sums.append(None)
+            continue
+        k = layer.weights.shape[0] + 1
+        sums.append((k * 2.0 ** -53 / (1 - k * 2.0 ** -53),
+                     float(np.abs(layer.weights).sum(axis=0, dtype=np.float64).max(initial=0.0)),
+                     0.0 if layer.bias is None else float(np.abs(layer.bias).max(initial=0.0))))
+    return sums
+
+
+def _tail_with_slack(layers, x: np.ndarray, start: int, sums):
+    """Provisional logits of layers[start:] on a stage's rows, and each row's slack.
+
+    The tail is dense and relu layers (a dense layer's output is a vector,
+    which no conv or pool takes), and `sums` is its `_tail_sums`.  The slack
+    bounds, per row, how far any of its logits can lie from the logits the
+    same rows get when the tail runs on a whole evaluation chunk, where
+    OpenBLAS may sum each dot product in another order.  A dense output
+    entry sums K = in_features products and the bias; in any order its
+    rounding error is at most g * sum|terms|, with g = gamma_K = K u / (1 - K u)
+    and u = 2^-53.  So if the two inputs of a dense layer differ by at most s
+    per entry, with x the provisional one, each output entry differs by at
+    most
+        2 g (max|x| C + B) + (1 + g) s C,
+    where C is the largest column sum of |w| and B the largest |b|, since
+    max|x| C bounds sum_k |x_k| |w_kj| for every j.  The stretch output both
+    runs start from is the same array (s = 0), and relu is 1-Lipschitz, so it
+    passes s on.  The result is doubled to cover the rounding of the bound's
+    own arithmetic.
+    """
+    slack = np.zeros(len(x))
+    for layer, layer_sums in zip(layers[start:], sums):
+        if layer_sums is None:
+            x = np.maximum(x, 0.0)
+            continue
+        g, col, b = layer_sums
+        flat = x.reshape(len(x), -1)
+        xmax = np.maximum(flat.max(axis=1, initial=0.0), -flat.min(axis=1, initial=0.0))
+        x = _apply_dense(x, layer)
+        slack = 2 * g * (xmax * col + b) + (1 + g) * slack * col
+    return x, 2 * slack
+
+
+def settled_argmax(logits: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Each row's argmax where its top-2 gap exceeds twice its slack, else -1.
+
+    When every logit of a row lies within `slack` of its final value, a gap
+    above 2 * slack keeps the same class on top, so the row's final argmax is
+    the one given; a row at or under the bound is undecided.
+    """
+    if logits.shape[1] < 2:
+        return np.zeros(len(logits), dtype=np.intp)
+    top2 = np.partition(logits, logits.shape[1] - 2, axis=1)[:, -2:]
+    return np.where(top2[:, 1] - top2[:, 0] > 2 * slack, np.argmax(logits, axis=1), -1)
+
+
+def _as_rows(local: np.ndarray):
+    """Ascending row indices as a slice when they are contiguous, so their rows are not gathered."""
+    if local[-1] - local[0] == len(local) - 1:
+        return slice(int(local[0]), int(local[-1]) + 1)
+    return local
+
+
+def forward_stages(cache: PrefixCache, model: Model, index: int, check_from: int | None = None,
+                   order: np.ndarray | None = None):
+    """Run layers[index:] of `model` from the cache in row stages; a generator.
+
+    `model` is a copy of the cached model with layer `index` changed, as for
+    `forward_from`.  The last item yielded is (None, logits, None) with the
+    exact logits.  With `check_from`, items (rows, logits, slack) come before
+    it, one per stage: the stage's row indices in ascending order, their
+    provisional logits and, per row, a bound on how far each of its logits
+    lies from its final value (`settled_argmax` reads them).  The row-local
+    stretch from `index` on (conv2d, relu, maxpool2d) runs on the stage's
+    rows, visited in `order` (a permutation of the row indices; None is row
+    order), into one output allocated up front, and the dense tail then runs
+    on those rows alone (`_tail_with_slack`).  The first stage ends at
+    `check_from` rows rounded up to a multiple of `_STAGE`, and each later
+    one `_STAGE` rows on.  A caller that has seen enough closes the
+    generator, and the remaining rows never run.  Otherwise the tail runs on
+    the whole output, exactly as in `forward_batch`.  Neither blocking nor
+    the order of the rows changes a bit: each stretch output row depends on
+    its input row alone.
+
+    Stages run when the cache holds one evaluation chunk (one thread, or at
+    most `_CHUNK` rows).  A stack split into chunks runs whole, chunk by
+    chunk as in `forward_batch`, with no stage: staged chunks would all have
+    to keep their stretch outputs at once, where `forward_batch` holds one
+    per thread.  So does a layer with no stretch (a dense one), and a stack
+    that the first stage would cover.
     """
     if index not in cache.chunks:
         raise ValueError(f"no cached input for layer {index}; "
@@ -427,7 +570,34 @@ def forward_from(cache: PrefixCache, model: Model, index: int) -> np.ndarray:
     if model.input_shape != cache.model.input_shape or any(
             a is not b for a, b in zip(model.layers[:index], cache.model.layers)):
         raise ValueError(f"layers before {index} differ from the cached model's")
-    return _join(_forward_chunks(model.layers, index, cache.chunks[index], cache.threads))
+    layers, chunks = model.layers, cache.chunks[index]
+    end = index
+    while end < len(layers) and layers[end].kind in _ROW_LOCAL:
+        end += 1
+    n = len(cache.inputs)
+    first = n if check_from is None else -(-check_from // _STAGE) * _STAGE
+    if len(chunks) > 1 or end == index or first >= n:
+        yield None, _join(_forward_chunks(layers, index, chunks, cache.threads)), None
+        return
+    x, out = chunks[0], np.empty((n, *model.shapes[end]))
+    order = np.arange(n) if order is None else np.asarray(order)
+    sums = _tail_sums(layers, end)
+    cuts = [0, *range(max(first, _STAGE), n, _STAGE), n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        rows = np.sort(order[lo:hi])
+        _, steps = _stretch(layers, x.shape[1:], index, end, min(len(rows), _BLOCK), gather=True)
+        _run_rows(steps, x, out, _as_rows(rows))
+        del steps  # the workspaces go before the tail runs
+        # the tail in pieces of at most a stage, so a gathered piece stays small
+        got, slack = zip(*(_tail_with_slack(layers, out[_as_rows(rows[j:j + _STAGE])], end, sums)
+                           for j in range(0, len(rows), _STAGE)))
+        yield rows, _join(list(got)), _join(list(slack))
+        del got, slack  # nothing of a stage outlives it here
+    if end < len(layers):  # the stretch output is freed once the first dense layer has read it
+        out = _apply_dense(out, layers[end])
+        if end + 1 < len(layers):
+            out = _forward_chunk(layers, out, end + 1, len(layers))
+    yield None, out, None
 
 
 def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: int = 1):

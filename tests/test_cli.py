@@ -304,6 +304,22 @@ class TestCalibrationFront:
         assert list(meta_t.items()) == [*meta.items(), ("seed", 0)]
 
 
+class TestEstimateTSummary:
+    def test_default_fixture_summary_line(self, fixture_model, fixture_dataset, tmp_path, capsys):
+        modelio.save_model(fixture_model, tmp_path / "fixture")
+        modelio.save_dataset(fixture_dataset, tmp_path / "data")
+        assert main(["estimate-t", "--model", str(tmp_path / "fixture"),
+                     "--data", str(tmp_path / "data"), "--out", str(tmp_path / "run")]) == 0
+        out, err = capsys.readouterr()
+        assert err.splitlines()[1] == SUMMARY_191
+        iters = [int(line.split("iters=")[1].split(")")[0]) for line in out.splitlines()]
+        assert sum(iters) == 33
+
+
+# dataset 191 (the default gen-data seed) at n = 2000, probe seed 0
+SUMMARY_191 = "t search: 33 iterations, 12 decided early, 87.7% of full-forward rows"
+
+
 class TestQuantizeEvaluate:
     def test_quantize_then_evaluate(self, rig, tmp_path, capsys):
         path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
@@ -636,6 +652,26 @@ def test_out_naming_a_file_fails_before_any_work(staged, tmp_path, monkeypatch, 
         monkeypatch.setenv("QALLOC_OUTDIR", str(target))
     assert main(argv) == 1
     assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{target}'\n")
+    assert target.read_text() == "kept"
+
+
+@pytest.mark.parametrize("case", ["estimate-t --out", "estimate-t --out/deeper",
+                                  "sweep $QALLOC_OUTDIR"])
+def test_out_below_a_file_fails_before_any_work(staged, tmp_path, monkeypatch, capsys, case):
+    forbid_work(monkeypatch)
+    command, where = case.split()
+    target = tmp_path / "afile"
+    target.write_text("kept")
+    out = target / "sub" / "deeper" if where.endswith("deeper") else target / "sub"
+    args, _ = COMMANDS[command]
+    argv = [command, *(a.format(w=staged) for a in args)]
+    if where.startswith("--out"):
+        argv += ["--out", str(out)]
+    else:
+        monkeypatch.setenv("QALLOC_OUTDIR", str(out))
+    assert main(argv) == 1
+    # the one line the first write would print, and no progress line before it
+    assert capsys.readouterr() == ("", f"error: [Errno 20] Not a directory: '{out}'\n")
     assert target.read_text() == "kept"
 
 

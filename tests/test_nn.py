@@ -600,3 +600,69 @@ class TestOwnership:
         assert same_bits(nn.forward_from(cache, model, 0), z)
         (_, t), = nn.forward_trie(model, x, [()], None, threads)
         assert same_bits(t, z) and not np.shares_memory(t, x)
+
+
+class TestForwardStages:
+    """A staged evaluation run to its end is forward_from, whatever its stages and row order."""
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 513, 2000])
+    @pytest.mark.parametrize("padding,stride,first", ENGINE_NETS)
+    def test_run_to_the_end_equals_forward_from(self, padding, stride, first, n):
+        model = engine_net(padding, stride, first, seed=n)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, *model.input_shape)).astype(np.float32)
+        for threads in (1, 2, 4):
+            cache = nn.prefix_cache(model, x, threads)
+            for i in model.weighted_indices:
+                noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
+                changed = nn.perturb_layer(model, i, noise)
+                want = nn.forward_from(cache, changed, i)
+                for check_from, order in ((1, None), (n // 2 + 1, rng.permutation(n))):
+                    *stages, (rows, z, slack) = nn.forward_stages(cache, changed, i, check_from,
+                                                                  order)
+                    assert rows is None and slack is None and same_bits(z, want)
+                    # stages run on one chunk, from a stretch, when they leave rows to skip
+                    checked = (model.layers[i].kind != "dense" and len(cache.chunks[i]) == 1
+                               and -(-check_from // nn._STAGE) * nn._STAGE < n)
+                    assert bool(stages) == checked
+                    if not checked:
+                        continue
+                    # every row is yielded once, each logit within its row's slack of the final
+                    assert sorted(np.concatenate([r for r, _, _ in stages])) == list(range(n))
+                    for r, provisional, s in stages:
+                        assert np.all(np.diff(r) > 0)
+                        assert np.all(np.abs(provisional - want[r]).max(axis=1) <= s)
+
+    def test_closing_early_runs_no_further_stage(self, fixture_model, fixture_cache):
+        noise = np.full(fixture_model.layers[0].weights.shape, 1e-3)
+        changed = nn.perturb_layer(fixture_model, 0, noise)
+        stages = nn.forward_stages(fixture_cache, changed, 0, check_from=1010)
+        rows, _, slack = next(stages)
+        assert len(rows) == 1024 and slack is not None  # 1010 rounded up to whole stages
+        rows, _, _ = next(stages)
+        assert list(rows) == list(range(1024, 1024 + nn._STAGE))
+        stages.close()
+
+    def test_slack_bounds_the_tail_at_every_row_count(self, fixture_model, fixture_cache):
+        # OpenBLAS sums a dense layer's products in an order that depends on the row count
+        layers, x = fixture_model.layers, fixture_cache.chunks[5][0]
+        want = nn._forward_chunk(layers, x, 5, len(layers))
+        sums = nn._tail_sums(layers, 5)
+        for rows in (1, 2, 7, 30, 31, 128, 1563):
+            got, slack = nn._tail_with_slack(layers, x[:rows], 5, sums)
+            assert np.all(np.abs(got - want[:rows]).max(axis=1) <= slack)
+            assert np.all(slack < 1e-9)
+
+
+class TestSettledArgmax:
+    def test_rows_at_or_under_the_bound_are_undecided(self):
+        logits = np.array([[1.0, 1.0 + 1e-12, 0.0],  # gap under twice the slack
+                           [1.0, 1.0 + 2.0 ** -40, 0.0],  # gap exactly twice the slack
+                           [1.0, 1.0 + 3e-12, 0.0],
+                           [0.5, 0.5, 0.5],  # a tie, with no slack
+                           [2.0, 1.0, 0.0]])
+        slack = np.array([1e-12, 2.0 ** -41, 1e-12, 0.0, 0.0])
+        assert nn.settled_argmax(logits, slack).tolist() == [-1, -1, 1, -1, 0]
+
+    def test_one_class_is_always_settled(self):
+        assert nn.settled_argmax(np.zeros((3, 1)), np.ones(3)).tolist() == [0, 0, 0]

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qalloc import harness, nn, probes
 from qalloc.nn import Dataset, Layer, Model
-from qalloc.probes import CalibrationError, ProbeConfig
+from qalloc.probes import CalibrationError, ProbeConfig, TProbe
 
 
 def small_fixture(seed=0, n=400):
@@ -17,6 +19,24 @@ def small_fixture(seed=0, n=400):
     inputs = rng.standard_normal((n, 12)).astype(np.float32)
     labels = nn.classify_batch(nn.forward_batch(model, inputs))
     return model, Dataset(inputs, labels)
+
+
+def small_conv_fixture(seed=2, n=1101):
+    """conv -> relu -> maxpool -> dense -> relu -> dense on 8x8x2 inputs, with teacher labels.
+
+    Its conv stretch is what a staged t search cuts short; n is odd, so no
+    count of correct rows meets half the baseline accuracy exactly.
+    """
+    rng = np.random.default_rng(seed)
+
+    def u(*shape):
+        return rng.uniform(-0.5, 0.5, size=shape).astype(np.float32)
+
+    model = Model((Layer("conv2d", u(3, 3, 2, 4), u(4), padding="same"), Layer("relu"),
+                   Layer("maxpool2d", pool_size=2, stride=2), Layer("dense", u(64, 16), u(16)),
+                   Layer("relu"), Layer("dense", u(16, 5), u(5))), (8, 8, 2))
+    inputs = rng.standard_normal((n, 8, 8, 2)).astype(np.float32)
+    return model, Dataset(inputs, nn.classify_batch(nn.forward_batch(model, inputs)))
 
 
 def cached(model, ds, threads=1):
@@ -166,6 +186,134 @@ class TestEstimateT:
         monkeypatch.setattr(nn, "prefix_cache", fail)
         with pytest.raises(ValueError, match="^b_probe must"):
             harness.run_pipeline(model, ds, ProbeConfig(delta_acc=0.4, b_probe=1))
+
+
+def reference_estimate_t(cache, labels, config):
+    """The t search that forwards every row of every iterate, frozen as it was before staging."""
+    model = cache.model
+    probe_set = probes.probed_layers(model, config.last_n)
+    acc_f = nn.accuracy(cache.logits, labels)
+    target = config.target_drop(acc_f)
+    margins = probes.margin_stats(cache.logits)
+    results = []
+    for i in probe_set:
+        direction = probes._probe_direction(model, i, config.seed)
+        k_lo, k_hi = probes._K_MIN, probes._K_MAX
+        found = None
+        iters = 0
+        drop = math.nan
+        while iters < config.max_iters:
+            iters += 1
+            k = math.sqrt(k_lo * k_hi)
+            z = nn.forward_from(cache, nn.perturb_layer(model, i, k * direction), i)
+            drop = acc_f - nn.accuracy(z, labels)
+            if abs(drop - target) <= config.acc_tolerance:
+                found = (k, z)
+                break
+            if drop < target:
+                k_lo = k
+            else:
+                k_hi = k
+            if k_hi / k_lo < 1 + 1e-12:
+                break
+        if found is None:
+            raise CalibrationError(
+                f"layer {i}: accuracy drop {drop:.4f} never reached target {target:.4f} "
+                f"+/- {config.acc_tolerance} within bounds [{probes._K_MIN}, {probes._K_MAX}] "
+                f"({iters} iterations)", partial=results)
+        k, z = found
+        power = nn.mean_power(cache.logits - z)
+        results.append(TProbe(i, power / margins.mean_r_star, k, power, drop, iters, True))
+    if config.last_n is not None and probe_set:
+        pre = [TProbe(i, results[0].t, math.nan, math.nan, math.nan, 0, True, copied=True)
+               for i in model.weighted_indices if i not in probe_set]
+        results = pre + results
+    return results
+
+
+def same_probes(a, b):
+    """Equal TProbe lists, NaN fields (the copied layers') matching NaN."""
+    return len(a) == len(b) and all(
+        all(x == y or (x != x and y != y) for x, y in zip(vars(p).values(), vars(q).values()))
+        for p, q in zip(a, b))
+
+
+class TestStagedSearch:
+    """The early-stopped search returns what the search that forwards every row returns."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_default_fixture_equals_the_full_search(self, fixture_model, fixture_dataset, threads):
+        cache = nn.prefix_cache(fixture_model, fixture_dataset.inputs, threads)
+        for seed in range(3):
+            cfg = ProbeConfig(seed=seed)
+            work = probes.SearchWork()
+            got = probes.estimate_t(cache, fixture_dataset.labels, cfg, work)
+            assert got == reference_estimate_t(cache, fixture_dataset.labels, cfg)
+            # a stack split into chunks (threads 2 on 2000 rows) runs every iterate whole
+            assert (work.early > 0) == (work.rows < work.full_rows) == (threads == 1)
+            assert work.iterations == sum(r.iterations for r in got)
+
+    def test_last_n_and_small_fixture_equal_the_full_search(self, fixture_model, fixture_dataset):
+        cache = nn.prefix_cache(fixture_model, fixture_dataset.inputs)
+        cfg = ProbeConfig(last_n=2)
+        assert same_probes(probes.estimate_t(cache, fixture_dataset.labels, cfg),
+                           reference_estimate_t(cache, fixture_dataset.labels, cfg))
+        model, ds = small_conv_fixture()
+        for threads in (1, 2):
+            for cfg in (ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=3),
+                        ProbeConfig(acc_tolerance=0.001, seed=1)):
+                small = cached(model, ds, threads)
+                work = probes.SearchWork()
+                assert (probes.estimate_t(small, ds.labels, cfg, work)
+                        == reference_estimate_t(small, ds.labels, cfg))
+                assert (work.early > 0) == (threads == 1)
+
+    @pytest.mark.parametrize("which,max_iters", [("default", 2), ("small", 2), ("small", 60)])
+    def test_failure_message_is_the_full_search_one(self, fixture_model, fixture_dataset, which,
+                                                    max_iters):
+        # an iterate that could be the last runs every row, so the message's drop is exact:
+        # two iterations end at the cap, sixty at an interval that collapses first
+        model, ds = ((fixture_model, fixture_dataset) if which == "default"
+                     else small_conv_fixture())
+        cache = cached(model, ds)
+        cfg = ProbeConfig(acc_tolerance=0.0, max_iters=max_iters)
+        with pytest.raises(CalibrationError) as want:
+            reference_estimate_t(cache, ds.labels, cfg)
+        work = probes.SearchWork()
+        with pytest.raises(CalibrationError) as got:
+            probes.estimate_t(cache, ds.labels, cfg, work)
+        assert str(got.value) == str(want.value)
+        assert got.value.partial == want.value.partial
+        assert work.early > 0
+
+    @given(n=st.integers(1, 300), base=st.floats(0.02, 1.0), frac=st.floats(0.01, 0.99),
+           tol=st.sampled_from([0.0, 1e-3, 0.005, 0.02, 0.1]), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_certain_step_holds_for_every_completion(self, n, base, frac, tol, data):
+        acc_f = max(1, round(base * n)) / n
+        rule = probes._Rule(n, acc_f, frac * acc_f, tol)
+        right = data.draw(st.integers(0, n))
+        wrong = data.draw(st.integers(0, n - right))
+        step = rule.certain(right, wrong)
+        outcomes = {rule.step(rule.drop(c)) for c in range(right, n - wrong + 1)}
+        if step:
+            assert outcomes == {step}
+        else:
+            assert len(outcomes) > 1 or outcomes == {0}
+        # +1 is certain from correct rows alone and -1 from wrong rows alone, so all-correct
+        # and all-wrong are the splits to try: none of first - 1 rows is certain, one of first is
+        first = rule.first_check()
+        below = min(first, n + 1) - 1
+        assert not rule.certain(below, 0) and not rule.certain(0, below)
+        if first <= n:
+            assert rule.certain(first, 0) or rule.certain(0, first)
+
+    def test_first_check_on_the_default_target(self):
+        # baseline 1.0, target 0.5 +/- 0.005 on 2000 rows; 1010, not 1011, correct rows
+        # certify, because in floating point 0.495 - 0.5 lies just below -0.005
+        rule = probes._Rule(2000, 1.0, 0.5, 0.005)
+        assert rule.first_check() == 1010
+        assert rule.step(rule.drop(1010)) == 1 and rule.certain(1010, 0) == 1
 
 
 class TestEstimateP:
