@@ -61,7 +61,7 @@ import numpy as np
 WEIGHTED_KINDS = ("dense", "conv2d")
 LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d")
 
-_CHUNK = 512  # fixed evaluation chunk; reduction order never depends on thread count
+_CHUNK = 512  # rows per evaluation chunk when threaded; one thread runs the stack as one chunk
 _BLOCK = 32  # rows per block of a conv/relu/maxpool stretch: its workspaces stay in cache
 _ROW_LOCAL = ("conv2d", "relu", "maxpool2d")  # kinds whose output row depends only on its input row
 _STAGE = 128  # rows per checked stage of forward_stages
@@ -408,8 +408,10 @@ def check_inputs(model: Model, inputs) -> np.ndarray:
 def forward_batch(model: Model, inputs: np.ndarray, threads: int = 1) -> np.ndarray:
     """Map a stack of inputs to pre-softmax feature vectors, shape (n, d).
 
-    Deterministic for any thread count: inputs are split into fixed-size
-    chunks and results concatenated in chunk order.
+    Bit-identical across runs at a given thread count: threaded, the inputs
+    are split into `_CHUNK`-row chunks, concatenated back in chunk order; one
+    thread runs one chunk.  Between thread counts the logits can differ in
+    the last bits for some stack sizes, a known defect.
     """
     inputs = check_inputs(model, inputs)
     return _join(_forward_chunks(model.layers, 0, _split(inputs, threads), threads))

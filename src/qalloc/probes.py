@@ -21,17 +21,7 @@ margins, the baseline side of every feature-noise difference) and each
 probed copy runs only from layer i on.  Every probe takes the cache as its
 first argument and reads the model, the inputs and the thread count from it.
 
-Cost of the t search: one forward of layers[i:] per bisection iterate at
-most.  An iterate only decides which side of target +/- tolerance its
-accuracy drop lies on, so it runs its rows in stages (`nn.forward_stages`),
-counts the rows whose class is already settled, and stops once that count
-makes the side certain; its rows are visited in the order that the layer's
-earlier iterates predict.  On the default fixture at one thread this
-forwards about 75% of the time-weighted rows of a search that runs every
-row, with the same k sequence and results.  The accepted iterate, and any
-that could be the last, run every row, and so does every iterate on a
-cache split into evaluation chunks (more than one thread and more than 512
-rows), which `nn.forward_stages` runs whole.
+The t search's cost is described once, in `estimate_t`'s docstring.
 
 Also here: linearity and additivity diagnostics for the small-noise
 assumptions behind p and t, and a Monte Carlo check of the random-versus-
@@ -43,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -232,6 +223,7 @@ class _Rule:
             return -1
         return 0
 
+    @cached_property
     def first_check(self) -> int:
         """The fewest rows that can make a step certain; n + 1 when no count can."""
         counts = range(self.n + 1)
@@ -249,81 +241,113 @@ def _signed_margin(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return logits[rows, labels] - others.max(axis=1)
 
 
-class _RowHistory:
-    """Each row's signed margin at the nearest scales seen below and above, to order iterates.
+def _bisect(side_at, max_iters: int) -> tuple[float, int, bool]:
+    """Geometric bisection of the noise scale k in [_K_MIN, _K_MAX]: (k, iterations, accepted).
 
-    Every earlier iterate of a layer's search lies at or below the bracket's
-    k_lo or at or above its k_hi, and the next scale k lies between them.  So
-    a row's signed margin at k is predicted by interpolating, in log k,
+    `side_at(k, last)` returns 0 to accept k, +1 to raise k_lo (k is too
+    small) or -1 to lower k_hi.  `last` is True exactly when the search may
+    end after this iterate without accepting: at the iteration cap, or when
+    either step would collapse the interval (k_hi / k_lo < 1 + 1e-12).  An
+    unaccepted search returns its last k.
+    """
+    k_lo, k_hi = _K_MIN, _K_MAX
+    for iters in range(1, max_iters + 1):
+        k = math.sqrt(k_lo * k_hi)
+        side = side_at(k, iters == max_iters or min(k_hi / k, k / k_lo) < 1 + 1e-12)
+        if side == 0:
+            return k, iters, True
+        k_lo, k_hi = (k, k_hi) if side > 0 else (k_lo, k)
+        if k_hi / k_lo < 1 + 1e-12:
+            break
+    return k, iters, False
+
+
+class _LayerSearch:
+    """The t search's side oracle for one layer: `_bisect`'s `side_at`, adding its work to `work`.
+
+    An iterate at scale k perturbs the layer by k * direction and only needs
+    the side of target +/- tolerance its accuracy drop lies on.  So unless it
+    could be the last, it runs its rows in stages (`nn.forward_stages`),
+    counts the rows whose provisional class is settled (`nn.settled_argmax`)
+    and stops once they make the side certain.  An iterate that runs every
+    row leaves its exact drop in `drop`, and its exact logits in `z`.
+
+    Row order: every earlier iterate lies at or below the bracket's k_lo or
+    at or above its k_hi, and the next scale k lies between them.  So a
+    row's signed margin at k is predicted by interpolating, in log k,
     between its margin at the largest scale it was seen at below k and the
     smallest above (the baseline counts as scale _K_MIN; a row seen only
     below keeps that margin).  An iterate predicted to raise k_lo visits the
-    rows predicted most correct first, since its certainty comes from correct
-    rows; one predicted to lower k_hi visits the least correct first.  Until
-    an iterate has stopped early, which is what records, rows go in order.
-    The order changes how many rows an iterate runs, never its step.
+    rows predicted most correct first, since its certainty comes from
+    correct rows; one predicted to lower k_hi visits the least correct
+    first.  Until an iterate has stopped early, which is what records, rows
+    go in order.  The order changes how many rows an iterate runs, never its
+    side.
     """
 
-    def __init__(self, baseline_logits: np.ndarray, labels: np.ndarray):
-        self.baseline_logits, self.labels = baseline_logits, labels
-        self.seen = None  # (lo_k, lo_m, hi_k, hi_m), made by the first record
+    def __init__(self, cache: nn.PrefixCache, labels: np.ndarray, i: int, direction: np.ndarray,
+                 rule: _Rule, work: SearchWork):
+        self.cache, self.labels, self.i, self.direction = cache, labels, i, direction
+        self.rule, self.work = rule, work
+        self.z, self.drop = None, math.nan
+        # per row, (scale, margin) seen nearest above and nearest below; made by the first
+        # iterate that stops early
+        self.seen = None
 
-    def record(self, k: float, step: int, rows: np.ndarray, margins: np.ndarray):
-        """An iterate at scale k took `step`, with these signed margins on these rows."""
+    def __call__(self, k: float, last: bool) -> int:
+        rule, labels, work = self.rule, self.labels, self.work
+        work.iterations += 1
+        work.full_rows += rule.n
+        model = nn.perturb_layer(self.cache.model, self.i, k * self.direction)
+        right = wrong = 0
+        seen, margins = [], []
+        for rows, z, slack in nn.forward_stages(self.cache, model, self.i,
+                                                None if last else rule.first_check,
+                                                None if last else self._order(k)):
+            if slack is None:
+                work.rows += len(z)
+                self.z, self.drop = z, rule.acc_f - nn.accuracy(z, labels)
+                return rule.step(self.drop)
+            pred = nn.settled_argmax(z, slack)
+            hits = int(np.count_nonzero(pred == labels[rows]))
+            right += hits
+            wrong += int(np.count_nonzero(pred >= 0)) - hits
+            seen.append(rows)
+            margins.append(_signed_margin(z, labels[rows]))
+            del z, slack  # before the next stage runs
+            side = rule.certain(right, wrong)
+            if side:
+                rows = np.concatenate(seen)
+                self._record(k, side, rows, np.concatenate(margins))
+                work.early += 1
+                work.rows += len(rows)
+                return side
+        raise AssertionError("forward_stages ended without its exact logits")
+
+    def _record(self, k: float, side: int, rows: np.ndarray, margins: np.ndarray):
+        """An iterate at scale k took `side`, with these signed margins on these rows."""
         if self.seen is None:
-            n = len(self.labels)
+            n = self.rule.n
             # scales in float64, where the bisection's scales stay apart until it collapses
-            self.seen = (np.full(n, _K_MIN), _signed_margin(self.baseline_logits, self.labels),
-                         np.full(n, np.inf), np.zeros(n))
-        lo_k, lo_m, hi_k, hi_m = self.seen
-        if step > 0:  # k is the new k_lo, above every scale seen below
-            lo_k[rows], lo_m[rows] = k, margins
-        else:
-            hi_k[rows], hi_m[rows] = k, margins
+            self.seen = ((np.full(n, np.inf), np.zeros(n)),
+                         (np.full(n, _K_MIN), _signed_margin(self.cache.logits, self.labels)))
+        # k is the new k_hi, below every scale seen above, or the new k_lo, above every one below
+        scales, seen_margins = self.seen[side > 0]
+        scales[rows], seen_margins[rows] = k, margins
 
-    def order(self, k: float, rule: _Rule):
+    def _order(self, k: float):
         """The row order for an iterate at scale k; None (row order) before any record."""
         if self.seen is None:
             return None
-        lo_k, lo_m, hi_k, hi_m = self.seen
+        (hi_k, hi_m), (lo_k, lo_m) = self.seen
         above = np.isfinite(hi_k)
         log_lo = np.log(lo_k[above])
         at = (math.log(k) - log_lo) / (np.log(hi_k[above]) - log_lo)
         predicted = lo_m.copy()
         predicted[above] += (hi_m[above] - predicted[above]) * at
-        if rule.drop(int(np.count_nonzero(predicted > 0))) < rule.target:
+        if self.rule.drop(int(np.count_nonzero(predicted > 0))) < self.rule.target:
             return np.argsort(-predicted, kind="stable")  # expected to raise k_lo
         return np.argsort(predicted, kind="stable")
-
-
-def _iterate(cache: nn.PrefixCache, model: Model, i: int, k: float, check_from: int | None,
-             history: _RowHistory, rule: _Rule):
-    """One iterate of the t search: (exact logits, None, n) or (None, step, rows run).
-
-    The second form comes once the rows run so far make the step certain;
-    the iterate's rows and their signed margins then go into `history`.  Only
-    rows whose provisional class is settled (`nn.settled_argmax`) count
-    toward the step; `check_from` None runs every row.
-    """
-    labels = history.labels
-    right = wrong = 0
-    seen, margins = [], []
-    for rows, z, slack in nn.forward_stages(cache, model, i, check_from,
-                                            None if check_from is None else history.order(k, rule)):
-        if slack is None:
-            return z, None, len(z)
-        pred = nn.settled_argmax(z, slack)
-        hits = int(np.count_nonzero(pred == labels[rows]))
-        right += hits
-        wrong += int(np.count_nonzero(pred >= 0)) - hits
-        seen.append(rows)
-        margins.append(_signed_margin(z, labels[rows]))
-        del z, slack  # before the next stage runs
-        step = rule.certain(right, wrong)
-        if step:
-            history.record(k, step, np.concatenate(seen), np.concatenate(margins))
-            return None, step, sum(map(len, seen))
-    raise AssertionError("forward_stages ended without its exact logits")
 
 
 def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(),
@@ -332,24 +356,27 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
 
     For each probed layer a fixed uniform(-0.5, 0.5) direction is scaled by k,
     with k bisected geometrically in [_K_MIN, _K_MAX] until the accuracy drop
-    on `labels` is within acc_tolerance of `config.target_drop`.  A layer that
-    cannot be brought into tolerance aborts the run with CalibrationError
-    carrying partial results.  `work`, when given, adds up the search's
-    iterations and rows.
+    on `labels` is within acc_tolerance of `config.target_drop`: `_bisect`
+    over the layer's side oracle, a `_LayerSearch`.  A layer that cannot be
+    brought into tolerance aborts the run with CalibrationError carrying
+    partial results.  `work`, when given, adds up the search's iterations
+    and rows.
 
     Cost: at most one forward of layers[i:] per bisection iteration on layer
     i, from the cache; the baseline logits and margins come from the cache
     too.  An iterate only needs to know which side of target +/- tolerance
     its drop lies on, so it runs its rows in stages (`nn.forward_stages`),
-    in the order `_RowHistory` predicts from the layer's earlier iterates,
+    in the order `_LayerSearch` predicts from the layer's earlier iterates,
     and stops once the settled rows make that side certain, which on the
-    default fixture is after 1010 of 2000 rows at the earliest.  The k
+    default fixture is after 1010 of 2000 rows at the earliest; at one
+    thread that forwards about 75% of the time-weighted rows.  The k
     sequence, the iteration count and every result are those of a search
-    that forwards every row.  The accepted iterate runs to the end, and its
-    exact logits give its feature-noise power, so that costs no further
-    forward; so does an iterate that could be the last (the iteration cap,
-    or an interval about to collapse), whose exact drop the failure message
-    prints.
+    that forwards every row.  The accepted iterate runs to the end, so its
+    exact logits give its feature-noise power at no further forward, and so
+    does an iterate that could be the last (the iteration cap, or an
+    interval about to collapse), whose exact drop the failure message
+    prints.  A cache split into evaluation chunks (more than one thread and
+    more than 512 rows) runs every iterate whole.
     """
     model = cache.model
     probe_set = probed_layers(model, config.last_n)
@@ -361,53 +388,22 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     if margins.mean_r_star <= 0:
         raise ValueError("mean margin is zero; cannot normalize t")
     labels = np.asarray(labels)
-    n = len(labels)
-    rule = _Rule(n, acc_f, target, config.acc_tolerance)
-    first = rule.first_check()
+    rule = _Rule(len(labels), acc_f, target, config.acc_tolerance)
     work = SearchWork() if work is None else work
     results: list[TProbe] = []
     for i in probe_set:
-        direction = _probe_direction(model, i, config.seed)
-        history = _RowHistory(cache.logits, labels)
-        k_lo, k_hi = _K_MIN, _K_MAX
-        found = None
-        iters = 0
-        drop = math.nan
-        while iters < config.max_iters:
-            iters += 1
-            k = math.sqrt(k_lo * k_hi)
-            last = iters == config.max_iters or min(k_hi / k, k / k_lo) < 1 + 1e-12
-            z, step, rows = _iterate(cache, nn.perturb_layer(model, i, k * direction), i, k,
-                                     None if last else first, history, rule)
-            work.iterations += 1
-            work.rows += rows
-            work.full_rows += n
-            if z is None:
-                work.early += 1
-            else:
-                drop = acc_f - nn.accuracy(z, labels)
-                step = rule.step(drop)
-                if step == 0:
-                    found = (k, z)
-                    break
-            if step > 0:
-                k_lo = k
-            else:
-                k_hi = k
-            if k_hi / k_lo < 1 + 1e-12:  # interval collapsed without hitting tolerance
-                break
-        if found is None:
+        search = _LayerSearch(cache, labels, i, _probe_direction(model, i, config.seed), rule, work)
+        k, iters, accepted = _bisect(search, config.max_iters)
+        if not accepted:
             raise CalibrationError(
-                f"layer {i}: accuracy drop {drop:.4f} never reached target {target:.4f} "
+                f"layer {i}: accuracy drop {search.drop:.4f} never reached target {target:.4f} "
                 f"+/- {config.acc_tolerance} within bounds [{_K_MIN}, {_K_MAX}] "
                 f"({iters} iterations)", partial=results)
-        k, z = found
-        power = nn.mean_power(cache.logits - z)
-        results.append(TProbe(i, power / margins.mean_r_star, k, power, drop, iters, True))
+        power = nn.mean_power(cache.logits - search.z)
+        results.append(TProbe(i, power / margins.mean_r_star, k, power, search.drop, iters, True))
 
     if config.last_n is not None and probe_set:
-        earliest = results[0]
-        pre = [TProbe(i, earliest.t, math.nan, math.nan, math.nan, 0, True, copied=True)
+        pre = [TProbe(i, results[0].t, math.nan, math.nan, math.nan, 0, True, copied=True)
                for i in model.weighted_indices if i not in probe_set]
         results = pre + results
     return results

@@ -315,6 +315,22 @@ class TestEstimateTSummary:
         iters = [int(line.split("iters=")[1].split(")")[0]) for line in out.splitlines()]
         assert sum(iters) == 33
 
+    def test_calibration_failure_is_one_error_line_and_no_files(self, fixture_model,
+                                                                fixture_dataset, tmp_path,
+                                                                capsys):
+        # an exact drop target cannot be met in two iterations: the error names the layer and
+        # the last iterate's exact drop, and no progress or summary line comes before it
+        modelio.save_model(fixture_model, tmp_path / "fixture")
+        modelio.save_dataset(fixture_dataset, tmp_path / "data")
+        out = tmp_path / "D"
+        assert main(["estimate-t", "--model", str(tmp_path / "fixture"),
+                     "--data", str(tmp_path / "data"), "--acc-tolerance", "0",
+                     "--max-iters", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: layer 0: accuracy drop 0.8625 never reached "
+                                           "target 0.5000 +/- 0.0 within bounds [1e-05, 1000.0] "
+                                           "(2 iterations)\n")
+        assert not out.exists()
+
 
 # dataset 191 (the default gen-data seed) at n = 2000, probe seed 0
 SUMMARY_191 = "t search: 33 iterations, 12 decided early, 87.7% of full-forward rows"

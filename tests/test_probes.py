@@ -188,6 +188,66 @@ class TestEstimateT:
             harness.run_pipeline(model, ds, ProbeConfig(delta_acc=0.4, b_probe=1))
 
 
+def recording(side):
+    """A side oracle for `probes._bisect` from side(k), and the list of its calls' (k, last)."""
+    calls = []
+
+    def side_at(k, last):
+        calls.append((k, last))
+        return side(k)
+
+    return side_at, calls
+
+
+def step_at(k_star, band=0.0):
+    """The side of a monotone drop that meets its target on |ln(k / k_star)| < band."""
+    return lambda k: 0 if abs(math.log(k / k_star)) < band else (1 if k < k_star else -1)
+
+
+class TestBisect:
+    """The solver alone, on synthetic side oracles: no forward runs."""
+
+    def test_accept_on_the_first_call(self):
+        side_at, calls = recording(lambda k: 0)
+        assert probes._bisect(side_at, 40) == (0.1, 1, True)
+        assert calls == [(0.1, False)]
+
+    @pytest.mark.parametrize("max_iters,iters", [(40, 40), (60, 45)])
+    def test_a_plateau_below_the_target_ends_at_the_cap_or_the_collapse(self, max_iters, iters):
+        # the drop never reaches the target, so every call raises k_lo: forty iterations end at
+        # the cap, sixty at the interval's collapse onto _K_MAX
+        side_at, calls = recording(lambda k: 1)
+        k, got, accepted = probes._bisect(side_at, max_iters)
+        assert (got, accepted, k) == (iters, False, calls[-1][0])
+        assert [last for _, last in calls] == [False] * (iters - 1) + [True]
+        assert k == pytest.approx(probes._K_MAX, rel=1e-10)
+
+    def test_a_step_with_no_accept_band_collapses_onto_it(self):
+        side_at, calls = recording(step_at(0.37))
+        k, iters, accepted = probes._bisect(side_at, 60)
+        assert (iters, accepted) == (45, False)
+        assert abs(k / 0.37 - 1) < 1e-12
+        assert [last for _, last in calls] == [False] * 44 + [True]
+
+    def test_a_step_with_an_accept_band_is_accepted_early(self):
+        side_at, calls = recording(step_at(0.37, 0.01))
+        k, iters, accepted = probes._bisect(side_at, 40)
+        assert accepted and iters == len(calls) <= 10
+        assert abs(math.log(k / 0.37)) < 0.01
+        assert not any(last for _, last in calls)
+
+    @given(log_k=st.floats(math.log(probes._K_MIN), math.log(probes._K_MAX)),
+           band=st.sampled_from([0.0, 1e-9, 1e-4, 0.01, 0.5]), max_iters=st.integers(1, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_last_marks_exactly_the_calls_the_search_may_end_on(self, log_k, band, max_iters):
+        side_at, calls = recording(step_at(math.exp(log_k), band))
+        k, iters, accepted = probes._bisect(side_at, max_iters)
+        assert iters == len(calls) <= max_iters and k == calls[-1][0]
+        assert not any(last for _, last in calls[:-1])
+        assert accepted or calls[-1][1]
+        assert all(probes._K_MIN < c < probes._K_MAX for c, _ in calls)
+
+
 def reference_estimate_t(cache, labels, config):
     """The t search that forwards every row of every iterate, frozen as it was before staging."""
     model = cache.model
@@ -302,7 +362,7 @@ class TestStagedSearch:
             assert len(outcomes) > 1 or outcomes == {0}
         # +1 is certain from correct rows alone and -1 from wrong rows alone, so all-correct
         # and all-wrong are the splits to try: none of first - 1 rows is certain, one of first is
-        first = rule.first_check()
+        first = rule.first_check
         below = min(first, n + 1) - 1
         assert not rule.certain(below, 0) and not rule.certain(0, below)
         if first <= n:
@@ -312,7 +372,7 @@ class TestStagedSearch:
         # baseline 1.0, target 0.5 +/- 0.005 on 2000 rows; 1010, not 1011, correct rows
         # certify, because in floating point 0.495 - 0.5 lies just below -0.005
         rule = probes._Rule(2000, 1.0, 0.5, 0.005)
-        assert rule.first_check() == 1010
+        assert rule.first_check == 1010
         assert rule.step(rule.drop(1010)) == 1 and rule.certain(1010, 0) == 1
 
 
