@@ -228,6 +228,7 @@ def cmd_lemma_check(args) -> tuple[int, list[Path]]:
 
 
 def cmd_verify(args) -> tuple[int, list[Path]]:
+    anchors = None if args.b1_grid is None else tuple(_parse_grid(args.b1_grid))
     if args.model:
         model = modelio.load_model(args.model)
     else:
@@ -237,9 +238,8 @@ def cmd_verify(args) -> tuple[int, list[Path]]:
                else modelio.gen_dataset(model, args.n, seed=args.fixture_seed + 1))
     nn.check_inputs(model, dataset.inputs)  # a dataset the model cannot run is a one-line
     nn.check_labels(dataset.labels, model.d)  # error, not a battery of failed checks
-    config = harness.VerifyConfig(
-        seed=args.seed, quick=args.quick, threads=args.threads,
-        anchors=None if args.b1_grid is None else tuple(_parse_grid(args.b1_grid)))
+    config = harness.VerifyConfig(seed=args.seed, quick=args.quick, threads=args.threads,
+                                  anchors=anchors)
     results = harness.verify(model, dataset, config)
     failures = 0
     for r in results:
@@ -265,9 +265,12 @@ def _parse_grid(text: str | None):
         n = math.floor(span + 1e-9)  # the last anchor never passes hi
         return [lo + i * step for i in range(n + 1)]
     try:
-        return [float(v) for v in text.split(",")]
+        anchors = [float(v) for v in text.split(",")]
     except ValueError:
         raise ValueError(f"--b1-grid {text!r}: expected lo:hi:step or a comma list") from None
+    if not all(map(math.isfinite, anchors)):
+        raise ValueError(f"--b1-grid {text!r}: every anchor must be finite")
+    return anchors
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -372,6 +375,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag, 0)
             if value < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
+        if getattr(args, "n", 1) < 1:  # gen-data and verify
+            raise ValueError(f"--n must be >= 1, got {args.n}")
         out = _out_dir(args)
         if args.out or args.command not in OUT_ONLY:
             # the error the first write would raise, before any work rather than after it

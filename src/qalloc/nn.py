@@ -37,18 +37,17 @@ row-local stretch in two, which changes no bit either.
 
 `forward_stages` is `forward_from` in row stages, for a caller that needs
 only part of the answer, such as which side of a target an accuracy lies
-on.  On a stack of one evaluation chunk, the row-local stretch from the
-changed layer on runs on a few rows at a time, in any row order, into one
-output, and the dense tail runs on each stage's rows alone to give
-provisional logits.  Those can differ in the last bits from the final
-ones, because a dense layer run on fewer rows may sum its products in
-another order; so each row comes with a slack, a rounding-error bound
-(gamma_K times the sum of absolute terms, taken through every tail layer)
-on that difference, and `settled_argmax` trusts a row's class only when its
-top-2 gap exceeds twice the slack.  A caller that stops early skips the
-remaining rows; one that does not gets the tail run on the whole chunk, the
-same arithmetic as `forward_from`, which is itself `forward_stages` with no
-stage checked.
+on.  Given a row order, on a stack of one evaluation chunk, each stage is
+the next `_STAGE` rows of that order: the row-local stretch from the changed
+layer on runs on them into one output, and the dense tail runs on them
+alone to give provisional logits.  Those can differ in the last bits from
+the final ones, because a dense layer run on fewer rows may sum its
+products in another order; so each row comes with a slack, a rounding-error
+bound (gamma_K times the sum of absolute terms, taken through every tail
+layer) on that difference, and the caller trusts only what the slack
+cannot change.  A caller that stops early skips the remaining rows; one
+that does not gets the tail run on the whole chunk, the same arithmetic as
+`forward_from`, which is itself `forward_stages` with no order.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ LAYER_KINDS = ("dense", "conv2d", "relu", "maxpool2d")
 _CHUNK = 512  # rows per evaluation chunk when threaded; one thread runs the stack as one chunk
 _BLOCK = 32  # rows per block of a conv/relu/maxpool stretch: its workspaces stay in cache
 _ROW_LOCAL = ("conv2d", "relu", "maxpool2d")  # kinds whose output row depends only on its input row
-_STAGE = 128  # rows per checked stage of forward_stages
+_STAGE = 128  # rows per stage of forward_stages
 
 
 class ShapeError(ValueError):
@@ -464,7 +463,7 @@ def forward_from(cache: PrefixCache, model: Model, index: int) -> np.ndarray:
     result equals forward_batch(model, cache.inputs, cache.threads) bit for
     bit.  Every layer before `index` must be the cached model's own layer
     object, as perturb_layer and quantize_single_layer leave them.  It is
-    `forward_stages` run to the end with no provisional stage.
+    `forward_stages` with no row order, which runs no provisional stage.
     """
     *_, (_, logits, _) = forward_stages(cache, model, index)
     return logits
@@ -518,19 +517,6 @@ def _tail_with_slack(layers, x: np.ndarray, start: int, sums):
     return x, 2 * slack
 
 
-def settled_argmax(logits: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """Each row's argmax where its top-2 gap exceeds twice its slack, else -1.
-
-    When every logit of a row lies within `slack` of its final value, a gap
-    above 2 * slack keeps the same class on top, so the row's final argmax is
-    the one given; a row at or under the bound is undecided.
-    """
-    if logits.shape[1] < 2:
-        return np.zeros(len(logits), dtype=np.intp)
-    top2 = np.partition(logits, logits.shape[1] - 2, axis=1)[:, -2:]
-    return np.where(top2[:, 1] - top2[:, 0] > 2 * slack, np.argmax(logits, axis=1), -1)
-
-
 def _as_rows(local: np.ndarray):
     """Ascending row indices as a slice when they are contiguous, so their rows are not gathered."""
     if local[-1] - local[0] == len(local) - 1:
@@ -538,22 +524,19 @@ def _as_rows(local: np.ndarray):
     return local
 
 
-def forward_stages(cache: PrefixCache, model: Model, index: int, check_from: int | None = None,
-                   order: np.ndarray | None = None):
+def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarray | None = None):
     """Run layers[index:] of `model` from the cache in row stages; a generator.
 
     `model` is a copy of the cached model with layer `index` changed, as for
     `forward_from`.  The last item yielded is (None, logits, None) with the
-    exact logits.  With `check_from`, items (rows, logits, slack) come before
-    it, one per stage: the stage's row indices in ascending order, their
+    exact logits.  Given `order`, a permutation of the row indices, items
+    (rows, logits, slack) come before it, one per stage: each stage is the
+    next `_STAGE` rows of `order`, as ascending row indices, with their
     provisional logits and, per row, a bound on how far each of its logits
-    lies from its final value (`settled_argmax` reads them).  The row-local
-    stretch from `index` on (conv2d, relu, maxpool2d) runs on the stage's
-    rows, visited in `order` (a permutation of the row indices; None is row
-    order), into one output allocated up front, and the dense tail then runs
-    on those rows alone (`_tail_with_slack`).  The first stage ends at
-    `check_from` rows rounded up to a multiple of `_STAGE`, and each later
-    one `_STAGE` rows on.  A caller that has seen enough closes the
+    lies from its final value.  The row-local stretch from `index` on
+    (conv2d, relu, maxpool2d) runs on the stage's rows into one output
+    allocated up front, and the dense tail then runs on those rows alone
+    (`_tail_with_slack`).  A caller that has seen enough closes the
     generator, and the remaining rows never run.  Otherwise the tail runs on
     the whole output, exactly as in `forward_batch`.  Neither blocking nor
     the order of the rows changes a bit: each stretch output row depends on
@@ -563,8 +546,8 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, check_from: int
     most `_CHUNK` rows).  A stack split into chunks runs whole, chunk by
     chunk as in `forward_batch`, with no stage: staged chunks would all have
     to keep their stretch outputs at once, where `forward_batch` holds one
-    per thread.  So does a layer with no stretch (a dense one), and a stack
-    that the first stage would cover.
+    per thread.  So does a layer with no stretch (a dense one), and any
+    stack when `order` is None.
     """
     if index not in cache.chunks:
         raise ValueError(f"no cached input for layer {index}; "
@@ -576,25 +559,17 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, check_from: int
     end = index
     while end < len(layers) and layers[end].kind in _ROW_LOCAL:
         end += 1
-    n = len(cache.inputs)
-    first = n if check_from is None else -(-check_from // _STAGE) * _STAGE
-    if len(chunks) > 1 or end == index or first >= n:
+    if order is None or len(chunks) > 1 or end == index:
         yield None, _join(_forward_chunks(layers, index, chunks, cache.threads)), None
         return
-    x, out = chunks[0], np.empty((n, *model.shapes[end]))
-    order = np.arange(n) if order is None else np.asarray(order)
+    x, out = chunks[0], np.empty((len(cache.inputs), *model.shapes[end]))
     sums = _tail_sums(layers, end)
-    cuts = [0, *range(max(first, _STAGE), n, _STAGE), n]
-    for lo, hi in zip(cuts, cuts[1:]):
-        rows = np.sort(order[lo:hi])
+    for lo in range(0, len(x), _STAGE):
+        rows = np.sort(order[lo:lo + _STAGE])
         _, steps = _stretch(layers, x.shape[1:], index, end, min(len(rows), _BLOCK), gather=True)
         _run_rows(steps, x, out, _as_rows(rows))
         del steps  # the workspaces go before the tail runs
-        # the tail in pieces of at most a stage, so a gathered piece stays small
-        got, slack = zip(*(_tail_with_slack(layers, out[_as_rows(rows[j:j + _STAGE])], end, sums)
-                           for j in range(0, len(rows), _STAGE)))
-        yield rows, _join(list(got)), _join(list(slack))
-        del got, slack  # nothing of a stage outlives it here
+        yield rows, *_tail_with_slack(layers, out[_as_rows(rows)], end, sums)
     if end < len(layers):  # the stretch output is freed once the first dense layer has read it
         out = _apply_dense(out, layers[end])
         if end + 1 < len(layers):

@@ -202,13 +202,25 @@ class TestFlagRanges:
         assert err.startswith("error: last_n must lie in 1..2") and err.count("\n") == 1
 
     @pytest.mark.parametrize("grid", ["4:12:0", "4:12:-1", "12:4:1", "4:12", "4:x:1",
-                                      "4:inf:1", "4:12:nan", "", "4,x"])
+                                      "4:inf:1", "4:12:nan", "", "4,x", "nan", "4,inf"])
     def test_bad_b1_grid_is_one_line_exit_1(self, rig, tmp_path, capsys, grid):
         path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
         assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      "--profiles", str(path), "--b1-grid", grid, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --b1-grid") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("grid", ["nan", "4,inf", "4:x:1"])
+    def test_bad_b1_grid_in_verify_is_one_line_exit_1_before_any_work(self, capsys,
+                                                                      monkeypatch, grid):
+        from qalloc import harness
+
+        called = []
+        monkeypatch.setattr(harness, "verify", lambda *args, **kwargs: called.append(1) or [])
+        assert main(["verify", "--quick", "--n", "200", "--b1-grid", grid]) == 1
+        # one line: the grid fails before the fixture is generated, which prints progress
+        err = capsys.readouterr().err
+        assert err.startswith("error: --b1-grid") and err.count("\n") == 1 and not called
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_one_line_exit_1(self, rig, capsys, threads):
@@ -651,6 +663,18 @@ def test_negative_seed_is_one_line_exit_1_before_any_work(staged, tmp_path, monk
     argv = [a.format(w=staged) for a in SEEDED[case]]
     assert main([*argv, flag, "-1", "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {flag} must be >= 0, got -1\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "verify"])
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_n_below_one_is_one_line_exit_1_before_any_work(staged, tmp_path, monkeypatch, capsys,
+                                                        command, n):
+    forbid_work(monkeypatch)
+    out = tmp_path / "out"
+    argv = ["gen-data", "--model", f"{staged}/m"] if command == "gen-data" else ["verify"]
+    assert main([*argv, "--n", n, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: --n must be >= 1, got {n}\n")
     assert not out.exists()
 
 

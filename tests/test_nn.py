@@ -617,30 +617,30 @@ class TestForwardStages:
                 noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
                 changed = nn.perturb_layer(model, i, noise)
                 want = nn.forward_from(cache, changed, i)
-                for check_from, order in ((1, None), (n // 2 + 1, rng.permutation(n))):
-                    *stages, (rows, z, slack) = nn.forward_stages(cache, changed, i, check_from,
-                                                                  order)
+                for order in (None, np.arange(n), rng.permutation(n)):
+                    *stages, (rows, z, slack) = nn.forward_stages(cache, changed, i, order)
                     assert rows is None and slack is None and same_bits(z, want)
-                    # stages run on one chunk, from a stretch, when they leave rows to skip
-                    checked = (model.layers[i].kind != "dense" and len(cache.chunks[i]) == 1
-                               and -(-check_from // nn._STAGE) * nn._STAGE < n)
-                    assert bool(stages) == checked
-                    if not checked:
+                    # stages run given an order, on one chunk, from a stretch
+                    staged = (order is not None and len(cache.chunks[i]) == 1
+                              and model.layers[i].kind != "dense")
+                    assert bool(stages) == staged
+                    if not staged:
                         continue
-                    # every row is yielded once, each logit within its row's slack of the final
-                    assert sorted(np.concatenate([r for r, _, _ in stages])) == list(range(n))
-                    for r, provisional, s in stages:
-                        assert np.all(np.diff(r) > 0)
+                    # each stage is the next _STAGE rows of the order, and each logit lies
+                    # within its row's slack of the final
+                    assert len(stages) == -(-n // nn._STAGE)
+                    for lo, (r, provisional, s) in zip(range(0, n, nn._STAGE), stages):
+                        assert list(r) == sorted(order[lo:lo + nn._STAGE])
                         assert np.all(np.abs(provisional - want[r]).max(axis=1) <= s)
 
     def test_closing_early_runs_no_further_stage(self, fixture_model, fixture_cache):
         noise = np.full(fixture_model.layers[0].weights.shape, 1e-3)
         changed = nn.perturb_layer(fixture_model, 0, noise)
-        stages = nn.forward_stages(fixture_cache, changed, 0, check_from=1010)
+        stages = nn.forward_stages(fixture_cache, changed, 0, np.arange(len(fixture_cache.inputs)))
         rows, _, slack = next(stages)
-        assert len(rows) == 1024 and slack is not None  # 1010 rounded up to whole stages
+        assert list(rows) == list(range(0, 128)) and slack is not None
         rows, _, _ = next(stages)
-        assert list(rows) == list(range(1024, 1024 + nn._STAGE))
+        assert list(rows) == list(range(128, 256))
         stages.close()
 
     def test_slack_bounds_the_tail_at_every_row_count(self, fixture_model, fixture_cache):
@@ -652,17 +652,3 @@ class TestForwardStages:
             got, slack = nn._tail_with_slack(layers, x[:rows], 5, sums)
             assert np.all(np.abs(got - want[:rows]).max(axis=1) <= slack)
             assert np.all(slack < 1e-9)
-
-
-class TestSettledArgmax:
-    def test_rows_at_or_under_the_bound_are_undecided(self):
-        logits = np.array([[1.0, 1.0 + 1e-12, 0.0],  # gap under twice the slack
-                           [1.0, 1.0 + 2.0 ** -40, 0.0],  # gap exactly twice the slack
-                           [1.0, 1.0 + 3e-12, 0.0],
-                           [0.5, 0.5, 0.5],  # a tie, with no slack
-                           [2.0, 1.0, 0.0]])
-        slack = np.array([1e-12, 2.0 ** -41, 1e-12, 0.0, 0.0])
-        assert nn.settled_argmax(logits, slack).tolist() == [-1, -1, 1, -1, 0]
-
-    def test_one_class_is_always_settled(self):
-        assert nn.settled_argmax(np.zeros((3, 1)), np.ones(3)).tolist() == [0, 0, 0]

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -360,20 +361,54 @@ class TestStagedSearch:
             assert outcomes == {step}
         else:
             assert len(outcomes) > 1 or outcomes == {0}
-        # +1 is certain from correct rows alone and -1 from wrong rows alone, so all-correct
-        # and all-wrong are the splits to try: none of first - 1 rows is certain, one of first is
-        first = rule.first_check
-        below = min(first, n + 1) - 1
-        assert not rule.certain(below, 0) and not rule.certain(0, below)
-        if first <= n:
-            assert rule.certain(first, 0) or rule.certain(0, first)
 
-    def test_first_check_on_the_default_target(self):
-        # baseline 1.0, target 0.5 +/- 0.005 on 2000 rows; 1010, not 1011, correct rows
-        # certify, because in floating point 0.495 - 0.5 lies just below -0.005
-        rule = probes._Rule(2000, 1.0, 0.5, 0.005)
-        assert rule.first_check == 1010
-        assert rule.step(rule.drop(1010)) == 1 and rule.certain(1010, 0) == 1
+
+def within(provisional: float, slack: float, u: float) -> float:
+    """A final value at provisional + u * slack, moved toward provisional until it is within slack."""
+    final = provisional + u * slack
+    while abs(Fraction(final) - Fraction(provisional)) > Fraction(slack):
+        final = np.nextafter(final, provisional)
+    return float(final)
+
+
+class TestSettled:
+    """A row `_settled` counts keeps its class for any final logits within its slack."""
+
+    @given(d=st.integers(1, 5), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_counted_row_keeps_its_side_for_any_completion(self, d, data):
+        n = data.draw(st.integers(1, 8))
+        # near ties too: steps of 2^-42 around 1, against a slack of 2^-41
+        value = st.one_of(st.floats(-10, 10),
+                          st.integers(-8, 8).map(lambda j: 1.0 + j * 2.0 ** -42))
+        logits = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                                             min_size=n, max_size=n)))
+        labels = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)))
+        slack = np.array(data.draw(st.lists(
+            st.sampled_from([0.0, 2.0 ** -41, 1e-12, 1e-3, 0.25, 1.0]), min_size=n, max_size=n)))
+        # a drawn completion within the slack, +/- slack included, and the two extremes: the
+        # label's logit down by the slack and every other up, and the reverse
+        drawn = data.draw(st.lists(st.one_of(st.sampled_from([-1.0, 1.0]), st.floats(-1, 1)),
+                                   min_size=n * d, max_size=n * d))
+        up = np.where(np.arange(d) == labels[:, None], 1.0, -1.0)
+        margin = probes._signed_margin(logits, labels)
+        counts = [probes._settled(margin[r:r + 1], slack[r:r + 1]) for r in range(n)]
+        assert probes._settled(margin, slack) == tuple(map(sum, zip(*counts)))
+        for r, (right, wrong) in enumerate(counts):
+            for u in (drawn[r * d:(r + 1) * d], up[r], -up[r]):
+                top = np.argmax([within(logits[r, c], slack[r], u[c]) for c in range(d)])
+                assert not right or top == labels[r]
+                assert not wrong or top != labels[r]
+
+    def test_a_label_far_below_a_near_tie_is_wrong(self):
+        # the top two are within the slack of each other, but both lie far above the label
+        margin = probes._signed_margin(np.array([[0.0, 5.0, 5.0 + 1e-13]]), np.array([0]))
+        assert probes._settled(margin, np.array([1e-12])) == (0, 1)
+
+    def test_a_margin_at_twice_the_slack_is_unsettled(self):
+        slack = np.array([2.0 ** -41, 2.0 ** -41, 0.0])
+        margin = np.array([2.0 ** -40, -(2.0 ** -40), 0.0])  # at the bound, and a tie
+        assert probes._settled(margin, slack) == (0, 0)
 
 
 class TestEstimateP:
