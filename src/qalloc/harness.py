@@ -131,7 +131,8 @@ def sweep(model: nn.Model, dataset: nn.Dataset, profiles, b1_values=None,
     Every allocation is planned first; then each distinct b_int vector is
     evaluated once, by `_top1_by_vector`'s walk over shared bit prefixes.  A
     point's top1 equals evaluate_accuracy on quantize_model of its
-    allocation bit for bit, at the same thread count.
+    allocation bit for bit, at the same thread count.  Profiles made for
+    another model are rejected before any forward (`_check_profiles`).
     """
     if b1_values is None:
         b1_values = default_anchor_grid()
@@ -139,6 +140,7 @@ def sweep(model: nn.Model, dataset: nn.Dataset, profiles, b1_values=None,
     if not b1_values:
         raise ValueError("need at least one anchor value")
     alloc.check_max_variants(max_variants)
+    _check_profiles(model, profiles)
     sizes = [p.s for p in profiles]
     pinned = dense_pins(profiles, fc_bits)
     plan = {method: [(b1, variant, allocation) for b1 in b1_values
@@ -150,6 +152,21 @@ def sweep(model: nn.Model, dataset: nn.Dataset, profiles, b1_values=None,
     return {method: [CurvePoint(method, b1, variant, a.size_bits, a.size_bits / 8 / 2 ** 20,
                                 top1[a.b_int], a) for b1, variant, a in pts]
             for method, pts in plan.items()}
+
+
+def _check_profiles(model: nn.Model, profiles):
+    """ValueError unless the k-th profile is the model's k-th weighted layer's.
+
+    A profile's (index, kind, s) must equal that layer's (index, kind,
+    param_count); the message names the first that differs.  A profile count
+    that differs from the weighted layer count is left to `allocation_bits`.
+    """
+    for k, (p, i) in enumerate(zip(profiles, model.weighted_indices)):
+        layer = model.layers[i]
+        if (p.index, p.kind, p.s) != (i, layer.kind, layer.param_count):
+            raise ValueError(f"profile {k} is layer {p.index} ({p.kind}, s={p.s}), but the "
+                             f"model's weighted layer {k} is layer {i} "
+                             f"({layer.kind}, s={layer.param_count})")
 
 
 def _top1_by_vector(model, dataset, allocations, threads: int) -> dict[tuple[int, ...], float]:

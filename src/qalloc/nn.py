@@ -37,17 +37,18 @@ row-local stretch in two, which changes no bit either.
 
 `forward_stages` is `forward_from` in row stages, for a caller that needs
 only part of the answer, such as which side of a target an accuracy lies
-on.  Given a row order, on a stack of one evaluation chunk, each stage is
-the next `_STAGE` rows of that order: the row-local stretch from the changed
-layer on runs on them into one output, and the dense tail runs on them
-alone to give provisional logits.  Those can differ in the last bits from
-the final ones, because a dense layer run on fewer rows may sum its
-products in another order; so each row comes with a slack, a rounding-error
-bound (gamma_K times the sum of absolute terms, taken through every tail
-layer) on that difference, and the caller trusts only what the slack
-cannot change.  A caller that stops early skips the remaining rows; one
-that does not gets the tail run on the whole chunk, the same arithmetic as
-`forward_from`, which is itself `forward_stages` with no order.
+on.  Given a row order, on a stack of one evaluation chunk, each stage
+gathers the next `_STAGE` rows of that order, runs them through the
+row-local stretch from the changed layer on, as a chunk's rows run, and the
+dense tail on that output alone, to give provisional logits.  Those can
+differ in the last bits from the final ones, because a dense layer run on
+fewer rows may sum its products in another order; so each row comes with a
+slack, a rounding-error bound (gamma_K times the sum of absolute terms,
+taken through every tail layer) on that difference, and the caller trusts
+only what the slack cannot change.  A caller that stops early skips the
+remaining rows; one that does not gets the tail run on the whole chunk, the
+same arithmetic as `forward_from`, which is itself `forward_stages` with no
+order.
 """
 
 from __future__ import annotations
@@ -275,23 +276,26 @@ def _padded_shape(layer: Layer, in_shape, out_shape):
     return (h + max((oh - 1) * s + kh - h, 0), w + max((ow - 1) * s + kw - w, 0), c)
 
 
-def _stretch(layers, in_shape, start: int, stop: int, rows: int, gather: bool = False):
-    """The row-local layers[start:stop] set up for blocks of up to `rows` rows.
+def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output.
 
-    Returns the stretch's output row shape and its steps, one per layer:
-    (layer, workspace, conv buffers).  Each layer but the last writes into a
-    block-sized workspace, and the last straight into its rows of the
-    output; with `gather`, for blocks of gathered rows, the last writes into
-    a workspace too, to be scattered.  A relu after another layer of the
-    stretch runs in place on that layer's workspace (its workspace is None).
-    The stretch's input is never written.
+    The one stretch runner, for a chunk's stretch and a stage's gathered rows.
+    The workspaces are allocated once per call, so each chunk's thread has
+    its own and every block reuses them.  Each layer but the last writes
+    into a block-sized workspace, and the last into its rows of the output.
+    A relu after another layer of the stretch runs in place on that layer's
+    workspace; x itself is never written.
     """
-    shapes = [in_shape]
+    shapes = [x.shape[1:]]
     for i in range(start, stop):
         shapes.append(_layer_out_shape(layers[i], shapes[-1], i))
-    steps = []
+    out = np.empty((len(x), *shapes[-1]))
+    rows = min(len(x), _BLOCK)
+    steps = []  # (layer, where it writes: out, a workspace or None for in place, conv buffers)
     for k, layer in enumerate(layers[start:stop]):
-        if (layer.kind == "relu" and k > 0) or (start + k == stop - 1 and not gather):
+        if start + k == stop - 1:
+            ws = out
+        elif layer.kind == "relu" and k > 0:
             ws = None
         else:
             ws = np.empty((rows, *shapes[k + 1]))
@@ -302,26 +306,11 @@ def _stretch(layers, in_shape, start: int, stop: int, rows: int, gather: bool = 
                     np.zeros((rows, *_padded_shape(layer, shapes[k], shapes[k + 1]))),
                     np.empty((rows, *shapes[k + 1])))
         steps.append((layer, ws, conv))
-    return shapes[-1], steps
-
-
-def _run_rows(steps, x: np.ndarray, out: np.ndarray, rows):
-    """Run x[rows] through a stretch's steps in _BLOCK-row blocks, into out[rows].
-
-    `rows` is a slice, or an index array whose rows are gathered into each
-    block and whose outputs are scattered back from the last workspace.
-    """
-    last = len(steps) - 1
-    gather = not isinstance(rows, slice)
-    for b in range(0, len(rows), _BLOCK) if gather else range(rows.start, rows.stop, _BLOCK):
-        if gather:
-            idx = rows[b:b + _BLOCK]
-            y = x[idx]
-        else:
-            y = x[b:min(b + _BLOCK, rows.stop)]
+    for b in range(0, len(x), _BLOCK):
+        y = x[b:b + _BLOCK]
         n = len(y)
-        for k, (layer, ws, conv) in enumerate(steps):
-            dst = out[b:b + n] if k == last and not gather else (y if ws is None else ws[:n])
+        for layer, ws, conv in steps:
+            dst = out[b:b + n] if ws is out else (y if ws is None else ws[:n])
             if conv is not None:
                 w, bias, pad, tmp = conv
                 y = _conv_into(y, w, bias, layer.stride, dst, pad[:n], tmp[:n])
@@ -329,19 +318,6 @@ def _run_rows(steps, x: np.ndarray, out: np.ndarray, rows):
                 y = np.maximum(y, 0.0, out=dst, dtype=np.float64)
             else:
                 y = _maxpool_into(y, layer, dst)
-        if gather:
-            out[idx] = y
-
-
-def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output.
-
-    The workspaces are allocated here, once per call, so each chunk's thread
-    has its own and every block reuses them.
-    """
-    shape, steps = _stretch(layers, x.shape[1:], start, stop, min(len(x), _BLOCK))
-    out = np.empty((len(x), *shape))
-    _run_rows(steps, x, out, slice(0, len(x)))
     return out
 
 
@@ -517,37 +493,42 @@ def _tail_with_slack(layers, x: np.ndarray, start: int, sums):
     return x, 2 * slack
 
 
-def _as_rows(local: np.ndarray):
-    """Ascending row indices as a slice when they are contiguous, so their rows are not gathered."""
-    if local[-1] - local[0] == len(local) - 1:
-        return slice(int(local[0]), int(local[-1]) + 1)
-    return local
+def staged(cache: PrefixCache, index: int) -> bool:
+    """Whether `forward_stages` from layer `index` runs in stages when given a row order.
+
+    It does when the cache holds that layer's input as one evaluation chunk
+    (one thread, or at most `_CHUNK` rows) and the layer starts a row-local
+    stretch.  Staged chunks would all keep their stretch outputs at once,
+    where `forward_batch` holds one per thread; a dense layer has no stretch.
+    """
+    layers = cache.model.layers
+    return (len(cache.chunks[index]) == 1 and index < len(layers)
+            and layers[index].kind in _ROW_LOCAL)
+
+
+def _stage(layers, x, out, rows, start: int, stop: int, sums):
+    """A stage: layers[start:stop] on x[rows] into out[rows], then the tail; its arrays die here."""
+    out[rows] = y = _run_blocked(layers, x[rows], start, stop)
+    return _tail_with_slack(layers, y, stop, sums)
 
 
 def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarray | None = None):
     """Run layers[index:] of `model` from the cache in row stages; a generator.
 
-    `model` is a copy of the cached model with layer `index` changed, as for
-    `forward_from`.  The last item yielded is (None, logits, None) with the
-    exact logits.  Given `order`, a permutation of the row indices, items
-    (rows, logits, slack) come before it, one per stage: each stage is the
-    next `_STAGE` rows of `order`, as ascending row indices, with their
-    provisional logits and, per row, a bound on how far each of its logits
-    lies from its final value.  The row-local stretch from `index` on
-    (conv2d, relu, maxpool2d) runs on the stage's rows into one output
-    allocated up front, and the dense tail then runs on those rows alone
-    (`_tail_with_slack`).  A caller that has seen enough closes the
-    generator, and the remaining rows never run.  Otherwise the tail runs on
-    the whole output, exactly as in `forward_batch`.  Neither blocking nor
-    the order of the rows changes a bit: each stretch output row depends on
-    its input row alone.
-
-    Stages run when the cache holds one evaluation chunk (one thread, or at
-    most `_CHUNK` rows).  A stack split into chunks runs whole, chunk by
-    chunk as in `forward_batch`, with no stage: staged chunks would all have
-    to keep their stretch outputs at once, where `forward_batch` holds one
-    per thread.  So does a layer with no stretch (a dense one), and any
-    stack when `order` is None.
+    `model` is a copy of the cached model with layer `index` changed (not
+    its kind), as for `forward_from`.  The last item yielded is (None,
+    logits, None) with the exact logits.  Given `order`, a permutation of
+    the row indices, and when `staged(cache, index)`, an item (rows, logits,
+    slack) comes before it for each stage, the next `_STAGE` rows of
+    `order` as ascending indices.  A stage gathers its rows, runs the
+    row-local layers from `index` on them (`_run_blocked`) into one output
+    allocated up front, and the dense tail on its own output alone: the
+    provisional logits, and per row a bound on how far they lie from the
+    final ones (`_tail_with_slack`).  A caller that has seen enough
+    closes the generator, and the remaining rows never run; otherwise the
+    tail runs on the whole output, as in `forward_batch`.  No bit depends on
+    the blocks or the row order: each stretch output row depends on its
+    input row alone.  Unstaged, the stack runs whole, chunk by chunk.
     """
     if index not in cache.chunks:
         raise ValueError(f"no cached input for layer {index}; "
@@ -555,21 +536,20 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     if model.input_shape != cache.model.input_shape or any(
             a is not b for a, b in zip(model.layers[:index], cache.model.layers)):
         raise ValueError(f"layers before {index} differ from the cached model's")
+    if [l.kind for l in model.layers] != [l.kind for l in cache.model.layers]:
+        raise ValueError("layer kinds differ from the cached model's")
     layers, chunks = model.layers, cache.chunks[index]
-    end = index
-    while end < len(layers) and layers[end].kind in _ROW_LOCAL:
-        end += 1
-    if order is None or len(chunks) > 1 or end == index:
+    if order is None or not staged(cache, index):
         yield None, _join(_forward_chunks(layers, index, chunks, cache.threads)), None
         return
+    end = index + 1
+    while end < len(layers) and layers[end].kind in _ROW_LOCAL:
+        end += 1
     x, out = chunks[0], np.empty((len(cache.inputs), *model.shapes[end]))
     sums = _tail_sums(layers, end)
     for lo in range(0, len(x), _STAGE):
         rows = np.sort(order[lo:lo + _STAGE])
-        _, steps = _stretch(layers, x.shape[1:], index, end, min(len(rows), _BLOCK), gather=True)
-        _run_rows(steps, x, out, _as_rows(rows))
-        del steps  # the workspaces go before the tail runs
-        yield rows, *_tail_with_slack(layers, out[_as_rows(rows)], end, sums)
+        yield rows, *_stage(layers, x, out, rows, index, end, sums)
     if end < len(layers):  # the stretch output is freed once the first dense layer has read it
         out = _apply_dense(out, layers[end])
         if end + 1 < len(layers):

@@ -268,10 +268,11 @@ class _LayerSearch:
 
     An iterate at scale k perturbs the layer by k * direction and only needs
     the side of target +/- tolerance its accuracy drop lies on.  So unless it
-    could be the last, it runs its rows in stages (`nn.forward_stages`),
-    counts the rows whose class its signed margins settle (`_settled`)
-    and stops once they make the side certain.  An iterate that runs every
-    row leaves its exact drop in `drop`, and its exact logits in `z`.
+    could be the last, or its layer does not stage (`nn.staged`, asked
+    once), it runs its rows in stages (`nn.forward_stages`), counts the rows
+    whose class its signed margins settle (`_settled`) and stops once they
+    make the side certain.  An iterate that runs every row leaves its exact
+    drop in `drop`, and its exact logits in `z`.
 
     Row order: every earlier iterate lies at or below the bracket's k_lo or
     at or above its k_hi, and the next scale k lies between them.  So a
@@ -290,6 +291,7 @@ class _LayerSearch:
                  rule: _Rule, work: SearchWork):
         self.cache, self.labels, self.i, self.direction = cache, labels, i, direction
         self.rule, self.work = rule, work
+        self.staged = nn.staged(cache, i)  # else every iterate runs whole, and needs no order
         self.z, self.drop = None, math.nan
         # per row, (scale, margin) seen nearest above and nearest below; made by the first
         # iterate that stops early
@@ -302,8 +304,8 @@ class _LayerSearch:
         model = nn.perturb_layer(self.cache.model, self.i, k * self.direction)
         right = wrong = 0
         seen, margins = [], []
-        for rows, z, slack in nn.forward_stages(self.cache, model, self.i,
-                                                None if last else self._order(k)):
+        order = self._order(k) if self.staged and not last else None
+        for rows, z, slack in nn.forward_stages(self.cache, model, self.i, order):
             if slack is None:
                 work.rows += len(z)
                 self.z, self.drop = z, rule.acc_f - nn.accuracy(z, labels)

@@ -39,10 +39,15 @@ def forbid_work(monkeypatch):
 
 
 def profiles_file(tmp_path, rows):
+    """Profiles from (index, kind, s, t, p) rows, saved to profiles.json."""
     profiles = [LayerProfile(index=i, kind=k, s=s, t=t, p=p, noise_scale=0.1,
                              delta_acc=0.4, b_probe=10, weight_range=(-0.3, 0.3))
-                for i, (k, s, t, p) in enumerate(rows)]
+                for i, k, s, t, p in rows]
     return modelio.save_profiles(profiles, tmp_path / "profiles.json")
+
+
+# the rig's weighted layers: dense 12x16 at index 0, dense 16x5 at index 2
+RIG_ROWS = [(0, "dense", 192, 2.0, 3.0), (2, "dense", 80, 2.0, 3.0)]
 
 
 class TestGenAndEvaluate:
@@ -111,7 +116,7 @@ class TestMargins:
 class TestAllocate:
     def test_closed_form_example(self, tmp_path, capsys):
         # equal p and t, s2 = 2*s1, b1=8 -> b = (8, 7.5)
-        path = profiles_file(tmp_path, [("dense", 100, 2.0, 3.0), ("dense", 200, 2.0, 3.0)])
+        path = profiles_file(tmp_path, [(0, "dense", 100, 2.0, 3.0), (1, "dense", 200, 2.0, 3.0)])
         out = str(tmp_path / "out")
         assert main(["allocate", "--profiles", str(path), "--method", "adaptive",
                      "--b1", "8", "--out", out]) == 0
@@ -150,7 +155,7 @@ class TestAllocate:
                        Layer("dense", rng.uniform(-1, 1, (18, 4)).astype(np.float32))), (5, 5, 1))
         inputs = rng.standard_normal((50, 5, 5, 1)).astype(np.float32)
         ds = Dataset(inputs, nn.classify_batch(nn.forward_batch(model, inputs)))
-        path = profiles_file(tmp_path, [("conv2d", 18, 2.0, 3.0), ("dense", 72, 2.0, 3.0)])
+        path = profiles_file(tmp_path, [(0, "conv2d", 18, 2.0, 3.0), (2, "dense", 72, 2.0, 3.0)])
         assert main(["allocate", "--profiles", str(path), "--method", "equal", "--b1", "8",
                      "--fc-bits", "16", "--out", str(tmp_path)]) == 0
         doc = json.loads((tmp_path / "allocation.json").read_text())
@@ -162,7 +167,7 @@ class TestAllocate:
 
 class TestFlagRanges:
     def test_equal_with_fractional_b1_is_one_line_exit_1(self, tmp_path, capsys):
-        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        path = profiles_file(tmp_path, [(0, "dense", 208, 2.0, 3.0), (1, "dense", 85, 2.0, 3.0)])
         assert main(["allocate", "--profiles", str(path), "--method", "equal", "--b1", "8.4",
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -172,7 +177,7 @@ class TestFlagRanges:
     @pytest.mark.parametrize("method", ["adaptive", "sqnr"])
     @pytest.mark.parametrize("b1", ["inf", "nan", "-inf"])
     def test_non_finite_b1_is_one_line_exit_1(self, tmp_path, capsys, method, b1):
-        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        path = profiles_file(tmp_path, [(0, "dense", 208, 2.0, 3.0), (1, "dense", 85, 2.0, 3.0)])
         assert main(["allocate", "--profiles", str(path), "--method", method, f"--b1={b1}",
                      "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -204,7 +209,7 @@ class TestFlagRanges:
     @pytest.mark.parametrize("grid", ["4:12:0", "4:12:-1", "12:4:1", "4:12", "4:x:1",
                                       "4:inf:1", "4:12:nan", "", "4,x", "nan", "4,inf"])
     def test_bad_b1_grid_is_one_line_exit_1(self, rig, tmp_path, capsys, grid):
-        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        path = profiles_file(tmp_path, RIG_ROWS)
         assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      "--profiles", str(path), "--b1-grid", grid, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
@@ -231,7 +236,7 @@ class TestFlagRanges:
     @pytest.mark.parametrize("max_variants", ["0", "-1"])
     def test_max_variants_below_one_is_one_line_exit_1(self, rig, tmp_path, capsys,
                                                        max_variants):
-        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        path = profiles_file(tmp_path, RIG_ROWS)
         assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      "--profiles", str(path), "--b1-grid", "6,7", "--max-variants", max_variants,
                      "--out", str(tmp_path / "s")]) == 1
@@ -241,7 +246,7 @@ class TestFlagRanges:
 
     def test_max_variants_below_one_without_adaptive_is_exit_1_before_any_forward(
             self, rig, tmp_path, capsys, monkeypatch):
-        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        path = profiles_file(tmp_path, RIG_ROWS)
 
         def fail(*args, **kwargs):
             raise AssertionError("forward ran")
@@ -350,7 +355,7 @@ SUMMARY_191 = "t search: 33 iterations, 12 decided early, 87.7% of full-forward 
 
 class TestQuantizeEvaluate:
     def test_quantize_then_evaluate(self, rig, tmp_path, capsys):
-        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        path = profiles_file(tmp_path, RIG_ROWS)
         out = str(tmp_path / "q")
         assert main(["allocate", "--profiles", str(path), "--method", "equal",
                      "--b1", "12", "--out", out]) == 0
@@ -386,7 +391,7 @@ class TestSweepCompare:
     def test_sweep_reports_its_work_on_one_stderr_line(self, rig, tmp_path, capsys):
         from qalloc import harness
 
-        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        path = profiles_file(tmp_path, RIG_ROWS)
         assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      "--profiles", str(path), "--b1-grid", "5:8:0.5",
                      "--out", str(tmp_path / "s")]) == 0
@@ -414,7 +419,7 @@ class TestSweepCompare:
 
     def test_sweep_unknown_method_is_exit_1_before_any_forward(self, rig, tmp_path, capsys,
                                                               monkeypatch):
-        path = profiles_file(tmp_path, [("dense", 208, 2.0, 3.0), ("dense", 85, 2.0, 3.0)])
+        path = profiles_file(tmp_path, RIG_ROWS)
         forbid_work(monkeypatch)
         assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      "--profiles", str(path), "--methods", "adaptive,foo",
@@ -422,6 +427,31 @@ class TestSweepCompare:
         err = capsys.readouterr().err
         assert err.endswith("error: unknown method 'foo'\n") and err.count("error") == 1
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("rows,message", [
+        ([(0, "dense", 7, 2.0, 3.0), (2, "dense", 7, 2.0, 3.0)],
+         "profile 0 is layer 0 (dense, s=7), but the model's weighted layer 0 is layer 0 "
+         "(dense, s=192)"),
+        ([(0, "dense", 80, 2.0, 3.0), (2, "dense", 192, 2.0, 3.0)],
+         "profile 0 is layer 0 (dense, s=80), but the model's weighted layer 0 is layer 0 "
+         "(dense, s=192)"),
+        ([(0, "dense", 192, 2.0, 3.0), (1, "dense", 80, 2.0, 3.0)],
+         "profile 1 is layer 1 (dense, s=80), but the model's weighted layer 1 is layer 2 "
+         "(dense, s=80)"),
+        ([(0, "conv2d", 192, 2.0, 3.0), (2, "dense", 80, 2.0, 3.0)],
+         "profile 0 is layer 0 (conv2d, s=192), but the model's weighted layer 0 is layer 0 "
+         "(dense, s=192)"),
+    ])
+    def test_profiles_of_another_model_are_exit_1_before_any_forward(self, rig, tmp_path,
+                                                                     capsys, monkeypatch,
+                                                                     rows, message):
+        path = profiles_file(tmp_path, rows)
+        forbid_work(monkeypatch)
+        assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--profiles", str(path), "--b1-grid", "8", "--out", str(tmp_path / "s")]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {message}\n") and err.count("error") == 1
+        assert not (tmp_path / "s" / "curve.csv").exists()
 
     def test_compare_disjoint_curves_say_so(self, tmp_path, capsys):
         from qalloc.harness import CurvePoint

@@ -318,6 +318,9 @@ class TestPrefixCache:
             nn.forward_from(cache, other, 3)
         with pytest.raises(ValueError, match="no cached input for layer 1"):
             nn.forward_from(cache, model, 1)
+        dense = model.replace_layer(3, Layer("dense", np.zeros((48, 64), np.float32)))
+        with pytest.raises(ValueError, match="layer kinds differ"):
+            nn.forward_from(cache, dense, 3)
         with pytest.raises(ValueError):
             cache.logits[0, 0] = 1.0
         with pytest.raises(ValueError):
@@ -577,8 +580,16 @@ class TestOwnership:
         assert unchanged()
         cached = {i: [(p.copy(), p.flags.writeable) for p in parts]
                   for i, parts in cache.chunks.items()}
-        for i in model.weighted_indices:
-            nn.forward_from(cache, quantize_single_layer(model, i, 4), i)
+        order = np.random.default_rng(5).permutation(len(x))
+        for i in cache.chunks:  # layer 0, a relu, reads the caller's input
+            changed = model if i == 0 else quantize_single_layer(model, i, 4)
+            nn.forward_from(cache, changed, i)
+            *stages, _ = nn.forward_stages(cache, changed, i, order)
+            # 600 rows are one chunk only at one thread, and a dense layer has no stretch
+            assert bool(stages) == (threads == 1 and model.layers[i].kind != "dense")
+            stages = nn.forward_stages(cache, changed, i, order)
+            next(stages)
+            stages.close()
         list(nn.forward_trie(model, x, [(4, 4, 4, 4), (4, 8, 4, 4)],
                              lambda i, bits: quantize_single_layer(model, i, bits).layers[i],
                              threads))
@@ -617,14 +628,15 @@ class TestForwardStages:
                 noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
                 changed = nn.perturb_layer(model, i, noise)
                 want = nn.forward_from(cache, changed, i)
+                # a layer stages on one chunk, from a stretch
+                staged = len(cache.chunks[i]) == 1 and model.layers[i].kind != "dense"
+                assert nn.staged(cache, i) == staged
                 for order in (None, np.arange(n), rng.permutation(n)):
                     *stages, (rows, z, slack) = nn.forward_stages(cache, changed, i, order)
                     assert rows is None and slack is None and same_bits(z, want)
-                    # stages run given an order, on one chunk, from a stretch
-                    staged = (order is not None and len(cache.chunks[i]) == 1
-                              and model.layers[i].kind != "dense")
-                    assert bool(stages) == staged
-                    if not staged:
+                    # stages run given an order, when the layer stages
+                    assert bool(stages) == (order is not None and staged)
+                    if not stages:
                         continue
                     # each stage is the next _STAGE rows of the order, and each logit lies
                     # within its row's slack of the final
