@@ -183,7 +183,6 @@ def cmd_sweep(args) -> tuple[int, list[Path]]:
     profiles = _load_merged_profiles(args.profiles)
     anchors = _parse_grid(args.b1_grid)
     methods = tuple(args.methods.split(","))
-    _progress(f"sweeping {len(anchors)} anchors x {methods}")
     curves = harness.sweep(model, dataset, profiles, b1_values=anchors, methods=methods,
                            max_variants=args.max_variants, fc_bits=args.fc_bits,
                            threads=args.threads)

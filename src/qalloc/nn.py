@@ -12,22 +12,26 @@ layers have shape (height, width, channels); conv kernels have shape
 The final layer output is the pre-softmax feature vector; classification
 picks its argmax (softmax never changes the argmax, so it is not applied).
 
-A forward splits its input stack into evaluation chunks (`_CHUNK` rows when
-threaded).  Within a chunk, each maximal stretch of row-local layers (conv2d,
-relu, maxpool2d) runs in `_BLOCK`-row blocks: a block passes through the whole
-stretch while its workspaces are still in cache, and the stretch's last layer
-writes it straight into one output array for the chunk.  The workspaces (each
-layer's block output, a conv's zero-bordered float64 input and its product
-buffer) are allocated once per stretch and chunk and reused by every block;
-relu runs in place on them, never on an array the engine did not make.  Each
-output row of these layers depends on its input row alone, and numpy
-computes it with the same products whatever the number of rows, so blocking
-changes no bit.  Dense layers run on the whole chunk, because OpenBLAS dense
-results depend on the row count of the call.
+Every forward runs through `_forward`.  Threaded, on more than `_CHUNK` rows,
+it cuts its input stack into `_CHUNK`-row evaluation chunks from row 0, and
+each chunk's thread writes its rows of one output; otherwise the stack is one
+chunk.  Every activation the engine keeps or returns is one array.  Within a
+chunk, each maximal stretch of row-local layers (conv2d, relu, maxpool2d)
+runs in `_BLOCK`-row blocks: a block passes through the whole stretch while
+its workspaces are still in cache, and the stretch's last layer writes it
+straight into one output array for the chunk.  The workspaces (each layer's
+block output, a conv's zero-bordered float64 input and its product buffer)
+are allocated once per stretch and chunk and reused by every block; relu runs
+in place on them, never on an array the engine did not make.  Each output row
+of these layers depends on its input row alone, and numpy computes it with
+the same products whatever the number of rows, so blocking changes no bit.
+Dense layers run on the whole chunk, because OpenBLAS dense results depend on
+the row count of the call.
 
 A `PrefixCache` holds a model's baseline logits on an input stack plus the
-input of every weighted layer: `prefix_cache` runs the forward one
-weighted-layer segment at a time and keeps each segment's output.
+input of every weighted layer, one array each: `prefix_cache` runs the
+forward one weighted-layer segment at a time and keeps each segment's
+output.  A segment cuts the same evaluation chunks as a whole forward.
 `forward_from` evaluates a copy of that model with one layer changed by
 running only the layers from the changed one on, and its result equals
 `forward_batch` on the copy bit for bit.  `forward_trie` evaluates many
@@ -37,7 +41,7 @@ row-local stretch in two, which changes no bit either.
 
 `forward_stages` is `forward_from` in row stages, for a caller that needs
 only part of the answer, such as which side of a target an accuracy lies
-on.  Given a row order, on a stack of one evaluation chunk, each stage
+on.  Given a row order, on a stack that runs as one evaluation chunk, each stage
 gathers the next `_STAGE` rows of that order, runs them through the
 row-local stretch from the changed layer on, as a chunk's rows run, and the
 dense tail on that output alone, to give provisional logits.  Those can
@@ -155,6 +159,14 @@ def _layer_out_shape(layer: Layer, in_shape: tuple[int, ...], index: int) -> tup
     return in_shape  # relu
 
 
+def _shapes_of(layers, shape: tuple[int, ...], start: int, stop: int) -> list[tuple[int, ...]]:
+    """The input shape of layers[start:stop], then each of those layers' output shape."""
+    shapes = [shape]
+    for i in range(start, stop):
+        shapes.append(_layer_out_shape(layers[i], shapes[-1], i))
+    return shapes
+
+
 @dataclass(frozen=True)
 class Model:
     """Ordered layer sequence; immutable.  The last layer must emit a vector."""
@@ -165,9 +177,7 @@ class Model:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "input_shape", tuple(int(v) for v in self.input_shape))
-        shapes = [self.input_shape]
-        for i, layer in enumerate(self.layers):
-            shapes.append(_layer_out_shape(layer, shapes[-1], i))
+        shapes = _shapes_of(self.layers, self.input_shape, 0, len(self.layers))
         if len(shapes[-1]) != 1:
             raise ShapeError(f"final layer output must be a vector, got shape {shapes[-1]}")
         object.__setattr__(self, "_shapes", tuple(shapes))
@@ -286,9 +296,7 @@ def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
     A relu after another layer of the stretch runs in place on that layer's
     workspace; x itself is never written.
     """
-    shapes = [x.shape[1:]]
-    for i in range(start, stop):
-        shapes.append(_layer_out_shape(layers[i], shapes[-1], i))
+    shapes = _shapes_of(layers, x.shape[1:], start, stop)
     out = np.empty((len(x), *shapes[-1]))
     rows = min(len(x), _BLOCK)
     steps = []  # (layer, where it writes: out, a workspace or None for in place, conv buffers)
@@ -321,17 +329,33 @@ def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _forward_chunk(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Run layers[start:stop] on one chunk.
+def _chunked(n: int, threads: int) -> bool:
+    """Whether a forward over n rows runs in `_CHUNK`-row evaluation chunks: threaded, on more."""
+    return threads > 1 and n > _CHUNK
 
-    A dense layer runs on the whole chunk, since OpenBLAS dense results
-    depend on the row count of the call.  Each maximal stretch of row-local
+
+def _forward(layers, x: np.ndarray, start: int, stop: int, threads: int) -> np.ndarray:
+    """Run layers[start:stop] on x.
+
+    A dense layer runs on the whole of x, since OpenBLAS dense results depend
+    on the row count of the call, and each maximal stretch of row-local
     layers runs in row blocks (`_run_blocked`); a stretch ends at `stop`.
-    A layerless model's output is a float64 copy of its input, never the
-    input itself.
+    When `_chunked`, x is cut into `_CHUNK`-row evaluation chunks from row 0
+    instead: each runs so on the pool and writes its own rows of one output.
+    An empty range returns x itself, but a layerless model's output is a new
+    float64 array.
     """
-    if start == len(layers):
-        return x.astype(np.float64)
+    if start == stop:
+        return x if layers else x.astype(np.float64)
+    if _chunked(len(x), threads):
+        out = np.empty((len(x), *_shapes_of(layers, x.shape[1:], start, stop)[-1]))
+
+        def run(a):
+            out[a:a + _CHUNK] = _forward(layers, x[a:a + _CHUNK], start, stop, 1)
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, range(0, len(x), _CHUNK)))
+        return out
     i = start
     while i < stop:
         end = i + 1
@@ -343,32 +367,6 @@ def _forward_chunk(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
             x = _apply_dense(x, layers[i])
         i = end
     return x
-
-
-def _split(rows: np.ndarray, threads: int) -> list[np.ndarray]:
-    """The evaluation chunks of a row stack: one, or fixed-size ones when threaded."""
-    n = len(rows)
-    if threads <= 1 or n <= _CHUNK:
-        return [rows]
-    return [rows[i:i + _CHUNK] for i in range(0, n, _CHUNK)]
-
-
-def _forward_chunks(layers, start: int, chunks, threads: int, stop: int | None = None):
-    """Run layers[start:stop] on each chunk; the outputs, one per chunk."""
-    stop = len(layers) if stop is None else stop
-
-    def run(x):
-        return _forward_chunk(layers, x, start, stop)
-
-    if len(chunks) == 1:
-        return [run(chunks[0])]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, chunks))
-
-
-def _join(outs: list[np.ndarray]) -> np.ndarray:
-    """Per-chunk outputs stacked back into one array, in chunk order."""
-    return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
 
 def check_inputs(model: Model, inputs) -> np.ndarray:
@@ -383,31 +381,31 @@ def check_inputs(model: Model, inputs) -> np.ndarray:
 def forward_batch(model: Model, inputs: np.ndarray, threads: int = 1) -> np.ndarray:
     """Map a stack of inputs to pre-softmax feature vectors, shape (n, d).
 
-    Bit-identical across runs at a given thread count: threaded, the inputs
-    are split into `_CHUNK`-row chunks, concatenated back in chunk order; one
-    thread runs one chunk.  Between thread counts the logits can differ in
-    the last bits for some stack sizes, a known defect.
+    Bit-identical across runs at a given thread count: threaded, on more than
+    `_CHUNK` rows, each `_CHUNK`-row evaluation chunk runs on its own and
+    writes its rows of the output; otherwise the stack runs whole.  Between
+    thread counts the logits can differ in the last bits for some stack
+    sizes, a known defect.
     """
-    inputs = check_inputs(model, inputs)
-    return _join(_forward_chunks(model.layers, 0, _split(inputs, threads), threads))
+    return _forward(model.layers, check_inputs(model, inputs), 0, len(model.layers), threads)
 
 
 @dataclass(frozen=True, eq=False)
 class PrefixCache:
     """A model's baseline logits on an input stack, plus every weighted layer's input.
 
-    Made by `prefix_cache`; read by `forward_from`.  Activations are held per
-    evaluation chunk, split exactly as `forward_batch` splits the same
-    (n, threads), so a forward resumed from them repeats its arithmetic.
-    Layer 0 resumes from the caller's inputs, which are referenced, not
-    copied.  The cached arrays are read-only.
+    Made by `prefix_cache`; read by `forward_from`.  Each layer input is one
+    array; a forward resumed from it at the cache's thread count cuts the
+    evaluation chunks `forward_batch` cuts, so it repeats its arithmetic.
+    Layer 0's is the caller's inputs, referenced, not copied; the rest are
+    read-only.
     """
 
     model: Model
     inputs: np.ndarray
     threads: int
     logits: np.ndarray
-    chunks: dict[int, tuple[np.ndarray, ...]]  # layer index -> that layer's input, per chunk
+    layer_inputs: dict[int, np.ndarray]  # layer index -> that layer's input
 
 
 def prefix_cache(model: Model, inputs: np.ndarray, threads: int = 1) -> PrefixCache:
@@ -419,17 +417,15 @@ def prefix_cache(model: Model, inputs: np.ndarray, threads: int = 1) -> PrefixCa
     inputs = check_inputs(model, inputs)
     if len(inputs) == 0:
         raise ValueError("cannot cache a forward over an empty input stack")
-    chunks = {0: tuple(_split(inputs, threads))}
-    ends = [i for i in model.weighted_indices if i > 0]
-    start, x = 0, chunks[0]
-    for end in ends:
-        x = chunks[end] = tuple(_forward_chunks(model.layers, start, x, threads, stop=end))
-        for a in x:
-            a.flags.writeable = False
+    layer_inputs = {0: inputs}
+    start, x = 0, inputs
+    for end in [i for i in model.weighted_indices if i > 0]:
+        x = layer_inputs[end] = _forward(model.layers, x, start, end, threads)
+        x.flags.writeable = False
         start = end
-    logits = _join(_forward_chunks(model.layers, start, x, threads))
+    logits = _forward(model.layers, x, start, len(model.layers), threads)
     logits.flags.writeable = False
-    return PrefixCache(model, inputs, threads, logits, chunks)
+    return PrefixCache(model, inputs, threads, logits, layer_inputs)
 
 
 def forward_from(cache: PrefixCache, model: Model, index: int) -> np.ndarray:
@@ -496,13 +492,14 @@ def _tail_with_slack(layers, x: np.ndarray, start: int, sums):
 def staged(cache: PrefixCache, index: int) -> bool:
     """Whether `forward_stages` from layer `index` runs in stages when given a row order.
 
-    It does when the cache holds that layer's input as one evaluation chunk
-    (one thread, or at most `_CHUNK` rows) and the layer starts a row-local
-    stretch.  Staged chunks would all keep their stretch outputs at once,
-    where `forward_batch` holds one per thread; a dense layer has no stretch.
+    It does when a forward of the cache runs whole, in no evaluation chunks
+    (`_chunked`: one thread, or at most `_CHUNK` rows), and the layer starts a
+    row-local stretch.  Staged, a chunked forward would keep every chunk's
+    stretch output at once, where `forward_batch` holds one per thread; a
+    dense layer has no stretch.
     """
     layers = cache.model.layers
-    return (len(cache.chunks[index]) == 1 and index < len(layers)
+    return (not _chunked(len(cache.inputs), cache.threads) and index < len(layers)
             and layers[index].kind in _ROW_LOCAL)
 
 
@@ -528,32 +525,32 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     closes the generator, and the remaining rows never run; otherwise the
     tail runs on the whole output, as in `forward_batch`.  No bit depends on
     the blocks or the row order: each stretch output row depends on its
-    input row alone.  Unstaged, the stack runs whole, chunk by chunk.
+    input row alone.  Unstaged, it is `_forward` of layers[index:] on the
+    cached input, in evaluation chunks when `_chunked`.
     """
-    if index not in cache.chunks:
+    if index not in cache.layer_inputs:
         raise ValueError(f"no cached input for layer {index}; "
-                         f"cached layers are {sorted(cache.chunks)}")
+                         f"cached layers are {sorted(cache.layer_inputs)}")
     if model.input_shape != cache.model.input_shape or any(
             a is not b for a, b in zip(model.layers[:index], cache.model.layers)):
         raise ValueError(f"layers before {index} differ from the cached model's")
     if [l.kind for l in model.layers] != [l.kind for l in cache.model.layers]:
         raise ValueError("layer kinds differ from the cached model's")
-    layers, chunks = model.layers, cache.chunks[index]
+    layers, x = model.layers, cache.layer_inputs[index]
     if order is None or not staged(cache, index):
-        yield None, _join(_forward_chunks(layers, index, chunks, cache.threads)), None
+        yield None, _forward(layers, x, index, len(layers), cache.threads), None
         return
     end = index + 1
     while end < len(layers) and layers[end].kind in _ROW_LOCAL:
         end += 1
-    x, out = chunks[0], np.empty((len(cache.inputs), *model.shapes[end]))
+    out = np.empty((len(x), *model.shapes[end]))
     sums = _tail_sums(layers, end)
     for lo in range(0, len(x), _STAGE):
         rows = np.sort(order[lo:lo + _STAGE])
         yield rows, *_stage(layers, x, out, rows, index, end, sums)
     if end < len(layers):  # the stretch output is freed once the first dense layer has read it
         out = _apply_dense(out, layers[end])
-        if end + 1 < len(layers):
-            out = _forward_chunk(layers, out, end + 1, len(layers))
+        out = _forward(layers, out, end + 1, len(layers), cache.threads)
     yield None, out, None
 
 
@@ -567,7 +564,7 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
 
     Sorted order walks the paths depth-first over their shared prefixes.  The
     walk keeps one activation per weighted layer (the input of weighted layer
-    j under the current path's first j values, per evaluation chunk); a path
+    j under the current path's first j values); a path
     that shares its first k values with the one before it resumes from the
     input of weighted layer k.  So each layer segment, from one weighted
     layer to the next, runs and `layer_for` is called once per distinct
@@ -585,7 +582,7 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
     layers = list(model.layers)
     ends = (*weighted[1:], len(layers))  # weighted layer j's segment is layers[weighted[j]:ends[j]]
     first = weighted[0] if weighted else len(layers)
-    stack = [_forward_chunks(layers, 0, _split(inputs, threads), threads, stop=first)]
+    stack = [_forward(layers, inputs, 0, first, threads)]
     stack += [None] * len(weighted)
     prev = ()
     for path in paths:
@@ -594,8 +591,8 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
         for j in range(k, len(weighted)):
             i = weighted[j]
             layers[i] = layer_for(i, path[j])
-            stack[j + 1] = _forward_chunks(layers, i, stack[j], threads, stop=ends[j])
-        yield path, _join(stack[-1])
+            stack[j + 1] = _forward(layers, stack[j], i, ends[j], threads)
+        yield path, stack[-1]
         prev = path
 
 

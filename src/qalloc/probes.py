@@ -269,7 +269,8 @@ class _LayerSearch:
     An iterate at scale k perturbs the layer by k * direction and only needs
     the side of target +/- tolerance its accuracy drop lies on.  So unless it
     could be the last, or its layer does not stage (`nn.staged`, asked
-    once), it runs its rows in stages (`nn.forward_stages`), counts the rows
+    once: the layer starts no row-local stretch, or the cache's forwards run
+    in evaluation chunks), it runs its rows in stages (`nn.forward_stages`), counts the rows
     whose class its signed margins settle (`_settled`) and stops once they
     make the side certain.  An iterate that runs every row leaves its exact
     drop in `drop`, and its exact logits in `z`.
@@ -375,8 +376,8 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     to the end, so its exact logits give its feature-noise power at no further
     forward, and so does an iterate that could be the last (the iteration cap,
     or an interval about to collapse), whose exact drop the failure message
-    prints.  A cache split into evaluation chunks (more than one thread and
-    more than 512 rows) runs every iterate whole.
+    prints.  On a cache whose forwards run in evaluation chunks (more than
+    one thread on more than 512 rows; `nn.staged`), every iterate runs whole.
     """
     model = cache.model
     probe_set = probed_layers(model, config.last_n)
@@ -615,12 +616,16 @@ def build_profiles(model: Model, t_probes, p_probes, delta_acc: float) -> list[L
 def merge_profiles(profile_lists) -> list[LayerProfile]:
     """One profile per layer from partial lists, such as a t-only and a p-only run.
 
-    A later record fills the earlier one's NaN (unmeasured) fields; ValueError
-    names the first layer still missing t or p.
+    A later record fills the earlier one's NaN (unmeasured) fields.  ValueError
+    names a layer whose records differ in kind or size `s` (partial profiles
+    of two models), and the first layer still missing t or p.
     """
     merged: dict[int, LayerProfile] = {}
     for b in (p for profiles in profile_lists for p in profiles):
         a = merged.get(b.index, b)
+        if (a.kind, a.s) != (b.kind, b.s):
+            raise ValueError(f"layer {b.index}: profiles of different models "
+                             f"({a.kind}, s={a.s} and {b.kind}, s={b.s})")
         first = {f: getattr(a, f) if getattr(a, f) == getattr(a, f) else getattr(b, f)
                  for f in ("t", "p", "noise_scale", "delta_acc")}
         merged[b.index] = replace(b, **first, b_probe=max(a.b_probe, b.b_probe),

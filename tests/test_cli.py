@@ -34,7 +34,7 @@ def forbid_work(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("work ran")
 
-    monkeypatch.setattr(nn, "_forward_chunks", fail)
+    monkeypatch.setattr(nn, "_forward", fail)
     monkeypatch.setattr(harness, "verify", fail)
 
 
@@ -240,9 +240,8 @@ class TestFlagRanges:
         assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      "--profiles", str(path), "--b1-grid", "6,7", "--max-variants", max_variants,
                      "--out", str(tmp_path / "s")]) == 1
-        err = capsys.readouterr().err
-        assert err.endswith(f"error: max_variants must be >= 1, got {max_variants}\n")
-        assert err.count("error") == 1 and not (tmp_path / "s" / "curve.csv").exists()
+        assert capsys.readouterr().err == f"error: max_variants must be >= 1, got {max_variants}\n"
+        assert not (tmp_path / "s" / "curve.csv").exists()
 
     def test_max_variants_below_one_without_adaptive_is_exit_1_before_any_forward(
             self, rig, tmp_path, capsys, monkeypatch):
@@ -251,13 +250,12 @@ class TestFlagRanges:
         def fail(*args, **kwargs):
             raise AssertionError("forward ran")
 
-        monkeypatch.setattr(nn, "_forward_chunks", fail)
+        monkeypatch.setattr(nn, "_forward", fail)
         assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      "--profiles", str(path), "--b1-grid", "6,7", "--methods", "sqnr,equal",
                      "--max-variants", "0", "--out", str(tmp_path / "s")]) == 1
-        err = capsys.readouterr().err
-        assert err.endswith("error: max_variants must be >= 1, got 0\n")
-        assert err.count("error") == 1 and not (tmp_path / "s" / "curve.csv").exists()
+        assert capsys.readouterr().err == "error: max_variants must be >= 1, got 0\n"
+        assert not (tmp_path / "s" / "curve.csv").exists()
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--max-iters", "0", "max_iters must be >= 1, got 0"),
@@ -402,8 +400,8 @@ class TestSweepCompare:
         vectors = [p.allocation.b_int for pts in curves.values() for p in pts]
         first, second = harness.prefix_counts(vectors)
         assert len(set(vectors)) < len(vectors)
-        assert err[-1] == (f"{len(vectors)} points, {len(set(vectors))} distinct vectors, "
-                           f"segments {first}/{second}")
+        assert err == [f"{len(vectors)} points, {len(set(vectors))} distinct vectors, "
+                       f"segments {first}/{second}"]
         assert len(modelio.load_curve(tmp_path / "s" / "curve.csv")) == len(vectors)
 
     @pytest.mark.parametrize("size", [0, -5])
@@ -424,8 +422,7 @@ class TestSweepCompare:
         assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      "--profiles", str(path), "--methods", "adaptive,foo",
                      "--out", str(tmp_path / "s")]) == 1
-        err = capsys.readouterr().err
-        assert err.endswith("error: unknown method 'foo'\n") and err.count("error") == 1
+        assert capsys.readouterr().err == "error: unknown method 'foo'\n"
         assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("rows,message", [
@@ -449,8 +446,7 @@ class TestSweepCompare:
         forbid_work(monkeypatch)
         assert main(["sweep", "--model", str(rig / "m"), "--data", str(rig / "d"),
                      "--profiles", str(path), "--b1-grid", "8", "--out", str(tmp_path / "s")]) == 1
-        err = capsys.readouterr().err
-        assert err.endswith(f"error: {message}\n") and err.count("error") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "s" / "curve.csv").exists()
 
     def test_compare_disjoint_curves_say_so(self, tmp_path, capsys):
@@ -659,6 +655,24 @@ def test_failed_command_leaves_no_out_directory(staged, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("s", 7, "layer 0: profiles of different models (dense, s=7 and dense, s=192)"),
+    ("kind", "conv2d", "layer 0: profiles of different models (conv2d, s=192 and dense, s=192)")])
+def test_sweep_rejects_partial_profiles_of_two_models(staged, tmp_path, capsys, monkeypatch,
+                                                      field, value, message):
+    # a t-only file edited to another model's layer, then the p-only file: the p
+    # file's kind and s must not simply win the merge
+    doc = json.loads((staged / "profiles_t.json").read_text())
+    doc["layers"][0][field] = value
+    (tmp_path / "profiles_t.json").write_text(json.dumps(doc))
+    forbid_work(monkeypatch)
+    assert main(["sweep", "--model", f"{staged}/m", "--data", f"{staged}/d",
+                 "--profiles", str(tmp_path / "profiles_t.json"),
+                 "--profiles", f"{staged}/profiles_p.json", "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))

@@ -333,7 +333,7 @@ def no_forward(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("forward ran")
 
-    monkeypatch.setattr(nn, "_forward_chunks", fail)
+    monkeypatch.setattr(nn, "_forward", fail)
 
 
 class TestSweepTrie:
@@ -373,18 +373,18 @@ class TestSweepTrie:
     def test_each_segment_runs_once_per_distinct_prefix(self, fixture_model, monkeypatch):
         ds = modelio.gen_dataset(fixture_model, 40, seed=modelio.DEFAULT_SEED + 1)
         quantized, segments = [], []
-        real_layer, real_chunks = quantize._quantize_layer, nn._forward_chunks
+        real_layer, real_forward = quantize._quantize_layer, nn._forward
 
         def counting_layer(layer, bits, index):
             quantized.append(index)
             return real_layer(layer, bits, index)
 
-        def counting_chunks(layers, start, chunks, threads, stop=None):
+        def counting_forward(layers, x, start, stop, threads):
             segments.append((start, stop))
-            return real_chunks(layers, start, chunks, threads, stop)
+            return real_forward(layers, x, start, stop, threads)
 
         monkeypatch.setattr(quantize, "_quantize_layer", counting_layer)
-        monkeypatch.setattr(nn, "_forward_chunks", counting_chunks)
+        monkeypatch.setattr(nn, "_forward", counting_forward)
         curves = harness.sweep(fixture_model, ds, made_up_profiles(fixture_model),
                                b1_values=(6, 7, 8, 9, 10))
         vectors = vectors_of(curves)

@@ -324,7 +324,7 @@ class TestPrefixCache:
         with pytest.raises(ValueError):
             cache.logits[0, 0] = 1.0
         with pytest.raises(ValueError):
-            cache.chunks[3][0][0, 0, 0, 0] = 1.0
+            cache.layer_inputs[3][0, 0, 0, 0] = 1.0
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_cached_layers_of_models_without_a_later_weighted_layer(self, threads):
@@ -334,7 +334,7 @@ class TestPrefixCache:
         for layers in ((), (Layer("relu"),), (dense,), (Layer("relu"), dense, Layer("relu"))):
             model = Model(layers, (6,))
             cache = nn.prefix_cache(model, x.copy(), threads)
-            assert set(cache.chunks) == {0, *model.weighted_indices}
+            assert set(cache.layer_inputs) == {0, *model.weighted_indices}
             assert np.array_equal(cache.logits, nn.forward_batch(model, x, threads))
 
 
@@ -522,11 +522,10 @@ def check_engine_against_reference(model, x32, rng):
             assert same_bits(nn.forward_batch(model, x, threads), want)
             cache = nn.prefix_cache(model, x, threads)
             assert same_bits(cache.logits, want)
-            assert set(cache.chunks) == {0, *model.weighted_indices}
-            for i, parts in cache.chunks.items():
-                assert len(parts) == len(per_chunk)
-                for part, seen in zip(parts, per_chunk):
-                    assert same_bits(part, seen[i])
+            assert set(cache.layer_inputs) == {0, *model.weighted_indices}
+            for i, a in cache.layer_inputs.items():
+                # one array: the reference's per-chunk activations, joined in chunk order
+                assert same_bits(a, np.concatenate([seen[i] for seen in per_chunk]))
             for i in model.weighted_indices:
                 noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
                 changed = nn.perturb_layer(model, i, noise)
@@ -560,7 +559,7 @@ class TestEngineOracle:
 
 
 class TestOwnership:
-    """The engine writes only arrays it made: never a caller's input or a cached chunk."""
+    """The engine writes only arrays it made: never a caller's input or a cached activation."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -578,10 +577,9 @@ class TestOwnership:
         assert unchanged()
         cache = nn.prefix_cache(model, x, threads)
         assert unchanged()
-        cached = {i: [(p.copy(), p.flags.writeable) for p in parts]
-                  for i, parts in cache.chunks.items()}
+        cached = {i: (a.copy(), a.flags.writeable) for i, a in cache.layer_inputs.items()}
         order = np.random.default_rng(5).permutation(len(x))
-        for i in cache.chunks:  # layer 0, a relu, reads the caller's input
+        for i in cache.layer_inputs:  # layer 0, a relu, reads the caller's input
             changed = model if i == 0 else quantize_single_layer(model, i, 4)
             nn.forward_from(cache, changed, i)
             *stages, _ = nn.forward_stages(cache, changed, i, order)
@@ -594,9 +592,17 @@ class TestOwnership:
                              lambda i, bits: quantize_single_layer(model, i, bits).layers[i],
                              threads))
         assert unchanged()
-        for i, parts in cache.chunks.items():
-            for part, (copy, writeable) in zip(parts, cached[i]):
-                assert same_bits(part, copy) and part.flags.writeable == writeable
+        for i, a in cache.layer_inputs.items():
+            copy, writeable = cached[i]
+            assert same_bits(a, copy) and a.flags.writeable == writeable
+            assert writeable == (i == 0)  # read-only, but for the caller's own input
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_an_empty_layer_range_returns_its_input_itself(self, threads):
+        model = engine_net("same", 1, "relu")
+        x = np.random.default_rng(6).standard_normal((600, *model.input_shape)).astype(np.float32)
+        for i in range(len(model.layers)):
+            assert nn._forward(model.layers, x, i, i, threads) is x
 
     @pytest.mark.parametrize("n,threads", [(5, 1), (600, 2)])
     def test_layerless_model_returns_a_new_float64_array(self, n, threads):
@@ -628,8 +634,8 @@ class TestForwardStages:
                 noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
                 changed = nn.perturb_layer(model, i, noise)
                 want = nn.forward_from(cache, changed, i)
-                # a layer stages on one chunk, from a stretch
-                staged = len(cache.chunks[i]) == 1 and model.layers[i].kind != "dense"
+                # a layer stages on a stack that runs as one chunk, from a stretch
+                staged = (threads == 1 or n <= nn._CHUNK) and model.layers[i].kind != "dense"
                 assert nn.staged(cache, i) == staged
                 for order in (None, np.arange(n), rng.permutation(n)):
                     *stages, (rows, z, slack) = nn.forward_stages(cache, changed, i, order)
@@ -657,8 +663,8 @@ class TestForwardStages:
 
     def test_slack_bounds_the_tail_at_every_row_count(self, fixture_model, fixture_cache):
         # OpenBLAS sums a dense layer's products in an order that depends on the row count
-        layers, x = fixture_model.layers, fixture_cache.chunks[5][0]
-        want = nn._forward_chunk(layers, x, 5, len(layers))
+        layers, x = fixture_model.layers, fixture_cache.layer_inputs[5]
+        want = nn._forward(layers, x, 5, len(layers), 1)
         sums = nn._tail_sums(layers, 5)
         for rows in (1, 2, 7, 30, 31, 128, 1563):
             got, slack = nn._tail_with_slack(layers, x[:rows], 5, sums)

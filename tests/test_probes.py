@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -310,7 +311,7 @@ class TestStagedSearch:
             work = probes.SearchWork()
             got = probes.estimate_t(cache, fixture_dataset.labels, cfg, work)
             assert got == reference_estimate_t(cache, fixture_dataset.labels, cfg)
-            # a stack split into chunks (threads 2 on 2000 rows) runs every iterate whole
+            # a stack that runs in chunks (threads 2 on 2000 rows) runs every iterate whole
             assert (work.early > 0) == (work.rows < work.full_rows) == (threads == 1)
             assert work.iterations == sum(r.iterations for r in got)
 
@@ -505,6 +506,19 @@ class TestBuildProfiles:
         p_only = probes.build_profiles(model, None, probes.estimate_p(cached(model, ds)), math.nan)
         with pytest.raises(ValueError, match="^layer 2: profiles incomplete"):
             probes.merge_profiles([t_only[:1], p_only])
+
+    def test_merging_records_of_two_models_names_the_layer(self):
+        model, ds = small_fixture()
+        t = probes.estimate_t(cached(model, ds), ds.labels,
+                              ProbeConfig(delta_acc=0.3, acc_tolerance=0.02))
+        t_only = probes.build_profiles(model, t, None, 0.3)
+        p_only = probes.build_profiles(model, None, probes.estimate_p(cached(model, ds)), math.nan)
+        k = p_only[1]
+        for other in (replace(k, s=k.s + 1), replace(k, kind="conv2d")):
+            for lists in ([t_only, [p_only[0], other]], [[t_only[0], other], p_only]):
+                with pytest.raises(ValueError,
+                                   match=f"^layer {k.index}: profiles of different models"):
+                    probes.merge_profiles(lists)
 
     def test_given_side_must_cover_every_layer(self):
         model, ds = small_fixture()
