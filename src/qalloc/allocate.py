@@ -140,9 +140,10 @@ def round_allocation(b_real, sizes, max_variants: int = 16, weights=None,
                      b1: float | None = None) -> list[BitAllocation]:
     """Enumerate floor/ceil roundings of a real adaptive allocation.
 
-    Variants are clamped to [B_MIN, B_MAX], deduplicated, and ranked by
-    predicted m_all ascending, then by total size; at most max_variants
-    (at least 1) are returned.
+    Variants are clamped to [B_MIN, B_MAX] and ranked by predicted m_all
+    ascending, then by total size; at most max_variants (at least 1) are
+    returned.  A layer's choices (its clamped floor and ceil, one value when
+    they meet) differ, so no two variants are equal.
     """
     check_max_variants(max_variants)
     b_real = [float(b) for b in b_real]
@@ -156,20 +157,15 @@ def round_allocation(b_real, sizes, max_variants: int = 16, weights=None,
         lo = min(max(math.floor(b), B_MIN), B_MAX)
         hi = min(max(math.ceil(b), B_MIN), B_MAX)
         choices.append((lo,) if lo == hi else (lo, hi))
-    n_combos = 1
-    for c in choices:
-        n_combos *= len(c)
+    n_combos = math.prod(map(len, choices))
     if n_combos > 65536:
         raise ValueError(f"rounding enumeration too large ({n_combos} combinations)")
-    seen = {}
-    for combo in itertools.product(*choices):
-        if combo not in seen:
-            seen[combo] = (predicted_m_all(combo, weights), size_bits(s, combo))
-    ranked = sorted(seen.items(), key=lambda kv: (kv[1][0], kv[1][1], kv[0]))
+    ranked = sorted((predicted_m_all(combo, weights), size_bits(s, combo), combo)
+                    for combo in itertools.product(*choices))
     anchor = float(b_real[0]) if b1 is None else float(b1)
     saturated = _saturated(b_real)
-    return [BitAllocation("adaptive", anchor, tuple(b_real), tuple(combo), sz, saturated)
-            for combo, (_, sz) in ranked[:max_variants]]
+    return [BitAllocation("adaptive", anchor, tuple(b_real), combo, sz, saturated)
+            for _, sz, combo in ranked[:max_variants]]
 
 
 def stationarity_residual(profiles, b_real) -> float:

@@ -108,12 +108,13 @@ def cmd_estimate_t(args) -> tuple[int, list[Path]]:
     config = probes.ProbeConfig(delta_acc=args.delta_acc, seed=args.seed,
                                 acc_tolerance=args.acc_tolerance, max_iters=args.max_iters,
                                 last_n=args.last_n, threads=args.threads)
-    work = probes.SearchWork()
-    _, t_probes, meta = harness.calibrate_t(model, dataset, config, work)
+    _, t_probes, meta = harness.calibrate_t(model, dataset, config)
     _progress(f"baseline accuracy {meta['baseline_accuracy']}, "
               f"mean margin {meta['mean_r_star']:.6g}")
-    _progress(f"t search: {work.iterations} iterations, {work.early} decided early, "
-              f"{work.rows / max(work.full_rows, 1):.1%} of full-forward rows")
+    iterations = sum(r.iterations for r in t_probes)
+    share = sum(r.rows for r in t_probes) / max(iterations * len(dataset), 1)
+    _progress(f"t search: {iterations} iterations, {sum(r.early for r in t_probes)} decided "
+              f"early, {share:.1%} of full-forward rows")
     profiles = probes.build_profiles(model, t_probes, None, meta["delta_acc"])
     path = modelio.save_profiles(profiles, _out_dir(args) / "profiles_t.json",
                                  meta={**meta, "seed": config.seed})

@@ -62,20 +62,19 @@ def default_anchor_grid() -> list[float]:
     return [4 + 0.5 * i for i in range(17)]
 
 
-def calibrate_t(model: nn.Model, dataset: nn.Dataset, config: probes.ProbeConfig,
-                work: probes.SearchWork | None = None):
+def calibrate_t(model: nn.Model, dataset: nn.Dataset, config: probes.ProbeConfig):
     """Prefix cache -> baseline accuracy -> delta_acc -> margins -> t probes.
 
     The front `run_pipeline` and `qalloc estimate-t` share.  Returns (cache,
     t_probes, meta); meta holds baseline_accuracy, mean_r_star and delta_acc,
-    the first keys of the estimate-t profiles meta.  `work`, when given,
-    adds up the t search's work (`probes.estimate_t`).
+    the first keys of the estimate-t profiles meta.  Each t probe carries
+    its layer's search work (`probes.TProbe`).
     """
     probes.probed_layers(model, config.last_n)  # a bad last_n fails before any forward
     cache = nn.prefix_cache(model, dataset.inputs, threads=config.threads)
     acc_f = nn.accuracy(cache.logits, dataset.labels)
     mean_r_star = probes.margin_stats(cache.logits).mean_r_star
-    t_probes = probes.estimate_t(cache, dataset.labels, config, work)
+    t_probes = probes.estimate_t(cache, dataset.labels, config)
     meta = {"baseline_accuracy": acc_f, "mean_r_star": mean_r_star,
             "delta_acc": config.target_drop(acc_f)}
     return cache, t_probes, meta

@@ -402,7 +402,6 @@ class PrefixCache:
     """
 
     model: Model
-    inputs: np.ndarray
     threads: int
     logits: np.ndarray
     layer_inputs: dict[int, np.ndarray]  # layer index -> that layer's input
@@ -425,15 +424,15 @@ def prefix_cache(model: Model, inputs: np.ndarray, threads: int = 1) -> PrefixCa
         start = end
     logits = _forward(model.layers, x, start, len(model.layers), threads)
     logits.flags.writeable = False
-    return PrefixCache(model, inputs, threads, logits, layer_inputs)
+    return PrefixCache(model, threads, logits, layer_inputs)
 
 
 def forward_from(cache: PrefixCache, model: Model, index: int) -> np.ndarray:
     """Logits of `model`, a copy of the cached model with layer `index` changed.
 
     Runs only layers[index:], from the cached input of layer `index`; the
-    result equals forward_batch(model, cache.inputs, cache.threads) bit for
-    bit.  Every layer before `index` must be the cached model's own layer
+    result equals forward_batch(model, cache.layer_inputs[0], cache.threads)
+    bit for bit.  Every layer before `index` must be the cached model's own layer
     object, as perturb_layer and quantize_single_layer leave them.  It is
     `forward_stages` with no row order, which runs no provisional stage.
     """
@@ -499,7 +498,7 @@ def staged(cache: PrefixCache, index: int) -> bool:
     dense layer has no stretch.
     """
     layers = cache.model.layers
-    return (not _chunked(len(cache.inputs), cache.threads) and index < len(layers)
+    return (not _chunked(len(cache.logits), cache.threads) and index < len(layers)
             and layers[index].kind in _ROW_LOCAL)
 
 

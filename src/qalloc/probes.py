@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,10 +69,14 @@ class ProbeConfig:
     def __post_init__(self):
         if self.delta_acc is not None and not self.delta_acc > 0:
             raise ValueError(f"delta_acc must be > 0, got {self.delta_acc}")
+        if self.delta_acc == math.inf:
+            raise ValueError("delta_acc must be > 0 and finite, got inf")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.acc_tolerance >= 0:
             raise ValueError(f"acc_tolerance must be >= 0, got {self.acc_tolerance}")
+        if self.acc_tolerance == math.inf:  # every drop would be within it
+            raise ValueError("acc_tolerance must be >= 0 and finite, got inf")
         check_bits(self.b_probe, "b_probe")
 
     def target_drop(self, baseline: float) -> float:
@@ -92,6 +96,10 @@ class MarginStats:
 
 @dataclass(frozen=True)
 class TProbe:
+    """One layer's t.  `rows` (forwarded from the layer on) and `early` (iterates stopped
+    before their last row) are its search's work, 0 on a copied t; equality ignores them,
+    since the work is the measurement's cost, not part of it."""
+
     index: int
     t: float
     noise_scale: float
@@ -100,6 +108,8 @@ class TProbe:
     iterations: int
     converged: bool
     copied: bool = False
+    rows: int = field(default=0, compare=False)
+    early: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -180,16 +190,6 @@ def probed_layers(model: Model, last_n: int | None = None) -> tuple[int, ...]:
     return weighted[-last_n:]
 
 
-@dataclass
-class SearchWork:
-    """The work of t searches, summed over their layers."""
-
-    iterations: int = 0
-    early: int = 0  # iterates whose step was certain before their last row ran
-    rows: int = 0  # rows forwarded from the probed layer on
-    full_rows: int = 0  # rows a search that forwards every row of every iterate runs
-
-
 @dataclass(frozen=True)
 class _Rule:
     """The bisection's rule, on the accuracy drop of an iterate with c of n rows correct."""
@@ -264,7 +264,7 @@ def _bisect(side_at, max_iters: int) -> tuple[float, int, bool]:
 
 
 class _LayerSearch:
-    """The t search's side oracle for one layer: `_bisect`'s `side_at`, adding its work to `work`.
+    """The t search's side oracle for one layer: `_bisect`'s `side_at`, counting its work.
 
     An iterate at scale k perturbs the layer by k * direction and only needs
     the side of target +/- tolerance its accuracy drop lies on.  So unless it
@@ -285,13 +285,13 @@ class _LayerSearch:
     correct rows; one predicted to lower k_hi visits the least correct
     first.  Until an iterate has stopped early, which is what records, rows
     go in order.  The order changes how many rows an iterate runs, never its
-    side.
+    side.  It counts its work in `rows` and `early`, as a `TProbe` reports it.
     """
 
     def __init__(self, cache: nn.PrefixCache, labels: np.ndarray, i: int, direction: np.ndarray,
-                 rule: _Rule, work: SearchWork):
+                 rule: _Rule):
         self.cache, self.labels, self.i, self.direction = cache, labels, i, direction
-        self.rule, self.work = rule, work
+        self.rule, self.rows, self.early = rule, 0, 0
         self.staged = nn.staged(cache, i)  # else every iterate runs whole, and needs no order
         self.z, self.drop = None, math.nan
         # per row, (scale, margin) seen nearest above and nearest below; made by the first
@@ -299,16 +299,14 @@ class _LayerSearch:
         self.seen = None
 
     def __call__(self, k: float, last: bool) -> int:
-        rule, labels, work = self.rule, self.labels, self.work
-        work.iterations += 1
-        work.full_rows += rule.n
+        rule, labels = self.rule, self.labels
         model = nn.perturb_layer(self.cache.model, self.i, k * self.direction)
         right = wrong = 0
         seen, margins = [], []
         order = self._order(k) if self.staged and not last else None
         for rows, z, slack in nn.forward_stages(self.cache, model, self.i, order):
             if slack is None:
-                work.rows += len(z)
+                self.rows += len(z)
                 self.z, self.drop = z, rule.acc_f - nn.accuracy(z, labels)
                 return rule.step(self.drop)
             margins.append(_signed_margin(z, labels[rows]))
@@ -320,8 +318,8 @@ class _LayerSearch:
             if side:
                 rows = np.concatenate(seen)
                 self._record(k, side, rows, np.concatenate(margins))
-                work.early += 1
-                work.rows += len(rows)
+                self.early += 1
+                self.rows += len(rows)
                 return side
         raise AssertionError("forward_stages ended without its exact logits")
 
@@ -351,8 +349,7 @@ class _LayerSearch:
         return np.argsort(predicted, kind="stable")
 
 
-def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(),
-               work: SearchWork | None = None) -> list[TProbe]:
+def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig()) -> list[TProbe]:
     """Robustness parameter t for each weighted layer of `cache.model` (bisection on noise scale).
 
     For each probed layer a fixed uniform(-0.5, 0.5) direction is scaled by k,
@@ -360,8 +357,8 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     on `labels` is within acc_tolerance of `config.target_drop`: `_bisect`
     over the layer's side oracle, a `_LayerSearch`.  A layer that cannot be
     brought into tolerance aborts the run with CalibrationError carrying
-    partial results.  `work`, when given, adds up the search's iterations
-    and rows.
+    partial results.  Each layer's TProbe carries its search's work: its
+    iterations, the rows they forwarded and how many stopped early.
 
     Cost: at most one forward of layers[i:] per bisection iteration on layer i,
     from the cache; the baseline logits and margins come from the cache too.
@@ -390,10 +387,9 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
         raise ValueError("mean margin is zero; cannot normalize t")
     labels = np.asarray(labels)
     rule = _Rule(len(labels), acc_f, target, config.acc_tolerance)
-    work = SearchWork() if work is None else work
     results: list[TProbe] = []
     for i in probe_set:
-        search = _LayerSearch(cache, labels, i, _probe_direction(model, i, config.seed), rule, work)
+        search = _LayerSearch(cache, labels, i, _probe_direction(model, i, config.seed), rule)
         k, iters, accepted = _bisect(search, config.max_iters)
         if not accepted:
             raise CalibrationError(
@@ -401,7 +397,8 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
                 f"+/- {config.acc_tolerance} within bounds [{_K_MIN}, {_K_MAX}] "
                 f"({iters} iterations)", partial=results)
         power = nn.mean_power(cache.logits - search.z)
-        results.append(TProbe(i, power / margins.mean_r_star, k, power, search.drop, iters, True))
+        results.append(TProbe(i, power / margins.mean_r_star, k, power, search.drop, iters, True,
+                              rows=search.rows, early=search.early))
 
     if config.last_n is not None and probe_set:
         pre = [TProbe(i, results[0].t, math.nan, math.nan, math.nan, 0, True, copied=True)
@@ -505,7 +502,7 @@ def additivity_probe(cache: nn.PrefixCache, allocation) -> AdditivityResult:
         q = quantize_single_layer(model, i, int(b))
         singles.append(nn.mean_power(cache.logits - nn.forward_from(cache, q, i)))
     joint_model = quantize_model(model, bits)
-    joint = nn.mean_power(cache.logits - nn.forward_batch(joint_model, cache.inputs,
+    joint = nn.mean_power(cache.logits - nn.forward_batch(joint_model, cache.layer_inputs[0],
                                                           threads=cache.threads))
     return AdditivityResult(tuple(singles), float(sum(singles)), joint)
 

@@ -179,6 +179,15 @@ class TestRounding:
         variants = allocate.round_allocation([4.5, 5.5, 6.5, 7.5, 8.5], [1] * 5, max_variants=3)
         assert len(variants) == 3
 
+    @given(st.lists(st.floats(-1.0, 20.0), min_size=1, max_size=8), st.integers(1, 300))
+    @settings(max_examples=200, deadline=None)
+    def test_variants_are_distinct_and_as_many_as_the_roundings(self, b_real, max_variants):
+        # a layer rounds to its clamped floor and ceil, one bit-width when they meet
+        roundings = math.prod(len({min(max(f(b), allocate.B_MIN), allocate.B_MAX)
+                                   for f in (math.floor, math.ceil)}) for b in b_real)
+        variants = allocate.round_allocation(b_real, [1] * len(b_real), max_variants=max_variants)
+        assert len({v.b_int for v in variants}) == len(variants) == min(max_variants, roundings)
+
 
 class TestSizeBits:
     def test_budget_identity_exact(self):

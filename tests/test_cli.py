@@ -262,9 +262,11 @@ class TestFlagRanges:
         ("--acc-tolerance", "-0.1", "acc_tolerance must be >= 0, got -0.1"),
         ("--delta-acc", "-0.1", "delta_acc must be > 0, got -0.1"),
         ("--delta-acc", "0", "delta_acc must be > 0, got 0.0"),
-        ("--delta-acc", "nan", "delta_acc must be > 0, got nan")],
+        ("--delta-acc", "nan", "delta_acc must be > 0, got nan"),
+        ("--acc-tolerance", "inf", "acc_tolerance must be >= 0 and finite, got inf"),
+        ("--delta-acc", "inf", "delta_acc must be > 0 and finite, got inf")],
         ids=["max-iters", "acc-tolerance", "delta-acc-negative", "delta-acc-zero",
-             "delta-acc-nan"])
+             "delta-acc-nan", "acc-tolerance-inf", "delta-acc-inf"])
     def test_bad_probe_settings_are_one_line_exit_1_before_any_forward(
             self, rig, tmp_path, capsys, monkeypatch, flag, value, message):
         def fail(*args, **kwargs):

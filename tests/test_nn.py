@@ -654,7 +654,7 @@ class TestForwardStages:
     def test_closing_early_runs_no_further_stage(self, fixture_model, fixture_cache):
         noise = np.full(fixture_model.layers[0].weights.shape, 1e-3)
         changed = nn.perturb_layer(fixture_model, 0, noise)
-        stages = nn.forward_stages(fixture_cache, changed, 0, np.arange(len(fixture_cache.inputs)))
+        stages = nn.forward_stages(fixture_cache, changed, 0, np.arange(len(fixture_cache.logits)))
         rows, _, slack = next(stages)
         assert list(rows) == list(range(0, 128)) and slack is not None
         rows, _, _ = next(stages)

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -171,8 +171,9 @@ class TestEstimateT:
     @pytest.mark.parametrize("field,value", [("max_iters", 0), ("max_iters", -3),
                                              ("acc_tolerance", -0.1),
                                              ("acc_tolerance", float("nan")),
+                                             ("acc_tolerance", math.inf),
                                              ("delta_acc", -0.1), ("delta_acc", 0.0),
-                                             ("delta_acc", float("nan")),
+                                             ("delta_acc", float("nan")), ("delta_acc", math.inf),
                                              ("b_probe", 1), ("b_probe", 17), ("b_probe", 8.5)])
     def test_config_rejects_settings_no_search_can_meet(self, field, value):
         rules = {"delta_acc": "be > 0", "b_probe": r"be an integer in \[2, 16\]"}
@@ -295,8 +296,10 @@ def reference_estimate_t(cache, labels, config):
 
 def same_probes(a, b):
     """Equal TProbe lists, NaN fields (the copied layers') matching NaN."""
+    compared = [f.name for f in fields(TProbe) if f.compare]
     return len(a) == len(b) and all(
-        all(x == y or (x != x and y != y) for x, y in zip(vars(p).values(), vars(q).values()))
+        all(x == y or (x != x and y != y)
+            for x, y in ((getattr(p, f), getattr(q, f)) for f in compared))
         for p, q in zip(a, b))
 
 
@@ -306,33 +309,38 @@ class TestStagedSearch:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_default_fixture_equals_the_full_search(self, fixture_model, fixture_dataset, threads):
         cache = nn.prefix_cache(fixture_model, fixture_dataset.inputs, threads)
+        n = len(fixture_dataset)
         for seed in range(3):
             cfg = ProbeConfig(seed=seed)
-            work = probes.SearchWork()
-            got = probes.estimate_t(cache, fixture_dataset.labels, cfg, work)
+            got = probes.estimate_t(cache, fixture_dataset.labels, cfg)
             assert got == reference_estimate_t(cache, fixture_dataset.labels, cfg)
+            iterations, early, rows = (sum(getattr(r, f) for r in got)
+                                       for f in ("iterations", "early", "rows"))
+            if seed == 0:  # what `qalloc estimate-t` reports on the default fixture
+                assert (iterations, early, rows) == {1: (33, 12, 57872), 2: (33, 0, 66000)}[threads]
             # a stack that runs in chunks (threads 2 on 2000 rows) runs every iterate whole
-            assert (work.early > 0) == (work.rows < work.full_rows) == (threads == 1)
-            assert work.iterations == sum(r.iterations for r in got)
+            assert (early > 0) == (rows < iterations * n) == (threads == 1)
+            assert all(r.rows <= r.iterations * n and r.early <= r.iterations for r in got)
 
     def test_last_n_and_small_fixture_equal_the_full_search(self, fixture_model, fixture_dataset):
         cache = nn.prefix_cache(fixture_model, fixture_dataset.inputs)
         cfg = ProbeConfig(last_n=2)
-        assert same_probes(probes.estimate_t(cache, fixture_dataset.labels, cfg),
-                           reference_estimate_t(cache, fixture_dataset.labels, cfg))
+        got = probes.estimate_t(cache, fixture_dataset.labels, cfg)
+        assert same_probes(got, reference_estimate_t(cache, fixture_dataset.labels, cfg))
+        # a copied t carries no work; a probed one forwarded rows
+        assert all((r.rows, r.early) == (0, 0) if r.copied else r.rows > 0 for r in got)
         model, ds = small_conv_fixture()
         for threads in (1, 2):
             for cfg in (ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=3),
                         ProbeConfig(acc_tolerance=0.001, seed=1)):
                 small = cached(model, ds, threads)
-                work = probes.SearchWork()
-                assert (probes.estimate_t(small, ds.labels, cfg, work)
-                        == reference_estimate_t(small, ds.labels, cfg))
-                assert (work.early > 0) == (threads == 1)
+                got = probes.estimate_t(small, ds.labels, cfg)
+                assert got == reference_estimate_t(small, ds.labels, cfg)
+                assert (sum(r.early for r in got) > 0) == (threads == 1)
 
     @pytest.mark.parametrize("which,max_iters", [("default", 2), ("small", 2), ("small", 60)])
     def test_failure_message_is_the_full_search_one(self, fixture_model, fixture_dataset, which,
-                                                    max_iters):
+                                                    max_iters, monkeypatch):
         # an iterate that could be the last runs every row, so the message's drop is exact:
         # two iterations end at the cap, sixty at an interval that collapses first
         model, ds = ((fixture_model, fixture_dataset) if which == "default"
@@ -341,12 +349,25 @@ class TestStagedSearch:
         cfg = ProbeConfig(acc_tolerance=0.0, max_iters=max_iters)
         with pytest.raises(CalibrationError) as want:
             reference_estimate_t(cache, ds.labels, cfg)
-        work = probes.SearchWork()
+        searches = []
+
+        class Spy(probes._LayerSearch):
+            def __init__(self, *args):
+                super().__init__(*args)
+                searches.append(self)
+
+        monkeypatch.setattr(probes, "_LayerSearch", Spy)
         with pytest.raises(CalibrationError) as got:
-            probes.estimate_t(cache, ds.labels, cfg, work)
+            probes.estimate_t(cache, ds.labels, cfg)
         assert str(got.value) == str(want.value)
         assert got.value.partial == want.value.partial
-        assert work.early > 0
+        assert searches[-1].early > 0  # the failing layer stopped an iterate early
+
+    def test_the_work_is_not_part_of_a_tprobe_s_value(self):
+        a = TProbe(0, 1.5, 0.1, 0.2, 0.25, 5, True, rows=4000, early=2)
+        assert a == replace(a, rows=0, early=0)
+        assert hash(a) == hash(replace(a, rows=0, early=0))
+        assert a != replace(a, iterations=6)
 
     @given(n=st.integers(1, 300), base=st.floats(0.02, 1.0), frac=st.floats(0.01, 0.99),
            tol=st.sampled_from([0.0, 1e-3, 0.005, 0.02, 0.1]), data=st.data())
