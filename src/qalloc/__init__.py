@@ -8,8 +8,8 @@ equal bit-width baselines on size-versus-accuracy curves.
 
 from .allocate import (BitAllocation, allocate_adaptive, allocate_equal, allocate_sqnr,
                        predicted_m_all, round_allocation, size_bits, stationarity_residual)
-from .harness import (ComparisonReport, CurvePoint, VerifyConfig, compare, default_anchor_grid,
-                      pareto_frontier, run_pipeline, sweep, verify)
+from .harness import (ComparisonReport, CurvePoint, compare, default_anchor_grid, pareto_frontier,
+                      run_pipeline, sweep, verify)
 from .modelio import (FixtureSpec, LoadError, default_fixture, gen_dataset, gen_model,
                       load_allocation, load_curve, load_dataset, load_model, load_profiles,
                       save_allocation, save_curve, save_dataset, save_model, save_profiles)

@@ -98,8 +98,9 @@ def cmd_margins(args) -> tuple[int, list[Path]]:
     dataset = modelio.load_dataset(args.data)
     stats = probes.margin_stats(nn.forward_batch(model, dataset.inputs, threads=args.threads))
     print(f"mean margin power (z1-z2)^2/2: {stats.mean_r_star!r} over {stats.n} samples")
-    return 0, ([modelio.save_margins(stats, _out_dir(args) / "margins.json")] if args.out
-               else [])
+    return 0, _write_report(args, "margins.json", {
+        "mean_r_star": stats.mean_r_star, "n": stats.n, "counts": list(stats.counts),
+        "bin_edges": list(stats.bin_edges)})
 
 
 def cmd_estimate_t(args) -> tuple[int, list[Path]]:
@@ -238,9 +239,8 @@ def cmd_verify(args) -> tuple[int, list[Path]]:
                else modelio.gen_dataset(model, args.n, seed=args.fixture_seed + 1))
     nn.check_inputs(model, dataset.inputs)  # a dataset the model cannot run is a one-line
     nn.check_labels(dataset.labels, model.d)  # error, not a battery of failed checks
-    config = harness.VerifyConfig(seed=args.seed, quick=args.quick, threads=args.threads,
-                                  anchors=anchors)
-    results = harness.verify(model, dataset, config)
+    results = harness.verify(model, dataset, seed=args.seed, quick=args.quick, anchors=anchors,
+                             threads=args.threads)
     failures = 0
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.detail}")

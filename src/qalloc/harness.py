@@ -295,16 +295,6 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True)
-class VerifyConfig:
-    """Settings for the verification battery; `quick` runs it scaled down, for smoke tests."""
-
-    seed: int = 0
-    quick: bool = False
-    anchors: tuple[float, ...] | None = None
-    threads: int = 1
-
-
 def check_quantizer_law(n: int, seed: int) -> CheckResult:
     """Residual power at b = 4..10 within 5% of the law; adjacent-bit ratios in [3.6, 4.4]."""
     rng = np.random.default_rng(seed)
@@ -491,19 +481,22 @@ def check_roundtrips(model, dataset, profiles, tmp_dir) -> CheckResult:
     return CheckResult("roundtrips", not problems, "; ".join(problems) or "all artifacts bit-exact")
 
 
-def verify(model, dataset, config: VerifyConfig = VerifyConfig()) -> list[CheckResult]:
+def verify(model, dataset, seed: int = 0, quick: bool = False, anchors=None,
+           threads: int = 1) -> list[CheckResult]:
     """Run the battery's 13 checks in order; a check that raises fails under its own name.
 
-    The shared data (one prefix cache for the three model-bound checks, the
-    pipeline's profiles, a pair of adaptive/equal sweeps) is built when a
-    check first needs it; a build that raises is retried by the next one.
+    `seed` seeds every check, `quick` runs the battery scaled down (for smoke
+    tests), `anchors` are the sweeps' b1 values (None: the default grid) and
+    `threads` the forwards' thread count.  The shared data (one prefix cache
+    for the three model-bound checks, the pipeline's profiles, a pair of
+    adaptive/equal sweeps) is built when a check first needs it; a build
+    that raises is retried by the next one.
     """
-    seed, quick, threads = config.seed, config.quick, config.threads
     pipeline_config = probes.ProbeConfig(seed=seed, threads=threads)
     cache = functools.cache(lambda: nn.prefix_cache(model, dataset.inputs, threads=threads))
     profiles = functools.cache(lambda: run_pipeline(model, dataset, pipeline_config))
     sweeps = functools.cache(lambda: [
-        sweep(model, dataset, profiles(), b1_values=config.anchors, methods=("adaptive", "equal"),
+        sweep(model, dataset, profiles(), b1_values=anchors, methods=("adaptive", "equal"),
               max_variants=4 if quick else 16, threads=threads) for _ in range(2)])
 
     def t_ratio_stability():

@@ -27,7 +27,7 @@ import numpy as np
 
 from .allocate import BitAllocation
 from .nn import Dataset, Layer, Model, _layer_out_shape, classify_batch, forward_batch
-from .probes import LayerProfile, MarginStats
+from .probes import LayerProfile
 
 FORMAT_VERSION = 1
 
@@ -443,13 +443,6 @@ def load_curve(path) -> list[dict]:
                  "size_bits": int(size_bits), "size_mb": _finite(float(size_mb)),
                  "top1": _finite(float(top1))}
                 for method, b1, variant, size_bits, size_mb, top1 in rows[1:]]
-
-
-def save_margins(stats: MarginStats, path) -> Path:
-    """margins.json: the mean margin power and the margin histogram."""
-    return write_json(path, {"format_version": FORMAT_VERSION, "mean_r_star": stats.mean_r_star,
-                             "n": stats.n, "counts": list(stats.counts),
-                             "bin_edges": list(stats.bin_edges)})
 
 
 def write_json(path, payload: dict) -> Path:

@@ -245,16 +245,15 @@ def _settled(margin: np.ndarray, slack: np.ndarray) -> tuple[int, int]:
 def _bisect(side_at, max_iters: int) -> tuple[float, int, bool]:
     """Geometric bisection of the noise scale k in [_K_MIN, _K_MAX]: (k, iterations, accepted).
 
-    `side_at(k, last)` returns 0 to accept k, +1 to raise k_lo (k is too
-    small) or -1 to lower k_hi.  `last` is True exactly when the search may
-    end after this iterate without accepting: at the iteration cap, or when
-    either step would collapse the interval (k_hi / k_lo < 1 + 1e-12).  An
-    unaccepted search returns its last k.
+    `side_at(k)` returns 0 to accept k, +1 to raise k_lo (k is too small) or
+    -1 to lower k_hi.  The search ends at the iteration cap, or once the
+    interval collapses (k_hi / k_lo < 1 + 1e-12); an unaccepted search
+    returns its last k.
     """
     k_lo, k_hi = _K_MIN, _K_MAX
     for iters in range(1, max_iters + 1):
         k = math.sqrt(k_lo * k_hi)
-        side = side_at(k, iters == max_iters or min(k_hi / k, k / k_lo) < 1 + 1e-12)
+        side = side_at(k)
         if side == 0:
             return k, iters, True
         k_lo, k_hi = (k, k_hi) if side > 0 else (k_lo, k)
@@ -267,13 +266,11 @@ class _LayerSearch:
     """The t search's side oracle for one layer: `_bisect`'s `side_at`, counting its work.
 
     An iterate at scale k perturbs the layer by k * direction and only needs
-    the side of target +/- tolerance its accuracy drop lies on.  So unless it
-    could be the last, or its layer does not stage (`nn.staged`, asked
-    once: the layer starts no row-local stretch, or the cache's forwards run
-    in evaluation chunks), it runs its rows in stages (`nn.forward_stages`), counts the rows
-    whose class its signed margins settle (`_settled`) and stops once they
-    make the side certain.  An iterate that runs every row leaves its exact
-    drop in `drop`, and its exact logits in `z`.
+    the side of target +/- tolerance its accuracy drop lies on.  So it hands
+    `nn.forward_stages` a row order; where that runs its rows in stages, the
+    iterate counts the rows whose class its signed margins settle
+    (`_settled`) and stops once they make the side certain.  An iterate that
+    runs every row leaves its exact logits in `z`.
 
     Row order: every earlier iterate lies at or below the bracket's k_lo or
     at or above its k_hi, and the next scale k lies between them.  So a
@@ -291,24 +288,21 @@ class _LayerSearch:
     def __init__(self, cache: nn.PrefixCache, labels: np.ndarray, i: int, direction: np.ndarray,
                  rule: _Rule):
         self.cache, self.labels, self.i, self.direction = cache, labels, i, direction
-        self.rule, self.rows, self.early = rule, 0, 0
-        self.staged = nn.staged(cache, i)  # else every iterate runs whole, and needs no order
-        self.z, self.drop = None, math.nan
+        self.rule, self.rows, self.early, self.z = rule, 0, 0, None
         # per row, (scale, margin) seen nearest above and nearest below; made by the first
         # iterate that stops early
         self.seen = None
 
-    def __call__(self, k: float, last: bool) -> int:
+    def __call__(self, k: float) -> int:
         rule, labels = self.rule, self.labels
         model = nn.perturb_layer(self.cache.model, self.i, k * self.direction)
         right = wrong = 0
         seen, margins = [], []
-        order = self._order(k) if self.staged and not last else None
-        for rows, z, slack in nn.forward_stages(self.cache, model, self.i, order):
+        for rows, z, slack in nn.forward_stages(self.cache, model, self.i, self._order(k)):
             if slack is None:
                 self.rows += len(z)
-                self.z, self.drop = z, rule.acc_f - nn.accuracy(z, labels)
-                return rule.step(self.drop)
+                self.z = z
+                return rule.step(rule.acc_f - nn.accuracy(z, labels))
             margins.append(_signed_margin(z, labels[rows]))
             hits, misses = _settled(margins[-1], slack)
             right, wrong = right + hits, wrong + misses
@@ -337,7 +331,7 @@ class _LayerSearch:
     def _order(self, k: float):
         """The row order for an iterate at scale k; row order before any record."""
         if self.seen is None:
-            return np.arange(self.rule.n)
+            return range(self.rule.n)  # a permutation that allocates no array
         (hi_k, hi_m), (lo_k, lo_m) = self.seen
         above = np.isfinite(hi_k)
         log_lo = np.log(lo_k[above])
@@ -370,11 +364,13 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     after 1024 at the earliest, and at one thread it forwards about 75% of the
     time-weighted rows.  The k sequence, the iteration count and every result
     are those of a search that forwards every row.  The accepted iterate runs
-    to the end, so its exact logits give its feature-noise power at no further
-    forward, and so does an iterate that could be the last (the iteration cap,
-    or an interval about to collapse), whose exact drop the failure message
-    prints.  On a cache whose forwards run in evaluation chunks (more than
-    one thread on more than 512 rows; `nn.staged`), every iterate runs whole.
+    to the end, so its exact logits give its drop and feature-noise power at
+    no further forward; a failed search runs one more, at its last k, for the
+    exact drop its message prints.  On a cache whose forwards run in
+    evaluation chunks (more than one thread on more than 512 rows), every
+    iterate runs whole: `nn.forward_stages` decides.  An acc_tolerance whose
+    band around the target holds every possible drop, so that any k would
+    pass, is a ValueError before any iterate.
     """
     model = cache.model
     probe_set = probed_layers(model, config.last_n)
@@ -387,17 +383,21 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
         raise ValueError("mean margin is zero; cannot normalize t")
     labels = np.asarray(labels)
     rule = _Rule(len(labels), acc_f, target, config.acc_tolerance)
+    if rule.step(rule.drop(0)) == rule.step(rule.drop(rule.n)) == 0:  # drops are monotone
+        raise ValueError(f"acc_tolerance {config.acc_tolerance} accepts every accuracy drop "
+                         f"around target {target} (baseline accuracy {acc_f})")
     results: list[TProbe] = []
     for i in probe_set:
         search = _LayerSearch(cache, labels, i, _probe_direction(model, i, config.seed), rule)
         k, iters, accepted = _bisect(search, config.max_iters)
-        if not accepted:
+        if not accepted:  # its last iterate may have stopped early
+            z = nn.forward_from(cache, nn.perturb_layer(model, i, k * search.direction), i)
             raise CalibrationError(
-                f"layer {i}: accuracy drop {search.drop:.4f} never reached target {target:.4f} "
-                f"+/- {config.acc_tolerance} within bounds [{_K_MIN}, {_K_MAX}] "
-                f"({iters} iterations)", partial=results)
-        power = nn.mean_power(cache.logits - search.z)
-        results.append(TProbe(i, power / margins.mean_r_star, k, power, search.drop, iters, True,
+                f"layer {i}: accuracy drop {acc_f - nn.accuracy(z, labels):.4f} never reached "
+                f"target {target:.4f} +/- {config.acc_tolerance} within bounds "
+                f"[{_K_MIN}, {_K_MAX}] ({iters} iterations)", partial=results)
+        power, drop = nn.mean_power(cache.logits - search.z), acc_f - nn.accuracy(search.z, labels)
+        results.append(TProbe(i, power / margins.mean_r_star, k, power, drop, iters, True,
                               rows=search.rows, early=search.early))
 
     if config.last_n is not None and probe_set:

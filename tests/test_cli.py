@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qalloc import harness, modelio, nn
+from qalloc import harness, modelio, nn, probes
 from qalloc.cli import build_parser, main
 from qalloc.nn import Dataset, Layer, Model
 from qalloc.probes import LayerProfile
@@ -111,6 +111,20 @@ class TestMargins:
                      "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: margins need at least one sample\n"
         assert not (out / "margins.json").exists()
+
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_margins_json_holds_the_stats_of_the_run(self, rig, tmp_path, threads):
+        out = tmp_path / "out"
+        assert main(["margins", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--threads", str(threads), "--out", str(out)]) == 0
+        doc = json.loads((out / "margins.json").read_text())
+        model, dataset = modelio.load_model(rig / "m"), modelio.load_dataset(rig / "d")
+        stats = probes.margin_stats(nn.forward_batch(model, dataset.inputs, threads=threads))
+        assert list(doc) == ["format_version", "mean_r_star", "n", "counts", "bin_edges"]
+        assert doc == {"format_version": modelio.FORMAT_VERSION,
+                       "mean_r_star": stats.mean_r_star, "n": stats.n,
+                       "counts": list(stats.counts), "bin_edges": list(stats.bin_edges)}
 
 
 class TestAllocate:
@@ -349,6 +363,23 @@ class TestEstimateTSummary:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("tolerance", ["1", "0.5"])
+    def test_a_band_that_holds_every_drop_is_one_line_exit_1(self, rig, tmp_path, capsys,
+                                                            monkeypatch, tolerance):
+        # on the rig (baseline accuracy 1, default target 0.5) any k would be accepted
+        def fail(*args, **kwargs):
+            raise AssertionError("an iterate ran")
+
+        monkeypatch.setattr(probes, "_bisect", fail)
+        out = tmp_path / "D"
+        assert main(["estimate-t", "--model", str(rig / "m"), "--data", str(rig / "d"),
+                     "--acc-tolerance", tolerance, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: acc_tolerance {float(tolerance)} accepts "
+                                           "every accuracy drop around target 0.5 (baseline "
+                                           "accuracy 1.0)\n")
+        assert not out.exists()
+
+
 # dataset 191 (the default gen-data seed) at n = 2000, probe seed 0
 SUMMARY_191 = "t search: 33 iterations, 12 decided early, 87.7% of full-forward rows"
 
@@ -497,7 +528,7 @@ class TestLemmaVerify:
 
         seen = []
 
-        def spy(model, dataset, config):
+        def spy(model, dataset, **settings):
             seen.append((model, dataset))
             return []
 

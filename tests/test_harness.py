@@ -214,8 +214,8 @@ class TestChecks:
 
     def test_verify_battery_on_small_rig(self, small_rig):
         model, ds = small_rig
-        cfg = harness.VerifyConfig(seed=1, quick=True, anchors=(5.0, 6.0, 7.0, 8.0, 9.0, 10.0))
-        results = harness.verify(model, ds, cfg)
+        results = harness.verify(model, ds, seed=1, quick=True,
+                                 anchors=(5.0, 6.0, 7.0, 8.0, 9.0, 10.0))
         assert [r.name for r in results] == BATTERY
         # structural checks must pass even on the throwaway rig
         for required in ("quantizer_law", "kkt_stationarity", "optimality_vs_grid",
@@ -227,8 +227,7 @@ class TestChecks:
     def test_verify_handles_empty_dataset_as_failure_not_crash(self, small_rig):
         model, _ = small_rig
         empty = Dataset(np.zeros((0, 12), dtype=np.float32), [])
-        cfg = harness.VerifyConfig(quick=True, anchors=(6.0,))
-        results = harness.verify(model, empty, cfg)
+        results = harness.verify(model, empty, quick=True, anchors=(6.0,))
         assert [r.name for r in results] == BATTERY  # no check is lost to a shared build
         data_bound = ["linearity", "additivity", "t_ratio_stability", "dominance",
                       "equal_envelope", "sweep_reproducible", "pipeline_deterministic",
@@ -243,8 +242,7 @@ class TestChecks:
 
         monkeypatch.setattr(probes, "additivity_probe", fail)
         model, ds = small_rig
-        cfg = harness.VerifyConfig(quick=True, anchors=(6.0,))
-        results = harness.verify(model, ds, cfg)
+        results = harness.verify(model, ds, quick=True, anchors=(6.0,))
         crashed = [r for r in results if r.detail == "raised RuntimeError: boom"]
         assert [r.name for r in crashed] == ["additivity"]
 
@@ -259,7 +257,7 @@ class TestChecks:
 
         monkeypatch.setattr(nn, "prefix_cache", spy)
         model, ds = small_rig
-        harness.verify(model, ds, harness.VerifyConfig(quick=True, anchors=(6.0,)))
+        harness.verify(model, ds, quick=True, anchors=(6.0,))
         assert len(built) == 3
 
     def test_checks_take_what_they_check(self, small_rig, small_profiles, monkeypatch):

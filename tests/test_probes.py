@@ -149,6 +149,29 @@ class TestEstimateT:
         assert res[0].copied and not res[1].copied
         assert res[0].t == res[1].t
 
+    @pytest.mark.parametrize("delta_acc,tol,holds_every_drop", [
+        (None, 0.5, True), (None, 1.0, True), (0.25, 0.75, True), (None, 0.49, False),
+        (0.25, 0.74, False)])
+    def test_a_band_that_holds_every_drop_is_rejected_before_any_iterate(
+            self, monkeypatch, delta_acc, tol, holds_every_drop):
+        # drops run from acc_f - 1 (every row right) to acc_f (every row wrong); the baseline is 1
+        def fail(*args, **kwargs):
+            raise AssertionError("an iterate ran")
+
+        model, ds = small_fixture()
+        cache = cached(model, ds)
+        monkeypatch.setattr(probes, "_bisect", fail)
+        cfg = ProbeConfig(delta_acc=delta_acc, acc_tolerance=tol)
+        if not holds_every_drop:
+            with pytest.raises(AssertionError, match="an iterate ran"):
+                probes.estimate_t(cache, ds.labels, cfg)
+            return
+        target = 0.5 if delta_acc is None else delta_acc
+        with pytest.raises(ValueError) as err:
+            probes.estimate_t(cache, ds.labels, cfg)
+        assert str(err.value) == (f"acc_tolerance {tol} accepts every accuracy drop around "
+                                  f"target {target} (baseline accuracy 1.0)")
+
     def test_delta_beyond_baseline_rejected(self):
         model, ds = small_fixture()
         with pytest.raises(ValueError, match="delta_acc"):
@@ -192,11 +215,11 @@ class TestEstimateT:
 
 
 def recording(side):
-    """A side oracle for `probes._bisect` from side(k), and the list of its calls' (k, last)."""
+    """A side oracle for `probes._bisect` from side(k), and the list of the k it was called at."""
     calls = []
 
-    def side_at(k, last):
-        calls.append((k, last))
+    def side_at(k):
+        calls.append(k)
         return side(k)
 
     return side_at, calls
@@ -213,7 +236,7 @@ class TestBisect:
     def test_accept_on_the_first_call(self):
         side_at, calls = recording(lambda k: 0)
         assert probes._bisect(side_at, 40) == (0.1, 1, True)
-        assert calls == [(0.1, False)]
+        assert calls == [0.1]
 
     @pytest.mark.parametrize("max_iters,iters", [(40, 40), (60, 45)])
     def test_a_plateau_below_the_target_ends_at_the_cap_or_the_collapse(self, max_iters, iters):
@@ -221,8 +244,7 @@ class TestBisect:
         # the cap, sixty at the interval's collapse onto _K_MAX
         side_at, calls = recording(lambda k: 1)
         k, got, accepted = probes._bisect(side_at, max_iters)
-        assert (got, accepted, k) == (iters, False, calls[-1][0])
-        assert [last for _, last in calls] == [False] * (iters - 1) + [True]
+        assert (got, accepted, k) == (iters, False, calls[-1])
         assert k == pytest.approx(probes._K_MAX, rel=1e-10)
 
     def test_a_step_with_no_accept_band_collapses_onto_it(self):
@@ -230,25 +252,32 @@ class TestBisect:
         k, iters, accepted = probes._bisect(side_at, 60)
         assert (iters, accepted) == (45, False)
         assert abs(k / 0.37 - 1) < 1e-12
-        assert [last for _, last in calls] == [False] * 44 + [True]
 
     def test_a_step_with_an_accept_band_is_accepted_early(self):
         side_at, calls = recording(step_at(0.37, 0.01))
         k, iters, accepted = probes._bisect(side_at, 40)
         assert accepted and iters == len(calls) <= 10
         assert abs(math.log(k / 0.37)) < 0.01
-        assert not any(last for _, last in calls)
 
     @given(log_k=st.floats(math.log(probes._K_MIN), math.log(probes._K_MAX)),
            band=st.sampled_from([0.0, 1e-9, 1e-4, 0.01, 0.5]), max_iters=st.integers(1, 60))
     @settings(max_examples=200, deadline=None)
-    def test_last_marks_exactly_the_calls_the_search_may_end_on(self, log_k, band, max_iters):
-        side_at, calls = recording(step_at(math.exp(log_k), band))
+    def test_the_search_ends_only_on_accept_cap_or_collapse(self, log_k, band, max_iters):
+        side = step_at(math.exp(log_k), band)
+        side_at, calls = recording(side)
         k, iters, accepted = probes._bisect(side_at, max_iters)
-        assert iters == len(calls) <= max_iters and k == calls[-1][0]
-        assert not any(last for _, last in calls[:-1])
-        assert accepted or calls[-1][1]
-        assert all(probes._K_MIN < c < probes._K_MAX for c, _ in calls)
+        assert iters == len(calls) <= max_iters and k == calls[-1]
+        assert all(probes._K_MIN < c < probes._K_MAX for c in calls)
+        # replay the bracket: each call lies inside it, and only the last may accept
+        k_lo, k_hi = probes._K_MIN, probes._K_MAX
+        for c in calls:
+            assert k_lo < c < k_hi
+            if side(c):
+                k_lo, k_hi = (c, k_hi) if side(c) > 0 else (k_lo, c)
+            else:
+                assert c == calls[-1] and accepted
+        if not accepted:
+            assert iters == max_iters or k_hi / k_lo < 1 + 1e-12
 
 
 def reference_estimate_t(cache, labels, config):
@@ -341,8 +370,8 @@ class TestStagedSearch:
     @pytest.mark.parametrize("which,max_iters", [("default", 2), ("small", 2), ("small", 60)])
     def test_failure_message_is_the_full_search_one(self, fixture_model, fixture_dataset, which,
                                                     max_iters, monkeypatch):
-        # an iterate that could be the last runs every row, so the message's drop is exact:
-        # two iterations end at the cap, sixty at an interval that collapses first
+        # the message's drop is the exact one at the failing k, even when the last iterate
+        # stopped early: two iterations end at the cap, sixty at an interval that collapses first
         model, ds = ((fixture_model, fixture_dataset) if which == "default"
                      else small_conv_fixture())
         cache = cached(model, ds)
@@ -354,7 +383,14 @@ class TestStagedSearch:
         class Spy(probes._LayerSearch):
             def __init__(self, *args):
                 super().__init__(*args)
+                self.stopped = []  # per iterate, whether it stopped early
                 searches.append(self)
+
+            def __call__(self, k):
+                early = self.early
+                side = super().__call__(k)
+                self.stopped.append(self.early > early)
+                return side
 
         monkeypatch.setattr(probes, "_LayerSearch", Spy)
         with pytest.raises(CalibrationError) as got:
@@ -362,6 +398,8 @@ class TestStagedSearch:
         assert str(got.value) == str(want.value)
         assert got.value.partial == want.value.partial
         assert searches[-1].early > 0  # the failing layer stopped an iterate early
+        if max_iters == 2:  # its last one too, so the drop came from estimate_t's own forward
+            assert searches[-1].stopped[-1]
 
     def test_the_work_is_not_part_of_a_tprobe_s_value(self):
         a = TProbe(0, 1.5, 0.1, 0.2, 0.25, 5, True, rows=4000, early=2)
