@@ -19,12 +19,24 @@ chunk.  Every activation the engine keeps or returns is one array.  Within a
 chunk, each maximal stretch of row-local layers (conv2d, relu, maxpool2d)
 runs in `_BLOCK`-row blocks: a block passes through the whole stretch while
 its workspaces are still in cache, and the stretch's last layer writes it
-straight into one output array for the chunk.  The workspaces (each layer's
-block output, a conv's zero-bordered float64 input and its product buffer)
-are allocated once per stretch and chunk and reused by every block; relu runs
-in place on them, never on an array the engine did not make.  Each output row
-of these layers depends on its input row alone, and numpy computes it with
-the same products whatever the number of rows, so blocking changes no bit.
+straight into one output array for the chunk.  The workspaces (a maxpool's
+block output; a conv's zero-bordered float64 input, flattened per image, its
+output grid and its product buffer) are allocated once per stretch and chunk
+and reused by every block; relu runs in place on them, never on an array the
+engine did not make.  A conv is one matrix product per image and kernel
+offset: on the flattened input, offset (dy, dx) is one strided slice, whose
+product fills a grid of oh rows of the padded width wp.  The wp - ow columns
+past the output in each grid row are junk that nothing reads, and what
+follows the conv reads the grid's valid view, so a conv has no output
+workspace of its own.  Each output pixel sums the same products in the same
+order as one product per output row would, but numpy and BLAS may compute a
+product entry differently at another row count: a one-column output is a
+vector times the kernel, and BLAS may sum the leftover rows of a product in
+another order.  A conv whose shape shows such a difference on seeded random
+data (`_conv_per_row`) keeps one product per output row, so every conv has
+the bits of the per-row arithmetic that the engine's tests keep as a frozen
+reference.  What these layers give a row of the stack (one sample) depends
+on that row's input alone, so blocking changes no bit either.
 Dense layers run on the whole chunk, because OpenBLAS dense results depend on
 the row count of the call.
 
@@ -57,6 +69,7 @@ order.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -227,33 +240,79 @@ class Dataset:
         return len(self.labels)
 
 
-def _conv_into(x, w, bias, stride, dst, pad, tmp):
-    """A conv2d of one row block x into dst, through the workspaces pad and tmp.
+@functools.cache
+def _conv_per_row(cin: int, cout: int, stride: int, oh: int, ow: int, wp: int) -> bool:
+    """Whether a conv of this shape multiplies one output row at a time, not one image.
 
-    w and bias are float64.  pad is the float64 input buffer, zero-bordered
-    for "same" padding; only its interior is written, so its border stays
-    zero.  tmp is C-contiguous like dst, which keeps every product in BLAS.
-    The sum runs in (dy, dx) order from 0.0: the first product lands in dst
+    One product per image gives an output pixel the bits of one product per
+    output row only if numpy and BLAS compute each entry the same way at
+    both row counts.  They need not: with one output column numpy multiplies
+    a vector by w (gemv) instead of a matrix, and OpenBLAS's kernels for
+    leftover rows or columns can sum the cin products in another order than
+    its main kernel (seen from cin = 8 on, for shapes that differ between
+    its Haswell and SkylakeX kernels).  So an image is one product only when
+    both ways agree in every bit on seeded random data of this shape with at
+    least 512 output entries: another summation order shows on such data all
+    but surely, and the seed makes the choice repeat.  Cached per shape.
+    """
+    rng = np.random.default_rng(0)
+    n = -(-512 // (oh * ow * cout))
+    xs = rng.standard_normal((n, (oh * wp - 1) * stride + 1, cin))[:, ::stride]
+    w = rng.standard_normal((cin, cout))
+    rows = xs.reshape(n, oh, wp, cin)[:, :, :ow] @ w
+    return not np.array_equal((xs @ w).reshape(n, oh, wp, cout)[:, :, :ow], rows)
+
+
+def _conv_into(x, w, bias, stride, ow, per_row, relu, pad, grid, tmp):
+    """A conv2d of one row block x onto its grid; returns the grid's valid view (n, oh, ow, cout).
+
+    w is float64, and bias None or a float64 tile of one image's grid.  pad is
+    the flat float64 input buffer, (n, hp * wp + tail, cin): each image's
+    zero-bordered (hp, wp) input, row after row, then a zero tail.  Only the
+    input's place in it is written, so the border and the tail stay zero.
+    grid and tmp are C-contiguous (n, oh, wp, cout): grid entry (oy, ox) is
+    output pixel (oy, ox), and the wp - ow columns past ow are junk that
+    nothing reads.  Kernel offset (dy, dx) reads the slice of pad from
+    dy * wp + dx with step `stride`, the inputs of every grid entry in order,
+    so each image and offset costs one product of oh * wp rows.  `per_row`
+    (`_conv_per_row`) splits that slice into output rows instead and gives
+    each its own product of ow rows, into the grid's valid columns.
+
+    The sum runs in (dy, dx) order from 0.0: the first product lands in grid
     as it is, which equals 0.0 + p bit for bit, because numpy's matmul (with
     BLAS or without) accumulates each entry from +0.0 and so never returns
-    -0.0.  The bias comes last.
+    -0.0.  Later products go through tmp and are added; the bias comes last.
+    Given `relu`, a relu follows in place.  Bias and relu run on every column
+    the products wrote, junk included: on the whole grid, that is faster than
+    on its valid view.
     """
     kh, kw = w.shape[:2]
-    h, wd = x.shape[1:3]
-    oh, ow = dst.shape[1:3]
-    top, left = (pad.shape[1] - h) // 2, (pad.shape[2] - wd) // 2
-    pad[:, top:top + h, left:left + wd] = x  # the float64 cast is exact
+    n, h, wd, cin = x.shape
+    oh, wp, cout = grid.shape[1:]
+    hp = max((oh - 1) * stride + kh, h)
+    top, left = (hp - h) // 2, (wp - wd) // 2
+    pad[:, :hp * wp].reshape(n, hp, wp, cin)[:, top:top + h, left:left + wd] = x  # exact cast
+    if per_row:
+        dst, prod = grid[:, :, :ow], tmp[:, :, :ow]
+    else:
+        dst, prod = grid.reshape(n, oh * wp, cout), tmp.reshape(n, oh * wp, cout)
     for dy in range(kh):
         for dx in range(kw):
-            xs = pad[:, dy:dy + (oh - 1) * stride + 1:stride, dx:dx + (ow - 1) * stride + 1:stride]
+            at = dy * wp + dx
+            xs = pad[:, at:at + (oh * wp - 1) * stride + 1:stride]
+            if per_row:
+                xs = xs.reshape(n, oh, wp, cin)[:, :, :ow]
             if dy == dx == 0:
                 np.matmul(xs, w[0, 0], out=dst)
             else:
-                np.matmul(xs, w[dy, dx], out=tmp)
-                dst += tmp
+                np.matmul(xs, w[dy, dx], out=prod)
+                dst += prod
+    wrote = grid[:, :, :ow] if per_row else grid
     if bias is not None:
-        dst += bias
-    return dst
+        wrote += bias[:, :wrote.shape[2]]
+    if relu:
+        np.maximum(wrote, 0.0, out=wrote)
+    return grid[:, :, :ow]
 
 
 def _maxpool_into(x, layer: Layer, dst):
@@ -276,14 +335,23 @@ def _apply_dense(x, layer: Layer):
     return out
 
 
-def _padded_shape(layer: Layer, in_shape, out_shape):
-    """Shape of a conv2d's input buffer: the input plus its "same" border."""
-    if layer.padding == "valid":
-        return in_shape
-    h, w, c = in_shape
+def _conv_args(layer: Layer, in_shape, out_shape, rows: int, relu: bool):
+    """`_conv_into`'s arguments but the block: the float64 weights and bias tile, the
+    stride, ow, `per_row`, `relu`, and the zeroed input buffer, the grid and the product
+    buffer."""
+    h, w, cin = in_shape
+    oh, ow, cout = out_shape
     kh, kw = layer.weights.shape[:2]
-    (oh, ow), s = out_shape[:2], layer.stride
-    return (h + max((oh - 1) * s + kh - h, 0), w + max((ow - 1) * s + kw - w, 0), c)
+    s = layer.stride
+    hp, wp = max((oh - 1) * s + kh, h), max((ow - 1) * s + kw, w)
+    # the tail holds what the last offset's slice reads past the bordered input
+    size = max(hp * wp, (kh - 1) * wp + kw + (oh * wp - 1) * s)
+    # added as a tile of one image's grid, the bias runs faster than as a broadcast of cout values
+    bias = None if layer.bias is None else np.broadcast_to(
+        layer.bias.astype(np.float64, copy=False), (oh, wp, cout)).copy()
+    return (layer.weights.astype(np.float64, copy=False), bias, s, ow,
+            _conv_per_row(cin, cout, s, oh, ow, wp), relu, np.zeros((rows, size, cin)),
+            np.empty((rows, oh, wp, cout)), np.empty((rows, oh, wp, cout)))
 
 
 def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
@@ -291,28 +359,37 @@ def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
 
     The one stretch runner, for a chunk's stretch and a stage's gathered rows.
     The workspaces are allocated once per call, so each chunk's thread has
-    its own and every block reuses them.  Each layer but the last writes
-    into a block-sized workspace, and the last into its rows of the output.
-    A relu after another layer of the stretch runs in place on that layer's
-    workspace; x itself is never written.
+    its own and every block reuses them.  A conv writes onto its own grid
+    (`_conv_into`), and what follows reads the grid's valid view; a relu
+    right after it, unless the relu ends the stretch, runs in place on the
+    grid, inside the conv.  A maxpool writes into a block-sized workspace.
+    The stretch's last layer writes its rows of the output instead, and a
+    conv that ends the stretch copies its valid view there.  Any other relu
+    after another layer of the stretch runs in place on what that layer
+    wrote; one first in the stretch writes a workspace of its own, since x
+    itself is never written.
     """
     shapes = _shapes_of(layers, x.shape[1:], start, stop)
     out = np.empty((len(x), *shapes[-1]))
     rows = min(len(x), _BLOCK)
-    steps = []  # (layer, where it writes: out, a workspace or None for in place, conv buffers)
+
+    def in_conv(k):  # whether layers[start + k] is a relu the conv before it applies
+        return (0 < k < stop - start - 1 and layers[start + k].kind == "relu"
+                and layers[start + k - 1].kind == "conv2d")
+
+    steps = []  # (layer, where it writes: out, a workspace or None, conv arguments)
     for k, layer in enumerate(layers[start:stop]):
-        if start + k == stop - 1:
-            ws = out
-        elif layer.kind == "relu" and k > 0:
-            ws = None
-        else:
-            ws = np.empty((rows, *shapes[k + 1]))
+        if in_conv(k):
+            continue
         conv = None
         if layer.kind == "conv2d":
-            conv = (layer.weights.astype(np.float64, copy=False),
-                    None if layer.bias is None else layer.bias.astype(np.float64, copy=False),
-                    np.zeros((rows, *_padded_shape(layer, shapes[k], shapes[k + 1]))),
-                    np.empty((rows, *shapes[k + 1])))
+            conv = _conv_args(layer, shapes[k], shapes[k + 1], rows, in_conv(k + 1))
+        if start + k == stop - 1:
+            ws = out
+        elif conv is not None or (layer.kind == "relu" and k > 0):
+            ws = None  # onto the conv's grid, or in place
+        else:
+            ws = np.empty((rows, *shapes[k + 1]))
         steps.append((layer, ws, conv))
     for b in range(0, len(x), _BLOCK):
         y = x[b:b + _BLOCK]
@@ -320,8 +397,10 @@ def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
         for layer, ws, conv in steps:
             dst = out[b:b + n] if ws is out else (y if ws is None else ws[:n])
             if conv is not None:
-                w, bias, pad, tmp = conv
-                y = _conv_into(y, w, bias, layer.stride, dst, pad[:n], tmp[:n])
+                *args, pad, grid, tmp = conv
+                y = _conv_into(y, *args, pad[:n], grid[:n], tmp[:n])
+                if ws is out:
+                    dst[...] = y
             elif layer.kind == "relu":
                 y = np.maximum(y, 0.0, out=dst, dtype=np.float64)
             else:

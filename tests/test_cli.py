@@ -379,6 +379,27 @@ class TestEstimateTSummary:
                                            "accuracy 1.0)\n")
         assert not out.exists()
 
+    def test_a_band_that_holds_no_reachable_drop_is_one_line_exit_1(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        # at n = 51 the drops nearest the default target 0.5 are 25/51 and 26/51, both more
+        # than the default tolerance 0.005 away
+        assert main(["gen-model", "--out", str(tmp_path)]) == 0
+        assert main(["gen-data", "--model", str(tmp_path / "fixture"), "--n", "51",
+                     "--out", str(tmp_path / "d51")]) == 0
+        capsys.readouterr()
+
+        def fail(*args, **kwargs):
+            raise AssertionError("an iterate ran")
+
+        monkeypatch.setattr(probes, "_bisect", fail)
+        out = tmp_path / "D"
+        assert main(["estimate-t", "--model", str(tmp_path / "fixture"),
+                     "--data", str(tmp_path / "d51" / "data"), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: acc_tolerance 0.005 holds no reachable "
+                                           "accuracy drop around target 0.5000: the drop moves "
+                                           "in steps of 1/51\n")
+        assert not out.exists()
+
 
 # dataset 191 (the default gen-data seed) at n = 2000, probe seed 0
 SUMMARY_191 = "t search: 33 iterations, 12 decided early, 87.7% of full-forward rows"

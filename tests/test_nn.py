@@ -537,6 +537,53 @@ def check_engine_against_reference(model, x32, rng):
                 assert same_bits(z, reference_forward(quantize_model(model, path), x, threads)[0])
 
 
+def grid_net(name, seed=0):
+    """A net whose convs stress the grid conv's shapes; each ends in one dense layer.
+
+    wide: 32 in and out channels on 16x16, where BLAS may choose another kernel for
+    a whole image's product than for an output row's.  one-channel: a conv with one
+    output channel feeding one with one input channel.  1x1: 1x1 convs at strides 1
+    and 2.  stride-3: "same" padding at stride 3.  7x7: a "valid" 7x7 kernel.
+    one-column-1 and one-column-2: convs with one output column (ow == 1), at
+    stride 1 and 2, each followed by a "same" conv on the one-column map.
+    leftovers: 16 input and 2 output channels on 3 output columns, where
+    OpenBLAS's SkylakeX kernels sum the leftover rows and columns of a product
+    in another order than whole blocks, so the engine must keep one product per
+    output row there (its Haswell kernels do so for the 1x1 net's second conv).
+    """
+    rng = np.random.default_rng(seed)
+
+    def u(*shape):
+        return rng.uniform(-0.5, 0.5, size=shape).astype(np.float32)
+
+    def conv(kh, kw, cin, cout, **kw_args):
+        return Layer("conv2d", u(kh, kw, cin, cout), u(cout), **kw_args)
+
+    shape, front = {
+        "wide": ((16, 16, 32), (conv(3, 3, 32, 32, padding="same"), Layer("relu"),
+                                Layer("maxpool2d", pool_size=2, stride=2))),
+        "one-channel": ((9, 9, 3), (conv(3, 3, 3, 1, padding="same"), Layer("relu"),
+                                    conv(3, 3, 1, 4))),
+        "1x1": ((9, 9, 6), (conv(1, 1, 6, 16), Layer("relu"), conv(1, 1, 16, 4, stride=2))),
+        "stride-3": ((13, 13, 2), (conv(3, 3, 2, 4, stride=3, padding="same"), Layer("relu"))),
+        "7x7": ((13, 13, 2), (conv(7, 7, 2, 4), Layer("relu"),
+                              Layer("maxpool2d", pool_size=2, stride=2))),
+        "one-column-1": ((7, 3, 2), (conv(3, 3, 2, 4), Layer("relu"),
+                                     conv(3, 3, 4, 3, padding="same"))),
+        "one-column-2": ((9, 4, 2), (conv(3, 3, 2, 4, stride=2), Layer("relu"),
+                                     conv(3, 3, 4, 3, padding="same"))),
+        "leftovers": ((5, 5, 16), (conv(3, 3, 16, 2), Layer("relu"))),
+    }[name]
+    out = shape
+    for i, layer in enumerate(front):
+        out = nn._layer_out_shape(layer, out, i)
+    return Model(front + (Layer("dense", u(int(np.prod(out)), 5), u(5)),), shape)
+
+
+GRID_NETS = ["wide", "one-channel", "1x1", "stride-3", "7x7", "one-column-1", "one-column-2",
+             "leftovers"]
+
+
 class TestEngineOracle:
     """Row-blocked stretches against reference_forward, bit for bit, at every entry point."""
 
@@ -555,6 +602,15 @@ class TestEngineOracle:
         rng = np.random.default_rng(n)
         x32 = rng.standard_normal((n, *model.input_shape)).astype(np.float32)
         x32[::3, ::2] = -0.0
+        check_engine_against_reference(model, x32, rng)
+
+    @pytest.mark.parametrize("name,n", [(name, n) for name in GRID_NETS
+                                        for n in (1, nn._BLOCK + 1, 513)
+                                        if name != "wide" or n < 513])  # wide: seconds a run
+    def test_grid_shapes_equal_unblocked_reference(self, name, n):
+        model = grid_net(name, seed=n)
+        rng = np.random.default_rng(n)
+        x32 = rng.standard_normal((n, *model.input_shape)).astype(np.float32)
         check_engine_against_reference(model, x32, rng)
 
 

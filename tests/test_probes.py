@@ -172,6 +172,28 @@ class TestEstimateT:
         assert str(err.value) == (f"acc_tolerance {tol} accepts every accuracy drop around "
                                   f"target {target} (baseline accuracy 1.0)")
 
+    @pytest.mark.parametrize("n,tol,reachable", [
+        (51, 0.005, False), (50, 0.005, True), (1101, 0.0004, False), (1101, 0.0005, True)])
+    def test_a_band_that_holds_no_reachable_drop_is_rejected_before_any_iterate(
+            self, monkeypatch, n, tol, reachable):
+        # the labels are the model's own classes, so the baseline is 1 and the target 0.5; the
+        # drop moves in steps of 1/n, and at odd n the nearest drops lie 1/(2n) from the target
+        def fail(*args, **kwargs):
+            raise AssertionError("an iterate ran")
+
+        model, ds = small_conv_fixture(n=n)
+        cache = cached(model, ds)
+        monkeypatch.setattr(probes, "_bisect", fail)
+        cfg = ProbeConfig(acc_tolerance=tol)
+        if reachable:
+            with pytest.raises(AssertionError, match="an iterate ran"):
+                probes.estimate_t(cache, ds.labels, cfg)
+            return
+        with pytest.raises(ValueError) as err:
+            probes.estimate_t(cache, ds.labels, cfg)
+        assert str(err.value) == (f"acc_tolerance {tol} holds no reachable accuracy drop around "
+                                  f"target 0.5000: the drop moves in steps of 1/{n}")
+
     def test_delta_beyond_baseline_rejected(self):
         model, ds = small_fixture()
         with pytest.raises(ValueError, match="delta_acc"):
