@@ -49,7 +49,12 @@ running only the layers from the changed one on, and its result equals
 `forward_batch` on the copy bit for bit.  `forward_trie` evaluates many
 copies that differ only in their weighted layers, running each layer segment
 once per distinct prefix of changes.  A segment boundary only splits a
-row-local stretch in two, which changes no bit either.
+row-local stretch in two, which changes no bit either.  Threaded, on more
+than `_CHUNK` rows, the trie cuts the same evaluation chunks itself and
+walks chunk-major: each chunk's thread runs a whole subtree of copies (those
+that share their first weighted layer) over its own rows, so the walk holds
+one subtree's logits plus one input per weighted layer for each running
+chunk, and it starts one thread pool per call, not one per segment.
 
 `forward_stages` is `forward_from` in row stages, for a caller that needs
 only part of the answer, such as which side of a target an accuracy lies
@@ -70,6 +75,7 @@ order.
 from __future__ import annotations
 
 import functools
+import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -354,52 +360,62 @@ def _conv_args(layer: Layer, in_shape, out_shape, rows: int, relu: bool):
             np.empty((rows, oh, wp, cout)), np.empty((rows, oh, wp, cout)))
 
 
-def _run_blocked(layers, x: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output.
+def _stretch(layers, in_shape, start: int, stop: int, rows: int):
+    """The row-local layers[start:stop] as `_run_blocked` runs them: (output row shape, steps).
 
-    The one stretch runner, for a chunk's stretch and a stage's gathered rows.
-    The workspaces are allocated once per call, so each chunk's thread has
-    its own and every block reuses them.  A conv writes onto its own grid
-    (`_conv_into`), and what follows reads the grid's valid view; a relu
-    right after it, unless the relu ends the stretch, runs in place on the
-    grid, inside the conv.  A maxpool writes into a block-sized workspace.
-    The stretch's last layer writes its rows of the output instead, and a
-    conv that ends the stretch copies its valid view there.  Any other relu
-    after another layer of the stretch runs in place on what that layer
-    wrote; one first in the stretch writes a workspace of its own, since x
-    itself is never written.
+    A step is (layer, its workspace or None, its `_conv_args` or None), with
+    workspaces for blocks of up to `rows` rows.  A conv writes onto its own
+    grid (`_conv_into`), and what follows reads the grid's valid view; a relu
+    right after it, unless the relu ends the stretch, has no step: it runs in
+    place on the grid, inside the conv.  A maxpool writes into a block-sized
+    workspace.  The last step writes its rows of `_run_blocked`'s output
+    instead, and a conv that ends the stretch copies its valid view there.
+    Any other relu after another layer of the stretch runs in place on what
+    that layer wrote; one first in the stretch writes a workspace of its own,
+    since the stretch's input is never written.
     """
-    shapes = _shapes_of(layers, x.shape[1:], start, stop)
-    out = np.empty((len(x), *shapes[-1]))
-    rows = min(len(x), _BLOCK)
+    shapes = _shapes_of(layers, in_shape, start, stop)
 
     def in_conv(k):  # whether layers[start + k] is a relu the conv before it applies
         return (0 < k < stop - start - 1 and layers[start + k].kind == "relu"
                 and layers[start + k - 1].kind == "conv2d")
 
-    steps = []  # (layer, where it writes: out, a workspace or None, conv arguments)
+    steps = []
     for k, layer in enumerate(layers[start:stop]):
         if in_conv(k):
             continue
         conv = None
         if layer.kind == "conv2d":
             conv = _conv_args(layer, shapes[k], shapes[k + 1], rows, in_conv(k + 1))
-        if start + k == stop - 1:
-            ws = out
-        elif conv is not None or (layer.kind == "relu" and k > 0):
-            ws = None  # onto the conv's grid, or in place
-        else:
+        ws = None  # the output, the conv's grid, or in place
+        if start + k < stop - 1 and conv is None and (layer.kind != "relu" or k == 0):
             ws = np.empty((rows, *shapes[k + 1]))
         steps.append((layer, ws, conv))
+    return shapes[-1], steps
+
+
+def _run_blocked(layers, x: np.ndarray, start: int, stop: int, stretch=None) -> np.ndarray:
+    """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output.
+
+    The one stretch runner, for a chunk's stretch and a stage's gathered rows.
+    `stretch` is the `_stretch` of these layers with workspaces for at least
+    min(len(x), _BLOCK) rows; by default it is built for this call, so each
+    chunk's thread has its own workspaces.  Every block reuses them.
+    """
+    if stretch is None:
+        stretch = _stretch(layers, x.shape[1:], start, stop, min(len(x), _BLOCK))
+    shape, steps = stretch
+    out = np.empty((len(x), *shape))
+    last = len(steps) - 1
     for b in range(0, len(x), _BLOCK):
         y = x[b:b + _BLOCK]
         n = len(y)
-        for layer, ws, conv in steps:
-            dst = out[b:b + n] if ws is out else (y if ws is None else ws[:n])
+        for s, (layer, ws, conv) in enumerate(steps):
+            dst = out[b:b + n] if s == last else (y if ws is None else ws[:n])
             if conv is not None:
                 *args, pad, grid, tmp = conv
                 y = _conv_into(y, *args, pad[:n], grid[:n], tmp[:n])
-                if ws is out:
+                if s == last:
                     dst[...] = y
             elif layer.kind == "relu":
                 y = np.maximum(y, 0.0, out=dst, dtype=np.float64)
@@ -581,9 +597,9 @@ def staged(cache: PrefixCache, index: int) -> bool:
             and layers[index].kind in _ROW_LOCAL)
 
 
-def _stage(layers, x, out, rows, start: int, stop: int, sums):
+def _stage(layers, x, out, rows, start: int, stop: int, stretch, sums):
     """A stage: layers[start:stop] on x[rows] into out[rows], then the tail; its arrays die here."""
-    out[rows] = y = _run_blocked(layers, x[rows], start, stop)
+    out[rows] = y = _run_blocked(layers, x[rows], start, stop, stretch)
     return _tail_with_slack(layers, y, stop, sums)
 
 
@@ -597,7 +613,8 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     slack) comes before it for each stage, the next `_STAGE` rows of
     `order` as ascending indices.  A stage gathers its rows, runs the
     row-local layers from `index` on them (`_run_blocked`) into one output
-    allocated up front, and the dense tail on its own output alone: the
+    allocated up front, through workspaces that the generator builds once
+    and every stage reuses, and the dense tail on its own output alone: the
     provisional logits, and per row a bound on how far they lie from the
     final ones (`_tail_with_slack`).  A caller that has seen enough
     closes the generator, and the remaining rows never run; otherwise the
@@ -622,14 +639,49 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     while end < len(layers) and layers[end].kind in _ROW_LOCAL:
         end += 1
     out = np.empty((len(x), *model.shapes[end]))
+    stretch = _stretch(layers, x.shape[1:], index, end, min(len(x), _BLOCK))
     sums = _tail_sums(layers, end)
     for lo in range(0, len(x), _STAGE):
         rows = np.sort(order[lo:lo + _STAGE])
-        yield rows, *_stage(layers, x, out, rows, index, end, sums)
+        yield rows, *_stage(layers, x, out, rows, index, end, stretch, sums)
+    del stretch  # the stages' workspaces go before the whole-stack tail
     if end < len(layers):  # the stretch output is freed once the first dense layer has read it
         out = _apply_dense(out, layers[end])
         out = _forward(layers, out, end + 1, len(layers), cache.threads)
     yield None, out, None
+
+
+def _trie_plan(layers, weighted, paths, layer_for):
+    """(path, k, its layers) per sorted path; k counts the first values it shares with the last.
+
+    `layer_for` builds each layer once per distinct prefix, lazily, as the
+    plan is read: a path's layers before weighted layer k are those of the
+    path before it.
+    """
+    layers = list(layers)
+    prev = ()
+    for path in paths:
+        k = next((j for j, (a, b) in enumerate(zip(prev, path)) if a != b), len(prev))
+        for j in range(k, len(weighted)):
+            layers[weighted[j]] = layer_for(weighted[j], path[j])
+        yield path, k, tuple(layers)
+        prev = path
+
+
+def _trie_walk(plan, weighted, ends, x):
+    """(path, logits) per `_trie_plan` item, on the rows x, the first weighted layer's input.
+
+    The walk keeps one activation per weighted layer (the input of weighted
+    layer j under the current path's first j values), and a path that
+    shares its first k values with the one before it resumes from the input
+    of weighted layer k, so each layer segment runs once per distinct prefix.
+    """
+    stack = [x] + [None] * len(weighted)
+    for path, k, layers in plan:
+        stack[k + 1:] = [None] * (len(weighted) - k)  # free what this path recomputes
+        for j in range(k, len(weighted)):
+            stack[j + 1] = _forward(layers, stack[j], weighted[j], ends[j], 1)
+        yield path, stack[-1]
 
 
 def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: int = 1):
@@ -640,13 +692,20 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
     place.  Yields (path, logits) for each distinct path, in sorted order;
     the logits equal forward_batch on that copy bit for bit.
 
-    Sorted order walks the paths depth-first over their shared prefixes.  The
-    walk keeps one activation per weighted layer (the input of weighted layer
-    j under the current path's first j values); a path
-    that shares its first k values with the one before it resumes from the
-    input of weighted layer k.  So each layer segment, from one weighted
-    layer to the next, runs and `layer_for` is called once per distinct
-    prefix, and at most one input per weighted layer is held at a time.
+    Sorted order walks the paths depth-first over their shared prefixes
+    (`_trie_walk`), so each layer segment, from one weighted layer to the
+    next, runs and `layer_for` is called once per distinct prefix.  On a
+    stack that runs as one evaluation chunk the walk runs on all its rows
+    and holds at most one input per weighted layer at a time.  When
+    `_chunked`, it takes the paths one subtree at a time (the paths that
+    share their first value): this thread builds the subtree's layers, then
+    each `_CHUNK`-row evaluation chunk's task walks the whole subtree over
+    its own rows and writes each path's logits into its rows of one array
+    per path, and the subtree's paths are yielded once every chunk is done.
+    Each dense layer still runs on the chunks `forward_batch` cuts.  The
+    walk then holds one subtree's logits and layers, plus one input per
+    weighted layer for each running chunk.  One thread pool serves the whole
+    call and is shut down when the generator ends, is closed or raises.
     """
     inputs = check_inputs(model, inputs)
     weighted = model.weighted_indices
@@ -657,21 +716,28 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
                              f"for {len(weighted)} weighted layers")
     if not paths:
         return
-    layers = list(model.layers)
+    layers = model.layers
     ends = (*weighted[1:], len(layers))  # weighted layer j's segment is layers[weighted[j]:ends[j]]
-    first = weighted[0] if weighted else len(layers)
-    stack = [_forward(layers, inputs, 0, first, threads)]
-    stack += [None] * len(weighted)
-    prev = ()
-    for path in paths:
-        k = next((j for j, (a, b) in enumerate(zip(prev, path)) if a != b), len(prev))
-        stack[k + 1:] = [None] * (len(weighted) - k)  # free what this path recomputes
-        for j in range(k, len(weighted)):
-            i = weighted[j]
-            layers[i] = layer_for(i, path[j])
-            stack[j + 1] = _forward(layers, stack[j], i, ends[j], threads)
-        yield path, stack[-1]
-        prev = path
+    x = _forward(layers, inputs, 0, weighted[0] if weighted else len(layers), threads)
+    plan = _trie_plan(layers, weighted, paths, layer_for)
+    if not _chunked(len(x), threads):
+        yield from _trie_walk(plan, weighted, ends, x)
+        return
+
+    def subtree_logits(pool, size):  # its pairs hold the subtree's last references, freed as read
+        subtree = list(itertools.islice(plan, size))  # calls layer_for, on this thread
+        out = [np.empty((len(x), model.d)) for _ in subtree]
+
+        def walk(a):
+            for z, (_, logits) in zip(out, _trie_walk(subtree, weighted, ends, x[a:a + _CHUNK])):
+                z[a:a + _CHUNK] = logits
+
+        list(pool.map(walk, range(0, len(x), _CHUNK)))
+        return zip([path for path, _, _ in subtree], out)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for _, subtree in itertools.groupby(paths, key=lambda path: path[:1]):
+            yield from subtree_logits(pool, len(list(subtree)))
 
 
 def forward(model: Model, x: np.ndarray) -> np.ndarray:

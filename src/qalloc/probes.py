@@ -370,12 +370,13 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     evaluation chunks (more than one thread on more than 512 rows), every
     iterate runs whole: `nn.forward_stages` decides.  An acc_tolerance whose
     band around the target holds every possible drop, so that any k would
-    pass, is a ValueError before any iterate, and so is a positive one whose
-    band holds none: the drop moves in steps of 1/n, and since it falls as the
-    count of correct rows rises, the two counts next to n * (baseline - target)
-    are the only ones to check.  An acc_tolerance of 0 asks for the target
-    itself, and its search runs; it fails at the cap or when the interval
-    collapses, as it does when no count's drop is the target.
+    pass, is a ValueError before any iterate, and so is one whose band holds
+    none: the drop moves in steps of 1/n, and since it falls as the count of
+    correct rows rises, the two counts next to n * (baseline - target) are
+    the only ones to check.  That covers an acc_tolerance of 0, the target
+    itself, at a count that is not a whole number.  A search whose band some
+    count reaches runs; it fails at the cap, or when the interval collapses
+    because no k gives such a count (rows that flip together can skip it).
     """
     model = cache.model
     probe_set = probed_layers(model, config.last_n)
@@ -392,7 +393,7 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
         raise ValueError(f"acc_tolerance {config.acc_tolerance} accepts every accuracy drop "
                          f"around target {target} (baseline accuracy {acc_f})")
     near = min(max(rule.n * (acc_f - target), 0), rule.n)  # the count whose drop is the target
-    if rule.tol > 0 and all(rule.step(rule.drop(c)) for c in (math.floor(near), math.ceil(near))):
+    if all(rule.step(rule.drop(c)) for c in (math.floor(near), math.ceil(near))):
         raise ValueError(f"acc_tolerance {config.acc_tolerance} holds no reachable accuracy drop "
                          f"around target {target:.4f}: the drop moves in steps of 1/{rule.n}")
     results: list[TProbe] = []

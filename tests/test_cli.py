@@ -399,6 +399,14 @@ class TestEstimateTSummary:
                                            "accuracy drop around target 0.5000: the drop moves "
                                            "in steps of 1/51\n")
         assert not out.exists()
+        # an exact target, 25.5 of 51 rows correct, is no more reachable
+        assert main(["estimate-t", "--model", str(tmp_path / "fixture"),
+                     "--data", str(tmp_path / "d51" / "data"), "--acc-tolerance", "0",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "error: acc_tolerance 0.0 holds no reachable "
+                                           "accuracy drop around target 0.5000: the drop moves "
+                                           "in steps of 1/51\n")
+        assert not out.exists()
 
 
 # dataset 191 (the default gen-data seed) at n = 2000, probe seed 0

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -375,6 +378,59 @@ class TestForwardTrie:
         relu_only = Model((Layer("relu"),), (5,))
         (path, z), = nn.forward_trie(relu_only, x, [()], None)
         assert path == () and np.array_equal(z, np.maximum(x, 0))
+
+    # three first-layer subtrees, one of them a single path, and a duplicate, out of order
+    SUBTREE_PATHS = [(4, 2, 3, 3), (2, 4, 4, 2), (3, 2, 4, 4), (2, 3, 4, 4), (3, 2, 2, 2),
+                     (2, 4, 3, 4), (2, 4, 4, 2), (2, 3, 2, 4)]
+
+    @pytest.mark.parametrize("n", [511, 512, 513, 1100, 2000])
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_chunk_major_walk_equals_forward_batch(self, threads, n):
+        # above 512 rows each chunk's task walks a whole subtree; at most, the stack is one chunk
+        from qalloc.quantize import quantize_model, quantize_single_layer
+
+        model = conv_net("same", seed=n)
+        x = np.random.default_rng(n).standard_normal((n, *model.input_shape)).astype(np.float32)
+        calls = []
+
+        def layer_for(i, bits):
+            calls.append((i, threading.get_ident()))
+            return quantize_single_layer(model, i, bits).layers[i]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # chunk threads interleave often: a lost row write shows
+        try:
+            got = list(nn.forward_trie(model, x, self.SUBTREE_PATHS, layer_for, threads))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [p for p, _ in got] == sorted(set(self.SUBTREE_PATHS))
+        for path, z in got:
+            assert same_bits(z, nn.forward_batch(quantize_model(model, path), x, threads))
+        assert {t for _, t in calls} == {threading.get_ident()}
+        for depth, i in enumerate(model.weighted_indices):
+            assert [j for j, _ in calls].count(i) == len({p[:depth + 1]
+                                                          for p in self.SUBTREE_PATHS})
+
+    def test_no_pool_thread_outlives_a_closed_or_failed_walk(self):
+        from qalloc.quantize import quantize_single_layer
+
+        model = conv_net("same")
+        x = np.random.default_rng(7).standard_normal((1100, *model.input_shape)).astype(np.float32)
+
+        def layer_for(i, bits):
+            if bits == 3 and i == model.weighted_indices[0]:  # the second subtree's first layer
+                raise RuntimeError("no layer")
+            return quantize_single_layer(model, i, bits).layers[i]
+
+        before = threading.active_count()
+        trie = nn.forward_trie(model, x, self.SUBTREE_PATHS, layer_for, threads=4)
+        next(trie)
+        assert threading.active_count() > before  # one pool serves the whole walk
+        trie.close()
+        assert threading.active_count() == before
+        with pytest.raises(RuntimeError, match="^no layer$"):
+            list(nn.forward_trie(model, x, self.SUBTREE_PATHS, layer_for, threads=4))
+        assert threading.active_count() == before
 
     def test_rejects_paths_of_the_wrong_length_before_any_forward(self):
         model = conv_net("same")

@@ -173,7 +173,8 @@ class TestEstimateT:
                                   f"target {target} (baseline accuracy 1.0)")
 
     @pytest.mark.parametrize("n,tol,reachable", [
-        (51, 0.005, False), (50, 0.005, True), (1101, 0.0004, False), (1101, 0.0005, True)])
+        (51, 0.005, False), (50, 0.005, True), (1101, 0.0004, False), (1101, 0.0005, True),
+        (51, 0.0, False), (1101, 0.0, False), (50, 0.0, True)])
     def test_a_band_that_holds_no_reachable_drop_is_rejected_before_any_iterate(
             self, monkeypatch, n, tol, reachable):
         # the labels are the model's own classes, so the baseline is 1 and the target 0.5; the
@@ -393,9 +394,14 @@ class TestStagedSearch:
     def test_failure_message_is_the_full_search_one(self, fixture_model, fixture_dataset, which,
                                                     max_iters, monkeypatch):
         # the message's drop is the exact one at the failing k, even when the last iterate
-        # stopped early: two iterations end at the cap, sixty at an interval that collapses first
-        model, ds = ((fixture_model, fixture_dataset) if which == "default"
-                     else small_conv_fixture())
+        # stopped early: two iterations end at the cap, sixty at an interval that collapses first.
+        # "small" holds each of 551 rows twice: its exact target, 551 of 1102 rows correct,
+        # passes the reachability check, but a row and its twin flip at the same k, so the
+        # count of correct rows is always even and no k meets the target
+        model, ds = fixture_model, fixture_dataset
+        if which == "small":
+            model, ds = small_conv_fixture(n=551)
+            ds = Dataset(np.concatenate([ds.inputs] * 2), np.concatenate([ds.labels] * 2))
         cache = cached(model, ds)
         cfg = ProbeConfig(acc_tolerance=0.0, max_iters=max_iters)
         with pytest.raises(CalibrationError) as want:
@@ -422,6 +428,8 @@ class TestStagedSearch:
         assert searches[-1].early > 0  # the failing layer stopped an iterate early
         if max_iters == 2:  # its last one too, so the drop came from estimate_t's own forward
             assert searches[-1].stopped[-1]
+        else:  # the interval collapsed before the cap
+            assert str(got.value).endswith("(45 iterations)")
 
     def test_the_work_is_not_part_of_a_tprobe_s_value(self):
         a = TProbe(0, 1.5, 0.1, 0.2, 0.25, 5, True, rows=4000, early=2)
