@@ -5,8 +5,8 @@ one manifest of the resolved flags and those files' hashes next to them, so a
 run can be reproduced exactly, and prints every error line.  A command that
 fails before it writes leaves nothing behind, not even its `--out` directory.
 Data goes to files and stdout; progress goes to stderr.  Exit codes: 0
-success, 1 precondition or input error (one line on stderr), 2 verification
-failures.
+success, 1 precondition or input error, a malformed command line included
+(one line on stderr), 2 verification failures.
 """
 
 from __future__ import annotations
@@ -273,8 +273,15 @@ def _parse_grid(text: str | None):
     return anchors
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ValueError, so `main` prints it as one line and exits 1."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qalloc",
         description="Adaptive per-layer bit-width allocation for network quantization.")
     parser.add_argument("--version", action="version", version=f"qalloc {__version__}")
@@ -367,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.threads < 1:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         for flag in ("seed", "fixture_seed"):

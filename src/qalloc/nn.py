@@ -58,18 +58,19 @@ chunk, and it starts one thread pool per call, not one per segment.
 
 `forward_stages` is `forward_from` in row stages, for a caller that needs
 only part of the answer, such as which side of a target an accuracy lies
-on.  Given a row order, on a stack that runs as one evaluation chunk, each stage
-gathers the next `_STAGE` rows of that order, runs them through the
-row-local stretch from the changed layer on, as a chunk's rows run, and the
-dense tail on that output alone, to give provisional logits.  Those can
-differ in the last bits from the final ones, because a dense layer run on
-fewer rows may sum its products in another order; so each row comes with a
-slack, a rounding-error bound (gamma_K times the sum of absolute terms,
-taken through every tail layer) on that difference, and the caller trusts
-only what the slack cannot change.  A caller that stops early skips the
-remaining rows; one that does not gets the tail run on the whole chunk, the
-same arithmetic as `forward_from`, which is itself `forward_stages` with no
-order.
+on.  It stages when given a row order, when the changed layer starts a
+row-local stretch, and when the stack runs as one evaluation chunk (a
+chunked stage would keep every chunk's stretch output at once); otherwise
+it runs whole.  Each stage gathers the next `_STAGE` rows of that order,
+runs them through the stretch, as a chunk's rows run, and the dense tail on
+that output alone, to give provisional logits.  Those can differ in the
+last bits from the final ones, because a dense layer run on fewer rows may
+sum its products in another order; so each row comes with a slack, a
+rounding-error bound (gamma_K times the sum of absolute terms, taken through
+every tail layer) on that difference, and the caller trusts only what the
+slack cannot change.  A caller that stops early skips the remaining rows;
+one that does not gets the tail run on the whole chunk, the same arithmetic
+as `forward_from`, which is itself `forward_stages` with no order.
 """
 
 from __future__ import annotations
@@ -583,20 +584,6 @@ def _tail_with_slack(layers, x: np.ndarray, start: int, sums):
     return x, 2 * slack
 
 
-def staged(cache: PrefixCache, index: int) -> bool:
-    """Whether `forward_stages` from layer `index` runs in stages when given a row order.
-
-    It does when a forward of the cache runs whole, in no evaluation chunks
-    (`_chunked`: one thread, or at most `_CHUNK` rows), and the layer starts a
-    row-local stretch.  Staged, a chunked forward would keep every chunk's
-    stretch output at once, where `forward_batch` holds one per thread; a
-    dense layer has no stretch.
-    """
-    layers = cache.model.layers
-    return (not _chunked(len(cache.logits), cache.threads) and index < len(layers)
-            and layers[index].kind in _ROW_LOCAL)
-
-
 def _stage(layers, x, out, rows, start: int, stop: int, stretch, sums):
     """A stage: layers[start:stop] on x[rows] into out[rows], then the tail; its arrays die here."""
     out[rows] = y = _run_blocked(layers, x[rows], start, stop, stretch)
@@ -608,20 +595,24 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
 
     `model` is a copy of the cached model with layer `index` changed (not
     its kind), as for `forward_from`.  The last item yielded is (None,
-    logits, None) with the exact logits.  Given `order`, a permutation of
-    the row indices, and when `staged(cache, index)`, an item (rows, logits,
-    slack) comes before it for each stage, the next `_STAGE` rows of
-    `order` as ascending indices.  A stage gathers its rows, runs the
-    row-local layers from `index` on them (`_run_blocked`) into one output
-    allocated up front, through workspaces that the generator builds once
-    and every stage reuses, and the dense tail on its own output alone: the
-    provisional logits, and per row a bound on how far they lie from the
-    final ones (`_tail_with_slack`).  A caller that has seen enough
-    closes the generator, and the remaining rows never run; otherwise the
-    tail runs on the whole output, as in `forward_batch`.  No bit depends on
-    the blocks or the row order: each stretch output row depends on its
-    input row alone.  Unstaged, it is `_forward` of layers[index:] on the
-    cached input, in evaluation chunks when `_chunked`.
+    logits, None) with the exact logits.  It runs in stages when given
+    `order`, a permutation of the row indices, when layer `index` starts a
+    row-local stretch (a dense layer has none), and when a forward of the
+    cache runs whole, in no evaluation chunks (`_chunked`: one thread, or at
+    most `_CHUNK` rows): a chunked stage would keep every chunk's stretch
+    output at once, where `forward_batch` holds one per thread.
+    Then an item (rows, logits, slack) comes before the last for each stage,
+    the next `_STAGE` rows of `order` as ascending indices.  A stage gathers
+    its rows, runs the row-local layers from `index` on them (`_run_blocked`)
+    into one output allocated up front, through workspaces that the
+    generator builds once and every stage reuses, and the dense tail on its
+    own output alone: the provisional logits, and per row a bound on how far
+    they lie from the final ones (`_tail_with_slack`).  A caller that has
+    seen enough closes the generator, and the remaining rows never run;
+    otherwise the tail runs on the whole output, as in `forward_batch`.  No
+    bit depends on the blocks or the row order: each stretch output row
+    depends on its input row alone.  Unstaged, it is `_forward` of
+    layers[index:] on the cached input, in evaluation chunks when `_chunked`.
     """
     if index not in cache.layer_inputs:
         raise ValueError(f"no cached input for layer {index}; "
@@ -632,12 +623,12 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     if [l.kind for l in model.layers] != [l.kind for l in cache.model.layers]:
         raise ValueError("layer kinds differ from the cached model's")
     layers, x = model.layers, cache.layer_inputs[index]
-    if order is None or not staged(cache, index):
-        yield None, _forward(layers, x, index, len(layers), cache.threads), None
-        return
-    end = index + 1
+    end = index  # the row-local stretch is layers[index:end]
     while end < len(layers) and layers[end].kind in _ROW_LOCAL:
         end += 1
+    if order is None or end == index or _chunked(len(x), cache.threads):
+        yield None, _forward(layers, x, index, len(layers), cache.threads), None
+        return
     out = np.empty((len(x), *model.shapes[end]))
     stretch = _stretch(layers, x.shape[1:], index, end, min(len(x), _BLOCK))
     sums = _tail_sums(layers, end)
@@ -740,20 +731,8 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
             yield from subtree_logits(pool, len(list(subtree)))
 
 
-def forward(model: Model, x: np.ndarray) -> np.ndarray:
-    """Pre-softmax feature vector z for a single input."""
-    return forward_batch(model, np.asarray(x)[None])[0]
-
-
-def classify(z: np.ndarray) -> int:
-    """Argmax class index; ties break to the lowest index."""
-    z = np.asarray(z)
-    if z.size == 0:
-        raise ValueError("cannot classify an empty feature vector")
-    return int(np.argmax(z))
-
-
 def classify_batch(zs: np.ndarray) -> np.ndarray:
+    """Argmax class index of each row of an (n, d) batch; ties break to the lowest index."""
     zs = np.asarray(zs)
     if zs.ndim != 2 or zs.shape[1] == 0:
         raise ValueError("expected a (n, d) batch of feature vectors with d >= 1")
@@ -805,9 +784,3 @@ def perturb_layer(model: Model, index: int, noise: np.ndarray) -> Model:
 def mean_power(diff: np.ndarray) -> float:
     """Mean over rows of the squared norm of an (n, d) feature difference."""
     return float(np.mean(np.sum(diff * diff, axis=1)))
-
-
-def feature_delta(model: Model, other: Model, dataset: Dataset, threads: int = 1) -> float:
-    """Mean over the dataset of the squared feature-vector difference norm."""
-    return mean_power(forward_batch(model, dataset.inputs, threads=threads)
-                      - forward_batch(other, dataset.inputs, threads=threads))

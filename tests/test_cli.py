@@ -784,6 +784,39 @@ def test_n_below_one_is_one_line_exit_1_before_any_work(staged, tmp_path, monkey
     assert not out.exists()
 
 
+# a malformed command line -> (argv, a fragment its error names); --out would make "out"
+USAGE_ERRORS = {
+    "bad int": (["estimate-t", "--model", "m", "--data", "d", "--max-iters", "abc", "--out", "out"],
+                "--max-iters"),
+    "missing flag": (["margins", "--model", "m", "--out", "out"], "--data"),
+    "unknown command": (["no-such-command", "--out", "out"], "no-such-command"),
+    "unknown flag": (["margins", "--model", "m", "--data", "d", "--bogus", "--out", "out"],
+                     "--bogus"),
+    "no command": ([], "command"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_is_one_line_exit_1_before_any_work(tmp_path, monkeypatch, capsys, case):
+    forbid_work(monkeypatch)
+    monkeypatch.delenv("QALLOC_OUTDIR", raising=False)
+    monkeypatch.chdir(tmp_path)
+    argv, fragment = USAGE_ERRORS[case]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: qalloc") and err.count("\n") == 1
+    assert fragment in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["margins", "--help"], ["--version"]])
+def test_help_and_version_still_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out
+
+
 @pytest.mark.parametrize("case", ["estimate-t --out", "margins --out", "sweep $QALLOC_OUTDIR"])
 def test_out_naming_a_file_fails_before_any_work(staged, tmp_path, monkeypatch, capsys, case):
     forbid_work(monkeypatch)

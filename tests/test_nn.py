@@ -16,15 +16,20 @@ def single_dense(weights, bias=None, input_shape=None):
     return Model((Layer("dense", w, b),), input_shape or (w.shape[0],))
 
 
+def noise_power(model, other, ds):
+    """Mean over the dataset of the squared feature-vector difference norm."""
+    return nn.mean_power(nn.forward_batch(model, ds.inputs) - nn.forward_batch(other, ds.inputs))
+
+
 class TestForward:
     def test_identity_dense(self):
         model = single_dense(np.eye(3), np.zeros(3))
-        out = nn.forward(model, np.array([1.0, 2.0, 3.0], dtype=np.float32))
+        out = nn.forward_batch(model, np.array([[1.0, 2.0, 3.0]], dtype=np.float32))[0]
         assert np.array_equal(out, [1.0, 2.0, 3.0])
 
     def test_relu(self):
         model = Model((Layer("dense", np.eye(3, dtype=np.float32)), Layer("relu")), (3,))
-        out = nn.forward(model, np.array([-2.0, 0.0, 3.0], dtype=np.float32))
+        out = nn.forward_batch(model, np.array([[-2.0, 0.0, 3.0]], dtype=np.float32))[0]
         assert np.array_equal(out, [0.0, 0.0, 3.0])
 
     def test_conv_1x1_hand_value(self):
@@ -32,7 +37,7 @@ class TestForward:
         w = np.full((1, 1, 1, 1), 2.0, dtype=np.float32)
         model = Model((Layer("conv2d", w, np.array([0.5], dtype=np.float32)),
                        Layer("dense", np.eye(1, dtype=np.float32))), (1, 1, 1))
-        out = nn.forward(model, np.full((1, 1, 1), 3.0, dtype=np.float32))
+        out = nn.forward_batch(model, np.full((1, 1, 1, 1), 3.0, dtype=np.float32))[0]
         assert out[0] == pytest.approx(6.5, abs=0)
 
     def test_conv_same_padding_matches_loop_oracle(self):
@@ -42,7 +47,7 @@ class TestForward:
         x = rng.standard_normal((5, 5, 2)).astype(np.float32)
         model = Model((Layer("conv2d", w, b, padding="same"),
                        Layer("dense", np.eye(100, dtype=np.float32))), (5, 5, 2))
-        got = nn.forward(model, x).reshape(5, 5, 4)
+        got = nn.forward_batch(model, x[None])[0].reshape(5, 5, 4)
 
         xp = np.pad(x.astype(np.float64), ((1, 1), (1, 1), (0, 0)))
         want = np.zeros((5, 5, 4))
@@ -56,7 +61,7 @@ class TestForward:
         x = np.arange(16, dtype=np.float32).reshape(4, 4, 1)
         model = Model((Layer("maxpool2d", pool_size=2, stride=2),
                        Layer("dense", np.eye(4, dtype=np.float32))), (4, 4, 1))
-        assert np.array_equal(nn.forward(model, x), [5.0, 7.0, 13.0, 15.0])
+        assert np.array_equal(nn.forward_batch(model, x[None])[0], [5.0, 7.0, 13.0, 15.0])
 
     @pytest.mark.parametrize("k,s", [(3, 2), (2, 1), (3, 3), (2, 2)])
     def test_maxpool_untiled_windows_match_loop_oracle(self, k, s):
@@ -84,7 +89,7 @@ class TestForward:
     def test_shape_mismatch_names_layer(self):
         model = single_dense(np.eye(3))
         with pytest.raises(ShapeError, match="input shape"):
-            nn.forward(model, np.zeros((4,), dtype=np.float32))
+            nn.forward_batch(model, np.zeros((1, 4), dtype=np.float32))
         with pytest.raises(ShapeError, match="layer 1"):
             Model((Layer("relu"), Layer("dense", np.eye(5, dtype=np.float32))), (3,))
 
@@ -106,14 +111,16 @@ class TestForward:
 
 class TestClassify:
     def test_argmax(self):
-        assert nn.classify(np.array([3.0, 1.0, 0.0])) == 0
+        assert np.array_equal(nn.classify_batch(np.array([[3.0, 1.0, 0.0]])), [0])
+        zs = np.array([[3.0, 1.0, 0.0], [0.0, 1.0, 3.0], [1.0, 5.0, 2.0]])
+        assert np.array_equal(nn.classify_batch(zs), [0, 2, 1])
 
     def test_tie_breaks_to_lowest_index(self):
-        assert nn.classify(np.array([1.0, 1.0])) == 0
+        assert np.array_equal(nn.classify_batch(np.array([[1.0, 1.0]])), [0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            nn.classify(np.array([]))
+            nn.classify_batch(np.zeros((1, 0)))
 
     def test_softmax_never_changes_argmax(self):
         rng = np.random.default_rng(7)
@@ -121,7 +128,7 @@ class TestClassify:
             z = rng.standard_normal(rng.integers(2, 12))
             soft = np.exp(z - z.max())
             soft /= soft.sum()
-            assert nn.classify(z) == int(np.argmax(soft))
+            assert nn.classify_batch(z[None])[0] == int(np.argmax(soft))
 
 
 class TestAccuracy:
@@ -174,7 +181,8 @@ class TestPerturb:
         noise = rng.uniform(-0.1, 0.1, size=(4, 3))
         model = single_dense(w)
         x = rng.standard_normal(4).astype(np.float32)
-        delta = nn.forward(nn.perturb_layer(model, 0, noise), x) - nn.forward(model, x)
+        delta = (nn.forward_batch(nn.perturb_layer(model, 0, noise), x[None])[0]
+                 - nn.forward_batch(model, x[None])[0])
         assert np.allclose(delta, x.astype(np.float64) @ noise, rtol=1e-12, atol=1e-15)
 
     def test_scaling_noise_by_two_doubles_delta_norm(self):
@@ -183,8 +191,8 @@ class TestPerturb:
         inputs = rng.standard_normal((30, 5)).astype(np.float32)
         ds = Dataset(inputs, np.zeros(30, dtype=int))
         noise = rng.uniform(-0.01, 0.01, size=(5, 3))
-        d1 = nn.feature_delta(model, nn.perturb_layer(model, 0, noise), ds)
-        d2 = nn.feature_delta(model, nn.perturb_layer(model, 0, 2.0 * noise), ds)
+        d1 = noise_power(model, nn.perturb_layer(model, 0, noise), ds)
+        d2 = noise_power(model, nn.perturb_layer(model, 0, 2.0 * noise), ds)
         assert d2 == pytest.approx(4.0 * d1, rel=1e-12)
 
     def test_weightless_layer_rejected(self):
@@ -203,7 +211,7 @@ class TestFeatureDelta:
     def test_same_model_gives_zero(self):
         model = single_dense(np.eye(3))
         ds = Dataset(np.ones((4, 3), dtype=np.float32), [0, 0, 0, 0])
-        assert nn.feature_delta(model, model, ds) == 0.0
+        assert noise_power(model, model, ds) == 0.0
 
     def test_hand_value(self):
         # identity model vs model shifted so deltas are (0.3, -0.4): norm^2 = 0.25
@@ -211,7 +219,7 @@ class TestFeatureDelta:
         base = Model((Layer("dense", eye, np.zeros(2)),), (2,))
         shifted = Model((Layer("dense", eye, np.array([-0.3, 0.4])),), (2,))
         ds = Dataset(np.zeros((1, 2), dtype=np.float32), [0])
-        assert nn.feature_delta(base, shifted, ds) == pytest.approx(0.25, rel=1e-12)
+        assert noise_power(base, shifted, ds) == pytest.approx(0.25, rel=1e-12)
 
     def test_matches_per_sample_loop_oracle(self):
         rng = np.random.default_rng(29)
@@ -222,9 +230,9 @@ class TestFeatureDelta:
 
         total = 0.0
         for x in inputs:
-            diff = nn.forward(model, x) - nn.forward(other, x)
+            diff = nn.forward_batch(model, x[None])[0] - nn.forward_batch(other, x[None])[0]
             total += float(np.dot(diff, diff))
-        assert nn.feature_delta(model, other, ds) == pytest.approx(total / 25, rel=1e-12)
+        assert noise_power(model, other, ds) == pytest.approx(total / 25, rel=1e-12)
 
 
 class TestLinearityInvariants:
@@ -238,8 +246,8 @@ class TestLinearityInvariants:
         inputs = rng.standard_normal((10, 2, 2, 2)).astype(np.float32)
         ds = Dataset(inputs, np.zeros(10, dtype=int))
         noise = rng.uniform(-0.05, 0.05, size=w1.shape)
-        base = nn.feature_delta(model, nn.perturb_layer(model, 0, noise), ds)
-        scaled = nn.feature_delta(model, nn.perturb_layer(model, 0, alpha * noise), ds)
+        base = noise_power(model, nn.perturb_layer(model, 0, noise), ds)
+        scaled = noise_power(model, nn.perturb_layer(model, 0, alpha * noise), ds)
         assert scaled == pytest.approx(alpha ** 2 * base, rel=1e-6)
 
     def test_relu_local_linearity_for_small_noise(self):
@@ -250,8 +258,8 @@ class TestLinearityInvariants:
         inputs = rng.standard_normal((50, 6)).astype(np.float32)
         ds = Dataset(inputs, np.zeros(50, dtype=int))
         noise = rng.uniform(-0.5, 0.5, size=(6, 5)) * 1e-4
-        base = nn.feature_delta(model, nn.perturb_layer(model, 0, noise), ds)
-        scaled = nn.feature_delta(model, nn.perturb_layer(model, 0, 2.0 * noise), ds)
+        base = noise_power(model, nn.perturb_layer(model, 0, noise), ds)
+        scaled = noise_power(model, nn.perturb_layer(model, 0, 2.0 * noise), ds)
         assert scaled == pytest.approx(4.0 * base, rel=1e-2)
 
     def test_maxpool_delta_tracks_selected_elements_when_argmax_fixed(self):
@@ -263,7 +271,7 @@ class TestLinearityInvariants:
                        Layer("dense", np.eye(1, dtype=np.float32))), (2, 2, 1))
         ds = Dataset(x[None], [0])
         noise = np.full((1, 1, 1, 1), 1e-3)
-        delta = nn.feature_delta(model, nn.perturb_layer(model, 0, noise), ds)
+        delta = noise_power(model, nn.perturb_layer(model, 0, noise), ds)
         # conv scales every pixel by (1 + 1e-3); the pooled max is 1.0, so the
         # output moves by exactly 1e-3 * 1.0
         assert delta == pytest.approx((1e-3) ** 2, rel=1e-9)
@@ -748,7 +756,6 @@ class TestForwardStages:
                 want = nn.forward_from(cache, changed, i)
                 # a layer stages on a stack that runs as one chunk, from a stretch
                 staged = (threads == 1 or n <= nn._CHUNK) and model.layers[i].kind != "dense"
-                assert nn.staged(cache, i) == staged
                 for order in (None, np.arange(n), rng.permutation(n)):
                     *stages, (rows, z, slack) = nn.forward_stages(cache, changed, i, order)
                     assert rows is None and slack is None and same_bits(z, want)

@@ -528,7 +528,7 @@ class TestEstimateP:
     def test_doubled_feature_noise_quadruples_p(self):
         # z = W x with no bias: scaling W and its range by 2 doubles every
         # quantization residual exactly, so the feature noise power and hence
-        # p quadruple; verified against a fresh feature_delta computation
+        # p quadruple; verified against a fresh forward of the quantized copy
         rng = np.random.default_rng(11)
         w = rng.uniform(-0.5, 0.5, size=(6, 4)).astype(np.float32)
         inputs = rng.standard_normal((40, 6)).astype(np.float32)
@@ -541,7 +541,8 @@ class TestEstimateP:
         assert p2.p == pytest.approx(4.0 * p1.p, rel=1e-6)
 
         from qalloc.quantize import quantize_single_layer
-        direct = nn.feature_delta(m2, quantize_single_layer(m2, 0, 6), ds)
+        direct = nn.mean_power(nn.forward_batch(m2, inputs)
+                               - nn.forward_batch(quantize_single_layer(m2, 0, 6), inputs))
         assert direct == pytest.approx(p2.noise_power, rel=1e-12)
 
     def test_degenerate_layer_flagged(self):
