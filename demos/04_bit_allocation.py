@@ -40,6 +40,6 @@ print(f"  equal b=8: size {e.size_bits} bits "
 print("\ninteger roundings of the b1=8 adaptive solution, best predicted first:")
 a = allocate.allocate_adaptive(profiles, 8.0)
 weights = [p.p / p.t for p in profiles]
-for v in allocate.round_allocation(a.b_real, sizes, max_variants=6, weights=weights):
+for v in allocate.round_allocation(a.b_real, sizes, weights, b1=8.0, max_variants=6):
     m = allocate.predicted_m_all(v.b_int, weights)
     print(f"  b={list(v.b_int)}  size={v.size_bits:7d} bits  predicted m_all={m:.3e}")

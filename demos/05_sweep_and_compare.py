@@ -22,13 +22,11 @@ profiles = harness.run_pipeline(model, dataset, probes.ProbeConfig(seed=0))
 for p in profiles:
     print(f"  layer {p.index} ({p.kind}): s={p.s} t={p.t:.4g} p={p.p:.4g}")
 
-anchors = [4 + 0.5 * i for i in range(17)]
+anchors = harness.default_anchor_grid()
 print(f"\nsweeping {len(anchors)} anchors x (adaptive, sqnr, equal)...")
 curves = harness.sweep(model, dataset, profiles, b1_values=anchors,
                        methods=("adaptive", "sqnr", "equal"), max_variants=8)
-points = sorted((p for pts in curves.values() for p in pts),
-                key=lambda p: (p.method, p.b1, p.variant))
-modelio.save_curve(points, out / "curve.csv")
+modelio.save_curve(harness.sorted_points(curves), out / "curve.csv")
 for method, pts in curves.items():
     front = harness.pareto_frontier(pts)
     print(f"  {method}: {len(pts)} points, {len(front)} on the Pareto frontier")

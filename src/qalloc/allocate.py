@@ -24,6 +24,9 @@ from dataclasses import dataclass
 
 from .quantize import ALPHA, B_MAX, B_MIN, check_bits
 
+# the allocation rules, in the order a sweep runs them
+METHODS = ("adaptive", "sqnr", "equal")
+
 
 @dataclass(frozen=True)
 class BitAllocation:
@@ -76,7 +79,7 @@ def _profile_fields(profiles):
     s = [int(p.s) for p in profiles]
     t = [float(p.t) for p in profiles]
     pw = [float(p.p) for p in profiles]
-    degenerate = [bool(getattr(p, "degenerate", False)) for p in profiles]
+    degenerate = [bool(p.degenerate) for p in profiles]
     return s, t, pw, degenerate
 
 
@@ -126,24 +129,39 @@ def allocate_equal(bits: int, sizes, pinned: dict[int, int] | None = None) -> Bi
     return _finish("equal", bits, [float(pinned.get(i, bits)) for i in range(len(s))], s)
 
 
-def predicted_m_all(bits, weights=None) -> float:
-    """Predicted accuracy measurement sum w_i * exp(-a*b_i), w_i = p_i/t_i.
+def by_method(method: str, profiles, b1: float, fc_bits: int | None = None) -> BitAllocation:
+    """The allocation of one of METHODS at anchor b1 (equal's bit-width) from `profiles`.
 
-    With weights omitted all layers count equally (the SQNR assumption).
+    `fc_bits` pins every dense layer to that bit-width.  The one method
+    dispatch: `qalloc allocate` and the sweep both allocate through it.
     """
-    if weights is None:
-        weights = [1.0] * len(bits)
+    pinned = None
+    if fc_bits is not None:
+        bits = check_bits(fc_bits, "fc_bits")
+        pinned = {pos: bits for pos, p in enumerate(profiles) if p.kind == "dense"}
+    sizes = [p.s for p in profiles]
+    if method == "adaptive":
+        return allocate_adaptive(profiles, b1, pinned=pinned)
+    if method == "sqnr":
+        return allocate_sqnr(sizes, b1, pinned=pinned)
+    if method == "equal":
+        return allocate_equal(b1, sizes, pinned=pinned)
+    raise ValueError(f"unknown method {method!r}")
+
+
+def predicted_m_all(bits, weights) -> float:
+    """Predicted accuracy measurement sum w_i * exp(-a*b_i), w_i = p_i/t_i."""
     return sum(w * math.exp(-ALPHA * b) for w, b in zip(weights, bits, strict=True))
 
 
-def round_allocation(b_real, sizes, max_variants: int = 16, weights=None,
-                     b1: float | None = None) -> list[BitAllocation]:
-    """Enumerate floor/ceil roundings of a real adaptive allocation.
+def round_allocation(b_real, sizes, weights, b1: float,
+                     max_variants: int = 16) -> list[BitAllocation]:
+    """Enumerate floor/ceil roundings of a real adaptive allocation anchored at b1.
 
     Variants are clamped to [B_MIN, B_MAX] and ranked by predicted m_all
-    ascending, then by total size; at most max_variants (at least 1) are
-    returned.  A layer's choices (its clamped floor and ceil, one value when
-    they meet) differ, so no two variants are equal.
+    under `weights` ascending, then by total size; at most max_variants (at
+    least 1) are returned.  A layer's choices (its clamped floor and ceil,
+    one value when they meet) differ, so no two variants are equal.
     """
     check_max_variants(max_variants)
     b_real = [float(b) for b in b_real]
@@ -162,9 +180,8 @@ def round_allocation(b_real, sizes, max_variants: int = 16, weights=None,
         raise ValueError(f"rounding enumeration too large ({n_combos} combinations)")
     ranked = sorted((predicted_m_all(combo, weights), size_bits(s, combo), combo)
                     for combo in itertools.product(*choices))
-    anchor = float(b_real[0]) if b1 is None else float(b1)
     saturated = _saturated(b_real)
-    return [BitAllocation("adaptive", anchor, tuple(b_real), combo, sz, saturated)
+    return [BitAllocation("adaptive", float(b1), tuple(b_real), combo, sz, saturated)
             for _, sz, combo in ranked[:max_variants]]
 
 

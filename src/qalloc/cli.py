@@ -46,7 +46,6 @@ def _out_dir(args) -> Path:
 
 def _write_manifest(args, outputs: list[Path]):
     modelio.write_json(_out_dir(args) / "manifest.json", {
-        "format_version": modelio.FORMAT_VERSION,
         "tool": f"qalloc {__version__}",
         "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k not in ("func", "command")},
@@ -57,10 +56,7 @@ def _write_manifest(args, outputs: list[Path]):
 
 def _write_report(args, name: str, payload: dict) -> list[Path]:
     """With --out, write `name` (format_version, then payload) there; the files written."""
-    if not args.out:
-        return []
-    return [modelio.write_json(_out_dir(args) / name,
-                               {"format_version": modelio.FORMAT_VERSION, **payload})]
+    return [modelio.write_json(_out_dir(args) / name, payload)] if args.out else []
 
 
 def _load_merged_profiles(paths):
@@ -145,14 +141,7 @@ def cmd_estimate_p(args) -> tuple[int, list[Path]]:
 def cmd_allocate(args) -> tuple[int, list[Path]]:
     _check_fc_bits(args)
     profiles = _load_merged_profiles(args.profiles)
-    sizes = [p.s for p in profiles]
-    pinned = harness.dense_pins(profiles, args.fc_bits)
-    if args.method == "adaptive":
-        allocation = allocate.allocate_adaptive(profiles, args.b1, pinned=pinned)
-    elif args.method == "sqnr":
-        allocation = allocate.allocate_sqnr(sizes, args.b1, pinned=pinned)
-    else:
-        allocation = allocate.allocate_equal(args.b1, sizes, pinned=pinned)
+    allocation = allocate.by_method(args.method, profiles, args.b1, args.fc_bits)
     path = modelio.save_allocation(allocation, _out_dir(args) / "allocation.json")
     b_real = ", ".join(f"{b:g}" for b in allocation.b_real)
     print(f"method={allocation.method} b=({b_real}) b_int={list(allocation.b_int)} "
@@ -328,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("allocate", cmd_allocate, "closed-form bit-width allocation from profiles", NO_THREADS)
     p.add_argument("--profiles", action="append", required=True,
                    help="profiles JSON (repeat to merge t-only and p-only files)")
-    p.add_argument("--method", choices=("adaptive", "sqnr", "equal"), default="adaptive")
+    p.add_argument("--method", choices=allocate.METHODS, default="adaptive")
     p.add_argument("--b1", type=float, required=True, help="anchor bit-width")
     p.add_argument("--fc-bits", type=int, default=None, help="pin dense layers to this bit-width")
 
@@ -346,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--profiles", action="append", required=True)
     p.add_argument("--b1-grid", default=None, help="lo:hi:step or comma list (default 4:12:0.5)")
-    p.add_argument("--methods", default="adaptive,sqnr,equal")
+    p.add_argument("--methods", default=",".join(allocate.METHODS))
     p.add_argument("--max-variants", type=int, default=16)
     p.add_argument("--fc-bits", type=int, default=None)
 

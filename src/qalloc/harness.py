@@ -84,42 +84,35 @@ def run_pipeline(model: nn.Model, dataset: nn.Dataset,
                  config: probes.ProbeConfig = probes.ProbeConfig()) -> list[probes.LayerProfile]:
     """margins -> t probes -> p probes, merged into per-layer profiles; writes nothing.
 
-    All stages share one prefix cache, so the unmodified model is forwarded
-    once.  A caller that keeps the profiles saves them with `modelio.save_profiles`.
+    `config` drives the t probes; the p probes run at `estimate_p`'s default
+    probe bit-width, 10.  All stages share one prefix cache, so the unmodified
+    model is forwarded once.  A caller that keeps the profiles saves them with
+    `modelio.save_profiles`.
     """
     cache, t_probes, meta = calibrate_t(model, dataset, config)
-    p_probes = probes.estimate_p(cache, b_probe=config.b_probe)
+    p_probes = probes.estimate_p(cache)
     return probes.build_profiles(model, t_probes, p_probes, meta["delta_acc"])
 
 
-def dense_pins(profiles, fc_bits: int | None) -> dict[int, int] | None:
-    """Pins holding every dense layer at fc_bits; None when fc_bits is None."""
-    if fc_bits is None:
-        return None
-    bits = quantize.check_bits(fc_bits, "fc_bits")
-    return {pos: bits for pos, p in enumerate(profiles) if p.kind == "dense"}
-
-
-def _allocations_for(method: str, b1: float, profiles, sizes, max_variants: int,
-                     pinned: dict[int, int] | None):
-    if method == "adaptive":
-        base = alloc.allocate_adaptive(profiles, b1, pinned=pinned)
-        weights = [p.p / p.t if not p.degenerate else 0.0 for p in profiles]
-        return alloc.round_allocation(base.b_real, sizes, max_variants=max_variants,
-                                      weights=weights, b1=b1)
-    if method == "sqnr":
-        base = alloc.allocate_sqnr(sizes, b1, pinned=pinned)
-        return [base]
+def _allocations_for(method: str, b1: float, profiles, max_variants: int,
+                     fc_bits: int | None) -> list[alloc.BitAllocation]:
+    """`alloc.by_method`'s allocation at b1 as the sweep takes it: adaptive's rounding
+    variants, and equal only at integer anchors in [B_MIN, B_MAX]."""
     if method == "equal":
         bits = round(b1)
         if abs(b1 - bits) > 1e-9 or not quantize.B_MIN <= bits <= quantize.B_MAX:
             return []  # equal points exist only at integer anchors in range
-        return [alloc.allocate_equal(bits, sizes, pinned=pinned)]
-    raise ValueError(f"unknown method {method!r}")
+        b1 = bits
+    base = alloc.by_method(method, profiles, b1, fc_bits)
+    if method != "adaptive":
+        return [base]
+    weights = [p.p / p.t if not p.degenerate else 0.0 for p in profiles]
+    return alloc.round_allocation(base.b_real, [p.s for p in profiles], weights, b1,
+                                  max_variants=max_variants)
 
 
 def sweep(model: nn.Model, dataset: nn.Dataset, profiles, b1_values=None,
-          methods=("adaptive", "sqnr", "equal"), max_variants: int = 16,
+          methods=alloc.METHODS, max_variants: int = 16,
           fc_bits: int | None = None, threads: int = 1) -> dict[str, list[CurvePoint]]:
     """Quantize and evaluate every (method, anchor, rounding variant).
 
@@ -140,11 +133,11 @@ def sweep(model: nn.Model, dataset: nn.Dataset, profiles, b1_values=None,
         raise ValueError("need at least one anchor value")
     alloc.check_max_variants(max_variants)
     _check_profiles(model, profiles)
-    sizes = [p.s for p in profiles]
-    pinned = dense_pins(profiles, fc_bits)
+    if fc_bits is not None:  # checked even when no allocation takes it
+        quantize.check_bits(fc_bits, "fc_bits")
     plan = {method: [(b1, variant, allocation) for b1 in b1_values
                      for variant, allocation in enumerate(
-                         _allocations_for(method, b1, profiles, sizes, max_variants, pinned))]
+                         _allocations_for(method, b1, profiles, max_variants, fc_bits))]
             for method in methods}
     top1 = _top1_by_vector(model, dataset, [a for pts in plan.values() for _, _, a in pts],
                            threads)
@@ -213,16 +206,13 @@ def pareto_frontier(points) -> list[tuple[float, float]]:
     return best
 
 
-def _size_at_accuracy(frontier, acc: float) -> float | None:
-    """Interpolated size needed to reach accuracy acc; None when unattained."""
-    if not frontier or acc > frontier[-1][1]:
-        return None
+def _size_at_accuracy(frontier, acc: float) -> float:
+    """Interpolated size needed to reach accuracy acc, a level within the frontier's range."""
     if acc <= frontier[0][1]:
         return frontier[0][0]
     for (s0, a0), (s1, a1) in zip(frontier, frontier[1:]):
         if a0 < acc <= a1:
             return s0 + (s1 - s0) * (acc - a0) / (a1 - a0)
-    return None
 
 
 def compare(curves: dict[str, list[CurvePoint]], candidate: str | None = None) -> ComparisonReport:

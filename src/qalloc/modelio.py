@@ -3,8 +3,9 @@
 Models and datasets are stored as a JSON manifest plus a binary sidecar of
 little-endian float32 values: `<prefix>.model.json` + `<prefix>.model.bin`
 and `<prefix>.dataset.json` + `<prefix>.dataset.bin`.  Tensor byte offsets
-are declared in the manifest; the loader validates version, bounds, overlap
-and total size before touching the data.  All round trips are bit-exact.
+are declared in the manifest; the loader validates version, shapes, bounds,
+overlap and total size before touching the data.  All round trips are
+bit-exact.
 
 Fixture models are generated deterministically from a seed: weights and
 biases are uniform(-r, r) with r = 1/sqrt(fan_in), and datasets draw
@@ -99,11 +100,12 @@ def _write_text(path, text: str) -> Path:
 
 
 def _write_doc(path, doc: dict) -> Path:
-    """Write `doc` to `path` as indented JSON plus a newline.
+    """Write format_version, then `doc`, to `path` as indented JSON plus a newline.
 
     The save_* functions call this, not the public write_json, so code that
     wraps the public writers (perfbench's tracer) sees one call per save.
     """
+    doc = {"format_version": FORMAT_VERSION, **doc}
     return _write_text(path, json.dumps(doc, indent=1) + "\n")
 
 
@@ -215,9 +217,17 @@ def _tensor_entry(arr: np.ndarray, offset: int) -> tuple[dict, bytes, int]:
     return entry, data, offset + len(data)
 
 
+def _shape(path, name: str, dims) -> tuple[int, ...]:
+    """Shape `dims` of `name` in the manifest at `path`; a negative dimension is a LoadError."""
+    shape = tuple(_as(int, v) for v in dims)
+    if any(v < 0 for v in shape):
+        raise LoadError(f"{path}: {name}: negative dimension in shape {list(shape)}")
+    return shape
+
+
 def _read_tensor(path, blob: bytes, entry: dict, name: str, spans: list) -> np.ndarray:
     """Tensor `name` of the manifest at `path`, read from its sidecar bytes `blob`."""
-    shape = tuple(_as(int, v) for v in entry["shape"])
+    shape = _shape(path, name, entry["shape"])
     count = int(np.prod(shape)) if shape else 1
     start = _as(int, entry["offset"])
     end = start + 4 * count
@@ -262,7 +272,6 @@ def save_model(model: Model, prefix) -> tuple[Path, Path]:
             blob += data
         layers_doc.append(entry)
     doc = {
-        "format_version": FORMAT_VERSION,
         "input_shape": [int(v) for v in model.input_shape],
         "d": model.d,
         "layers": layers_doc,
@@ -297,14 +306,13 @@ def load_model(prefix) -> Model:
         if 4 * total_elems != len(blob):
             raise LoadError(f"{bin_path}: sidecar holds {len(blob)} bytes, "
                             f"manifest declares {4 * total_elems}")
-        return Model(tuple(layers), tuple(_as(int, v) for v in doc["input_shape"]))
+        return Model(tuple(layers), _shape(json_path, "input_shape", doc["input_shape"]))
 
 
 def save_dataset(dataset: Dataset, prefix) -> tuple[Path, Path]:
     json_path, bin_path = _files(prefix, ".dataset")
     inputs = np.ascontiguousarray(dataset.inputs, dtype="<f4")
     doc = {
-        "format_version": FORMAT_VERSION,
         "input_shape": [int(v) for v in inputs.shape[1:]],
         "n": len(dataset),
         "labels": [int(v) for v in dataset.labels],
@@ -322,7 +330,7 @@ def load_dataset(prefix) -> Dataset:
         with _loading(bin_path):
             blob = bin_path.read_bytes()
         n = _as(int, doc["n"])
-        shape = tuple(_as(int, v) for v in doc["input_shape"])
+        shape = _shape(json_path, "input_shape", doc["input_shape"])
         expected = 4 * n * int(np.prod(shape))
         start = _as(int, doc.get("inputs_offset", 0))
         if start + expected > len(blob) or len(blob) != start + expected:
@@ -346,7 +354,6 @@ def _nan_to_null(v: float):
 
 def save_profiles(profiles, path, meta: dict | None = None) -> Path:
     return _write_doc(path, {
-        "format_version": FORMAT_VERSION,
         "meta": dict(meta or {}),
         "layers": [
             {
@@ -400,7 +407,6 @@ def save_profiles_csv(profiles, path) -> Path:
 
 def save_allocation(allocation: BitAllocation, path) -> Path:
     return _write_doc(path, {
-        "format_version": FORMAT_VERSION,
         "method": allocation.method,
         "b1": allocation.b1,
         "b_real": list(allocation.b_real),
@@ -446,5 +452,5 @@ def load_curve(path) -> list[dict]:
 
 
 def write_json(path, payload: dict) -> Path:
-    """Write `payload` to `path` as indented JSON plus a newline."""
+    """Write format_version, then `payload`, to `path` as indented JSON plus a newline."""
     return _write_doc(path, payload)

@@ -42,16 +42,12 @@ from .quantize import ALPHA, check_bits, quantize_model, quantize_single_layer
 
 
 class CalibrationError(RuntimeError):
-    """A probe failed; .partial holds per-layer results gathered so far."""
-
-    def __init__(self, message, partial=()):
-        super().__init__(message)
-        self.partial = tuple(partial)
+    """A probe failed; the message names the layer and what it never reached."""
 
 
 @dataclass(frozen=True)
 class ProbeConfig:
-    """Settings for the t-probe binary search and the p-probe bit-width.
+    """Settings for the t-probe binary search.
 
     `threads` sets the thread count of the prefix cache that
     `harness.calibrate_t` and `harness.run_pipeline` build; the probes
@@ -62,7 +58,6 @@ class ProbeConfig:
     acc_tolerance: float = 0.005
     max_iters: int = 40
     seed: int = 0
-    b_probe: int = 10
     last_n: int | None = None  # probe only the last n weighted layers, copy t backward
     threads: int = 1
 
@@ -77,7 +72,6 @@ class ProbeConfig:
             raise ValueError(f"acc_tolerance must be >= 0, got {self.acc_tolerance}")
         if self.acc_tolerance == math.inf:  # every drop would be within it
             raise ValueError("acc_tolerance must be >= 0 and finite, got inf")
-        check_bits(self.b_probe, "b_probe")
 
     def target_drop(self, baseline: float) -> float:
         """The accuracy-drop target: delta_acc, or half the baseline accuracy when None."""
@@ -350,9 +344,9 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     with k bisected geometrically in [_K_MIN, _K_MAX] until the accuracy drop
     on `labels` is within acc_tolerance of `config.target_drop`: `_bisect`
     over the layer's side oracle, a `_LayerSearch`.  A layer that cannot be
-    brought into tolerance aborts the run with CalibrationError carrying
-    partial results.  Each layer's TProbe carries its search's work: its
-    iterations, the rows they forwarded and how many stopped early.
+    brought into tolerance aborts the run with CalibrationError.  Each
+    layer's TProbe carries its search's work: its iterations, the rows they
+    forwarded and how many stopped early.
 
     Cost: at most one forward of layers[i:] per bisection iteration on layer i,
     from the cache; the baseline logits and margins come from the cache too.
@@ -405,7 +399,7 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
             raise CalibrationError(
                 f"layer {i}: accuracy drop {acc_f - nn.accuracy(z, labels):.4f} never reached "
                 f"target {target:.4f} +/- {config.acc_tolerance} within bounds "
-                f"[{_K_MIN}, {_K_MAX}] ({iters} iterations)", partial=results)
+                f"[{_K_MIN}, {_K_MAX}] ({iters} iterations)")
         power, drop = nn.mean_power(cache.logits - search.z), acc_f - nn.accuracy(search.z, labels)
         results.append(TProbe(i, power / margins.mean_r_star, k, power, drop, iters, True,
                               rows=search.rows, early=search.early))
@@ -503,9 +497,8 @@ class AdditivityResult:
         return abs(self.sum_singles - self.joint) / self.joint if self.joint else 0.0
 
 
-def additivity_probe(cache: nn.PrefixCache, allocation) -> AdditivityResult:
-    """Compare per-layer quantization noise powers against joint quantization."""
-    bits = list(getattr(allocation, "b_int", allocation))
+def additivity_probe(cache: nn.PrefixCache, bits) -> AdditivityResult:
+    """Per-layer quantization noise powers against joint quantization, one of `bits` per layer."""
     model = cache.model
     singles = []
     for i, b in zip(model.weighted_indices, bits, strict=True):

@@ -89,7 +89,9 @@ def test_criterion_10_roundtrips_and_determinism(fixture_model, fixture_dataset,
     problems = [] if roundtrips.passed else [roundtrips.detail]
 
     alloc = allocate.allocate_adaptive(fixture_profiles, 8.0)
-    variants = allocate.round_allocation(alloc.b_real, [p.s for p in fixture_profiles])
+    weights = [p.p / p.t if not p.degenerate else 0.0 for p in fixture_profiles]
+    variants = allocate.round_allocation(alloc.b_real, [p.s for p in fixture_profiles], weights,
+                                         8.0)
     pts = [harness.CurvePoint("adaptive", 8.0, i, v.size_bits, v.size_bits / 8 / 2 ** 20, 0.5)
            for i, v in enumerate(variants)]
     rows = modelio.load_curve(modelio.save_curve(pts, tmp_path / "c.csv"))

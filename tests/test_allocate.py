@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -142,26 +143,57 @@ class TestEqual:
         assert q.b_real[1] == e.b_real[1] and q.b_int[1] == e.b_int[1]
 
 
+class TestByMethod:
+    # conv 0, dense 1, conv 2, dense 3
+    PROFILES = [replace(profile(0, 296, 18.8, 0.022), kind="conv2d"),
+                profile(1, 32832, 21.3, 0.015),
+                replace(profile(2, 584, 21.7, 0.046), kind="conv2d"),
+                profile(3, 650, 20.7, 0.027)]
+
+    @pytest.mark.parametrize("fc_bits", [None, 6])
+    def test_equals_the_direct_allocator_call(self, fc_bits):
+        profs, sizes = self.PROFILES, [p.s for p in self.PROFILES]
+        pinned = None if fc_bits is None else {1: fc_bits, 3: fc_bits}
+        direct = {"adaptive": allocate.allocate_adaptive(profs, 8.5, pinned=pinned),
+                  "sqnr": allocate.allocate_sqnr(sizes, 8.5, pinned=pinned),
+                  "equal": allocate.allocate_equal(8, sizes, pinned=pinned)}
+        assert tuple(direct) == allocate.METHODS
+        for method, want in direct.items():
+            b1 = 8 if method == "equal" else 8.5
+            assert allocate.by_method(method, profs, b1, fc_bits) == want
+        if fc_bits is not None:
+            assert all(want.b_int[1] == want.b_int[3] == fc_bits for want in direct.values())
+
+    def test_unknown_method_raises(self):
+        with pytest.raises(ValueError, match="^unknown method 'nope'$"):
+            allocate.by_method("nope", self.PROFILES, 8.0)
+
+    def test_fc_bits_outside_range_raises(self):
+        with pytest.raises(ValueError, match=r"^fc_bits must be an integer in \[2, 16\]"):
+            allocate.by_method("adaptive", self.PROFILES, 8.0, fc_bits=1)
+
+
 class TestRounding:
     def test_integer_input_passes_through(self):
-        variants = allocate.round_allocation([8.0, 6.0], [100, 200])
+        variants = allocate.round_allocation([8.0, 6.0], [100, 200], [1.0, 1.0], 8.0)
         assert len(variants) == 1
         assert variants[0].b_int == (8, 6)
+        assert variants[0].b1 == 8.0 and variants[0].method == "adaptive"
 
     def test_two_fractional_layers_give_at_most_four_variants(self):
-        variants = allocate.round_allocation([7.3, 5.8], [100, 200])
+        variants = allocate.round_allocation([7.3, 5.8], [100, 200], [1.0, 1.0], 7.3)
         assert 1 <= len(variants) <= 4
         assert len({v.b_int for v in variants}) == len(variants)
 
     def test_ranked_by_independently_recomputed_m_all(self):
         weights = [0.5, 2.0, 1.0]
-        variants = allocate.round_allocation([7.2, 5.7, 9.4], [10, 20, 30], weights=weights)
+        variants = allocate.round_allocation([7.2, 5.7, 9.4], [10, 20, 30], weights, 7.2)
         scores = [sum(w * math.exp(-ALPHA * b) for w, b in zip(weights, v.b_int))
                   for v in variants]
         assert scores == sorted(scores)
 
     def test_clamped_to_valid_range(self):
-        variants = allocate.round_allocation([1.2, 18.9], [10, 10])
+        variants = allocate.round_allocation([1.2, 18.9], [10, 10], [1.0, 1.0], 1.2)
         for v in variants:
             assert all(allocate.B_MIN <= b <= allocate.B_MAX for b in v.b_int)
         assert variants[0].saturated == (0, 1)
@@ -171,12 +203,13 @@ class TestRounding:
         # one rule: b_real outside [B_MIN, B_MAX], whether or not rounding moves it
         profs = [profile(0, 100, 2.0, 3.0), profile(1, 100, 2.0, 3.0)]
         a = allocate.allocate_adaptive(profs, b)
-        variants = allocate.round_allocation(a.b_real, [100, 100])
+        variants = allocate.round_allocation(a.b_real, [100, 100], [1.5, 1.5], b)
         assert a.b_real == (b, b)
         assert a.saturated == variants[0].saturated == (0, 1)
 
     def test_max_variants_cap(self):
-        variants = allocate.round_allocation([4.5, 5.5, 6.5, 7.5, 8.5], [1] * 5, max_variants=3)
+        variants = allocate.round_allocation([4.5, 5.5, 6.5, 7.5, 8.5], [1] * 5, [1.0] * 5, 4.5,
+                                             max_variants=3)
         assert len(variants) == 3
 
     @given(st.lists(st.floats(-1.0, 20.0), min_size=1, max_size=8), st.integers(1, 300))
@@ -185,7 +218,8 @@ class TestRounding:
         # a layer rounds to its clamped floor and ceil, one bit-width when they meet
         roundings = math.prod(len({min(max(f(b), allocate.B_MIN), allocate.B_MAX)
                                    for f in (math.floor, math.ceil)}) for b in b_real)
-        variants = allocate.round_allocation(b_real, [1] * len(b_real), max_variants=max_variants)
+        variants = allocate.round_allocation(b_real, [1] * len(b_real), [1.0] * len(b_real),
+                                             b_real[0], max_variants=max_variants)
         assert len({v.b_int for v in variants}) == len(variants) == min(max_variants, roundings)
 
 

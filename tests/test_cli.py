@@ -1,10 +1,12 @@
+import argparse
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from qalloc import harness, modelio, nn, probes
+from qalloc import allocate, harness, modelio, nn, probes
 from qalloc.cli import build_parser, main
 from qalloc.nn import Dataset, Layer, Model
 from qalloc.probes import LayerProfile
@@ -685,12 +687,25 @@ def test_manifest_lists_exactly_the_files_written(staged, tmp_path, monkeypatch,
     assert main(argv) == 0
     doc = json.loads((out / "manifest.json").read_text())
     assert {p.name for p in out.iterdir()} == written | {"manifest.json"}
-    assert doc["format_version"] == modelio.FORMAT_VERSION and doc["command"] == command
+    assert doc["command"] == command
+    for path in out.glob("*.json"):  # modelio stamps every JSON file, the manifest included
+        first = next(iter(json.loads(path.read_text()).items()))
+        assert first == ("format_version", modelio.FORMAT_VERSION), path
     assert list(doc["outputs"]) == sorted(written)
     assert doc["outputs"] == {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                               for name in written}
     parsed = vars(build_parser().parse_args(argv))
     assert doc["config"] == {k: v for k, v in parsed.items() if k not in ("func", "command")}
+
+
+def test_method_choices_and_sweep_default_are_the_allocators_methods():
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    method = next(a for a in commands["allocate"]._actions if a.dest == "method")
+    methods = next(a for a in commands["sweep"]._actions if a.dest == "methods")
+    assert tuple(method.choices) == allocate.METHODS
+    assert tuple(methods.default.split(",")) == allocate.METHODS
+    assert inspect.signature(harness.sweep).parameters["methods"].default == allocate.METHODS
 
 
 @pytest.mark.parametrize("command", ["margins", "evaluate", "lemma-check", "verify"])

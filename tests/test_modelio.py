@@ -311,6 +311,20 @@ def nan_in_sidecar(path):
     sidecar.write_bytes(np.float32(np.nan).astype("<f4").tobytes() + sidecar.read_bytes()[4:])
 
 
+def one_layer(edit):
+    """A mutation: save a one-layer dense model (4x3 weights, 3 biases) in place, then edit it.
+
+    Without the shape guard, weights of shape [-1, 3] read `blob[0:-12]`,
+    which passes the bounds check, and reshape infers the -1; an input shape
+    of [-2, -2] has the dense layer's 4 inputs.  Either model would load.
+    """
+    def mutate(path):
+        modelio.save_model(Model((Layer("dense", np.ones((4, 3), np.float32),
+                                        np.zeros(3, np.float32)),), (4,)), path.parent / "m")
+        edit_json(edit)(path)
+    return mutate
+
+
 # guard -> (artifact, mutation, what the error says); the model is conv 0, relu 1,
 # maxpool 2, dense 3 on (6, 6, 1)
 GUARDS = {
@@ -333,9 +347,19 @@ GUARDS = {
     "input channels": ("model", edit_json(lambda doc: doc.update(input_shape=[6, 6, 2])),
                        "kernel expects 1 channels, input has 2"),
     "NaN weight": ("model", nan_in_sidecar, "weights contain non-finite values"),
+    "negative dimension": ("model", one_layer(
+        lambda doc: doc["layers"][0]["weights"].update(shape=[-1, 3])),
+        "layer 0 weights: negative dimension in shape [-1, 3]"),
+    "negative model input dimension": ("model", one_layer(
+        lambda doc: doc.update(input_shape=[-2, -2])),
+        "input_shape: negative dimension in shape [-2, -2]"),
     "negative label": ("dataset", edit_json(lambda doc: doc["labels"].__setitem__(0, -1)),
                        "labels must be non-negative"),
     "NaN input": ("dataset", nan_in_sidecar, "inputs contain non-finite values"),
+    # offset 3360 plus the -480 bytes of 20 x -6 floats ends at the sidecar's 2880 bytes
+    "negative input dimension": ("dataset", edit_json(
+        lambda doc: doc.update(input_shape=[-1, 6, 1], inputs_offset=2880 + 480)),
+        "input_shape: negative dimension in shape [-1, 6, 1]"),
     "one label short": ("dataset", edit_json(lambda doc: doc["labels"].pop()),
                         "19 labels for n=20"),
 }

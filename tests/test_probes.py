@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qalloc import harness, nn, probes
+from qalloc import nn, probes
 from qalloc.nn import Dataset, Layer, Model
 from qalloc.probes import CalibrationError, ProbeConfig, TProbe
 
@@ -134,7 +134,7 @@ class TestEstimateT:
         t_rescaled = r1.noise_power / m2.mean_r_star
         assert t_rescaled == pytest.approx(r1.t / 4.0, rel=1e-9)
 
-    def test_failure_flags_layer_and_carries_partials(self):
+    def test_failure_flags_layer(self):
         model, ds = small_fixture()
         # an exact drop target and two bisection steps cannot be met
         cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.0, seed=0, max_iters=2)
@@ -219,22 +219,11 @@ class TestEstimateT:
                                              ("acc_tolerance", float("nan")),
                                              ("acc_tolerance", math.inf),
                                              ("delta_acc", -0.1), ("delta_acc", 0.0),
-                                             ("delta_acc", float("nan")), ("delta_acc", math.inf),
-                                             ("b_probe", 1), ("b_probe", 17), ("b_probe", 8.5)])
+                                             ("delta_acc", float("nan")), ("delta_acc", math.inf)])
     def test_config_rejects_settings_no_search_can_meet(self, field, value):
-        rules = {"delta_acc": "be > 0", "b_probe": r"be an integer in \[2, 16\]"}
-        with pytest.raises(ValueError, match=f"^{field} must {rules.get(field, 'be >= ')}"):
+        rule = "be > 0" if field == "delta_acc" else "be >= "
+        with pytest.raises(ValueError, match=f"^{field} must {rule}"):
             ProbeConfig(**{field: value})
-
-    def test_bad_b_probe_fails_before_any_forward(self, monkeypatch):
-        model, ds = small_fixture()
-
-        def fail(*args, **kwargs):
-            raise AssertionError("forward ran")
-
-        monkeypatch.setattr(nn, "prefix_cache", fail)
-        with pytest.raises(ValueError, match="^b_probe must"):
-            harness.run_pipeline(model, ds, ProbeConfig(delta_acc=0.4, b_probe=1))
 
 
 def recording(side):
@@ -335,7 +324,7 @@ def reference_estimate_t(cache, labels, config):
             raise CalibrationError(
                 f"layer {i}: accuracy drop {drop:.4f} never reached target {target:.4f} "
                 f"+/- {config.acc_tolerance} within bounds [{probes._K_MIN}, {probes._K_MAX}] "
-                f"({iters} iterations)", partial=results)
+                f"({iters} iterations)")
         k, z = found
         power = nn.mean_power(cache.logits - z)
         results.append(TProbe(i, power / margins.mean_r_star, k, power, drop, iters, True))
@@ -424,7 +413,6 @@ class TestStagedSearch:
         with pytest.raises(CalibrationError) as got:
             probes.estimate_t(cache, ds.labels, cfg)
         assert str(got.value) == str(want.value)
-        assert got.value.partial == want.value.partial
         assert searches[-1].early > 0  # the failing layer stopped an iterate early
         if max_iters == 2:  # its last one too, so the drop came from estimate_t's own forward
             assert searches[-1].stopped[-1]
