@@ -10,8 +10,6 @@ and every probe of layer i runs only the layers from i on.
 Uses a 800-sample dataset to stay quick.
 """
 
-import numpy as np
-
 from qalloc import modelio, nn, probes
 
 spec = modelio.default_fixture()

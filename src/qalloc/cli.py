@@ -105,7 +105,7 @@ def cmd_estimate_t(args) -> tuple[int, list[Path]]:
     config = probes.ProbeConfig(delta_acc=args.delta_acc, seed=args.seed,
                                 acc_tolerance=args.acc_tolerance, max_iters=args.max_iters,
                                 last_n=args.last_n, threads=args.threads)
-    _, t_probes, meta = harness.calibrate_t(model, dataset, config)
+    t_probes, _, meta = harness.calibrate_t(model, dataset, config)
     _progress(f"baseline accuracy {meta['baseline_accuracy']}, "
               f"mean margin {meta['mean_r_star']:.6g}")
     iterations = sum(r.iterations for r in t_probes)
@@ -126,8 +126,9 @@ def cmd_estimate_p(args) -> tuple[int, list[Path]]:
     quantize.check_bits(args.b_probe, "b_probe")  # a bad --b-probe fails before any forward
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
+    # the cache is this command's own, so the probes drop each layer's input once it is done
     cache = nn.prefix_cache(model, dataset.inputs, threads=args.threads)
-    p_probes = probes.estimate_p(cache, b_probe=args.b_probe)
+    _, p_probes, _ = probes.calibrate(cache, b_probe=args.b_probe)
     profiles = probes.build_profiles(model, None, p_probes, math.nan)
     path = modelio.save_profiles(profiles, _out_dir(args) / "profiles_p.json",
                                  meta={"b_probe": args.b_probe})

@@ -62,35 +62,34 @@ def default_anchor_grid() -> list[float]:
     return [4 + 0.5 * i for i in range(17)]
 
 
-def calibrate_t(model: nn.Model, dataset: nn.Dataset, config: probes.ProbeConfig):
-    """Prefix cache -> baseline accuracy -> delta_acc -> margins -> t probes.
+def calibrate_t(model: nn.Model, dataset: nn.Dataset, config: probes.ProbeConfig,
+                b_probe: int | None = None):
+    """Prefix cache -> baseline accuracy -> delta_acc -> margins -> probes, last layer first.
 
-    The front `run_pipeline` and `qalloc estimate-t` share.  Returns (cache,
-    t_probes, meta); meta holds baseline_accuracy, mean_r_star and delta_acc,
-    the first keys of the estimate-t profiles meta.  Each t probe carries
-    its layer's search work (`probes.TProbe`).
+    The front `run_pipeline` and `qalloc estimate-t` share.  Returns (t_probes,
+    p_probes, meta): the t probes, the p probes at `b_probe` (None when it is
+    None), and a meta of baseline_accuracy, mean_r_star and delta_acc, the
+    first keys of the estimate-t profiles meta.  Each t probe carries its
+    layer's search work (`probes.TProbe`).  The prefix cache is its own, so
+    `probes.calibrate` drops each layer's input once that layer's probes are
+    done.
     """
     probes.probed_layers(model, config.last_n)  # a bad last_n fails before any forward
     cache = nn.prefix_cache(model, dataset.inputs, threads=config.threads)
-    acc_f = nn.accuracy(cache.logits, dataset.labels)
-    mean_r_star = probes.margin_stats(cache.logits).mean_r_star
-    t_probes = probes.estimate_t(cache, dataset.labels, config)
-    meta = {"baseline_accuracy": acc_f, "mean_r_star": mean_r_star,
-            "delta_acc": config.target_drop(acc_f)}
-    return cache, t_probes, meta
+    return probes.calibrate(cache, dataset.labels, config, b_probe)
 
 
 def run_pipeline(model: nn.Model, dataset: nn.Dataset,
                  config: probes.ProbeConfig = probes.ProbeConfig()) -> list[probes.LayerProfile]:
-    """margins -> t probes -> p probes, merged into per-layer profiles; writes nothing.
+    """margins -> per layer, last first: p probe, then t search; merged into profiles.
 
     `config` drives the t probes; the p probes run at `estimate_p`'s default
-    probe bit-width, 10.  All stages share one prefix cache, so the unmodified
-    model is forwarded once.  A caller that keeps the profiles saves them with
-    `modelio.save_profiles`.
+    probe bit-width, 10.  Both run from one prefix cache (`calibrate_t`), so
+    the unmodified model is forwarded once, and each layer's cached input is
+    dropped once its two probes are done.  Writes nothing: a caller that keeps
+    the profiles saves them with `modelio.save_profiles`.
     """
-    cache, t_probes, meta = calibrate_t(model, dataset, config)
-    p_probes = probes.estimate_p(cache)
+    t_probes, p_probes, meta = calibrate_t(model, dataset, config, b_probe=10)
     return probes.build_profiles(model, t_probes, p_probes, meta["delta_acc"])
 
 

@@ -327,20 +327,21 @@ def load_dataset(prefix) -> Dataset:
     json_path, bin_path = _files(prefix, ".dataset")
     with _loading(json_path):
         doc = _read_doc(json_path)
-        with _loading(bin_path):
-            blob = bin_path.read_bytes()
         n = _as(int, doc["n"])
         shape = _shape(json_path, "input_shape", doc["input_shape"])
         expected = 4 * n * int(np.prod(shape))
         start = _as(int, doc.get("inputs_offset", 0))
-        if start + expected > len(blob) or len(blob) != start + expected:
-            raise LoadError(f"{bin_path}: inputs need {expected} bytes at offset {start}, "
-                            f"sidecar has {len(blob)}")
-        inputs = np.frombuffer(blob[start:start + expected], dtype="<f4").reshape((n, *shape))
+        with _loading(bin_path):
+            size = bin_path.stat().st_size
+            # the size is checked first, so the inputs are read once, straight into their array
+            if min(start, expected) < 0 or start + expected != size:
+                raise LoadError(f"{bin_path}: inputs need {expected} bytes at offset {start}, "
+                                f"sidecar has {size}")
+            inputs = np.fromfile(bin_path, dtype="<f4", count=expected // 4, offset=start)
         labels = np.array([_as(int, v) for v in doc["labels"]], dtype=np.int64)
         if len(labels) != n:
             raise LoadError(f"{json_path}: {len(labels)} labels for n={n}")
-        return Dataset(inputs.copy(), labels)
+        return Dataset(inputs.reshape((n, *shape)), labels)
 
 
 # ---------------------------------------------------------------------------

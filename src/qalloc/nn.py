@@ -23,7 +23,8 @@ straight into one output array for the chunk.  The workspaces (a maxpool's
 block output; a conv's zero-bordered float64 input, flattened per image, its
 output grid and its product buffer) are allocated once per stretch and chunk
 and reused by every block; relu runs in place on them, never on an array the
-engine did not make.  A conv is one matrix product per image and kernel
+engine did not make, and a relu right after a dense layer runs in place on
+that layer's output.  A conv is one matrix product per image and kernel
 offset: on the flattened input, offset (dy, dx) is one strided slice, whose
 product fills a grid of oh rows of the padded width wp.  The wp - ow columns
 past the output in each grid row are junk that nothing reads, and what
@@ -41,15 +42,15 @@ Dense layers run on the whole chunk, because OpenBLAS dense results depend on
 the row count of the call.
 
 A `PrefixCache` holds a model's baseline logits on an input stack plus the
-input of every weighted layer, one array each: `prefix_cache` runs the
-forward one weighted-layer segment at a time and keeps each segment's
-output.  A segment cuts the same evaluation chunks as a whole forward.
-`forward_from` evaluates a copy of that model with one layer changed by
-running only the layers from the changed one on, and its result equals
-`forward_batch` on the copy bit for bit.  `forward_trie` evaluates many
-copies that differ only in their weighted layers, running each layer segment
-once per distinct prefix of changes.  A segment boundary only splits a
-row-local stretch in two, which changes no bit either.  Threaded, on more
+input of every weighted layer its owner has not dropped, one array each:
+`prefix_cache` runs the forward one weighted-layer segment at a time and
+keeps each segment's output.  A segment cuts the same evaluation chunks as a
+whole forward.  `forward_from` evaluates a copy of that model with one layer
+changed by running only the layers from the changed one on, and its result
+equals `forward_batch` on the copy bit for bit.  `forward_trie` evaluates
+many copies that differ only in their weighted layers, running each layer
+segment once per distinct prefix of changes.  A segment boundary only splits
+a row-local stretch in two, which changes no bit either.  Threaded, on more
 than `_CHUNK` rows, the trie cuts the same evaluation chunks itself and
 walks chunk-major: each chunk's thread runs a whole subtree of copies (those
 that share their first weighted layer) over its own rows, so the walk holds
@@ -342,6 +343,19 @@ def _apply_dense(x, layer: Layer):
     return out
 
 
+def _dense_at(layers, x, i: int, stop: int):
+    """Dense layers[i] on x, then each relu after it before `stop`: (output, next layer index).
+
+    The relus run in place on the dense layer's output, a new array, so they
+    allocate nothing.
+    """
+    x, i = _apply_dense(x, layers[i]), i + 1
+    while i < stop and layers[i].kind == "relu":
+        np.maximum(x, 0.0, out=x)
+        i += 1
+    return x, i
+
+
 def _conv_args(layer: Layer, in_shape, out_shape, rows: int, relu: bool):
     """`_conv_into`'s arguments but the block: the float64 weights and bias tile, the
     stride, ow, `per_row`, `relu`, and the zeroed input buffer, the grid and the product
@@ -434,8 +448,9 @@ def _forward(layers, x: np.ndarray, start: int, stop: int, threads: int) -> np.n
     """Run layers[start:stop] on x.
 
     A dense layer runs on the whole of x, since OpenBLAS dense results depend
-    on the row count of the call, and each maximal stretch of row-local
-    layers runs in row blocks (`_run_blocked`); a stretch ends at `stop`.
+    on the row count of the call, and a relu right after it runs in place on
+    its output (`_dense_at`); each other maximal stretch of row-local layers
+    runs in row blocks (`_run_blocked`); a stretch ends at `stop`.
     When `_chunked`, x is cut into `_CHUNK`-row evaluation chunks from row 0
     instead: each runs so on the pool and writes its own rows of one output.
     An empty range returns x itself, but a layerless model's output is a new
@@ -454,14 +469,13 @@ def _forward(layers, x: np.ndarray, start: int, stop: int, threads: int) -> np.n
         return out
     i = start
     while i < stop:
-        end = i + 1
         if layers[i].kind in _ROW_LOCAL:
+            end = i + 1
             while end < stop and layers[end].kind in _ROW_LOCAL:
                 end += 1
-            x = _run_blocked(layers, x, i, end)
+            x, i = _run_blocked(layers, x, i, end), end
         else:
-            x = _apply_dense(x, layers[i])
-        i = end
+            x, i = _dense_at(layers, x, i, stop)
     return x
 
 
@@ -494,13 +508,18 @@ class PrefixCache:
     array; a forward resumed from it at the cache's thread count cuts the
     evaluation chunks `forward_batch` cuts, so it repeats its arithmetic.
     Layer 0's is the caller's inputs, referenced, not copied; the rest are
-    read-only.
+    read-only.  No array is ever written, but `drop` removes one: the owner
+    of a cache drops a layer's input once nothing will forward from it again.
     """
 
     model: Model
     threads: int
     logits: np.ndarray
     layer_inputs: dict[int, np.ndarray]  # layer index -> that layer's input
+
+    def drop(self, index: int):
+        """Forget layer `index`'s cached input; a forward from that layer is then a ValueError."""
+        del self.layer_inputs[index]
 
 
 def prefix_cache(model: Model, inputs: np.ndarray, threads: int = 1) -> PrefixCache:
@@ -637,8 +656,8 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
         yield rows, *_stage(layers, x, out, rows, index, end, stretch, sums)
     del stretch  # the stages' workspaces go before the whole-stack tail
     if end < len(layers):  # the stretch output is freed once the first dense layer has read it
-        out = _apply_dense(out, layers[end])
-        out = _forward(layers, out, end + 1, len(layers), cache.threads)
+        out, end = _dense_at(layers, out, end, len(layers))
+        out = _forward(layers, out, end, len(layers), cache.threads)
     yield None, out, None
 
 

@@ -20,6 +20,9 @@ the unmodified model computes.  The probes therefore share an
 margins, the baseline side of every feature-noise difference) and each
 probed copy runs only from layer i on.  Every probe takes the cache as its
 first argument and reads the model, the inputs and the thread count from it.
+The calibration fronts run one per-layer loop (`calibrate`), last layer
+first, on a cache they built for it, and drop each layer's input once that
+layer's probes are done.
 
 The t search's cost is described once, in `estimate_t`'s docstring.
 
@@ -337,16 +340,54 @@ class _LayerSearch:
         return np.argsort(predicted, kind="stable")
 
 
-def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig()) -> list[TProbe]:
+def _t_rule(cache: nn.PrefixCache, labels: np.ndarray, config: ProbeConfig) -> tuple[_Rule, float]:
+    """The t search's rule on the cache's baseline, and its mean margin power.
+
+    ValueError for a target outside (0, baseline accuracy), a zero mean
+    margin, and a tolerance band that holds every drop or none the rows can
+    reach (`estimate_t`).
+    """
+    acc_f = nn.accuracy(cache.logits, labels)
+    target = config.target_drop(acc_f)
+    if not (0 < target < acc_f):
+        raise ValueError(f"delta_acc must lie in (0, baseline accuracy={acc_f}), got {target}")
+    margins = margin_stats(cache.logits)
+    if margins.mean_r_star <= 0:
+        raise ValueError("mean margin is zero; cannot normalize t")
+    rule = _Rule(len(labels), acc_f, target, config.acc_tolerance)
+    if rule.step(rule.drop(0)) == rule.step(rule.drop(rule.n)) == 0:  # drops are monotone
+        raise ValueError(f"acc_tolerance {config.acc_tolerance} accepts every accuracy drop "
+                         f"around target {target} (baseline accuracy {acc_f})")
+    near = min(max(rule.n * (acc_f - target), 0), rule.n)  # the count whose drop is the target
+    if all(rule.step(rule.drop(c)) for c in (math.floor(near), math.ceil(near))):
+        raise ValueError(f"acc_tolerance {config.acc_tolerance} holds no reachable accuracy drop "
+                         f"around target {target:.4f}: the drop moves in steps of 1/{rule.n}")
+    return rule, margins.mean_r_star
+
+
+def _copy_t_backward(model: Model, t_probes: list[TProbe]) -> list[TProbe]:
+    """`t_probes`, after a copy of the lowest one's t for each weighted layer below it."""
+    if not t_probes:
+        return t_probes
+    low = t_probes[0]
+    return [TProbe(i, low.t, math.nan, math.nan, math.nan, 0, True, copied=True)
+            for i in model.weighted_indices if i < low.index] + t_probes
+
+
+def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(),
+               layers=None) -> list[TProbe]:
     """Robustness parameter t for each weighted layer of `cache.model` (bisection on noise scale).
 
-    For each probed layer a fixed uniform(-0.5, 0.5) direction is scaled by k,
-    with k bisected geometrically in [_K_MIN, _K_MAX] until the accuracy drop
-    on `labels` is within acc_tolerance of `config.target_drop`: `_bisect`
-    over the layer's side oracle, a `_LayerSearch`.  A layer that cannot be
-    brought into tolerance aborts the run with CalibrationError.  Each
-    layer's TProbe carries its search's work: its iterations, the rows they
-    forwarded and how many stopped early.
+    For each searched layer a fixed uniform(-0.5, 0.5) direction is scaled by
+    k, with k bisected geometrically in [_K_MIN, _K_MAX] until the accuracy
+    drop on `labels` is within acc_tolerance of `config.target_drop`:
+    `_bisect` over the layer's side oracle, a `_LayerSearch`.  The searched
+    layers are the weighted layers in `layers`, by default
+    `probed_layers(model, config.last_n)`, in layer order; with `last_n`, each
+    weighted layer below the lowest searched one gets a copy of its t.  The
+    first layer that cannot be brought into tolerance raises CalibrationError.
+    `cache` is read, never changed.  Each layer's TProbe carries its search's
+    work: its iterations, the rows they forwarded and how many stopped early.
 
     Cost: at most one forward of layers[i:] per bisection iteration on layer i,
     from the cache; the baseline logits and margins come from the cache too.
@@ -373,46 +414,30 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     because no k gives such a count (rows that flip together can skip it).
     """
     model = cache.model
-    probe_set = probed_layers(model, config.last_n)
-    acc_f = nn.accuracy(cache.logits, labels)
-    target = config.target_drop(acc_f)
-    if not (0 < target < acc_f):
-        raise ValueError(f"delta_acc must lie in (0, baseline accuracy={acc_f}), got {target}")
-    margins = margin_stats(cache.logits)
-    if margins.mean_r_star <= 0:
-        raise ValueError("mean margin is zero; cannot normalize t")
     labels = np.asarray(labels)
-    rule = _Rule(len(labels), acc_f, target, config.acc_tolerance)
-    if rule.step(rule.drop(0)) == rule.step(rule.drop(rule.n)) == 0:  # drops are monotone
-        raise ValueError(f"acc_tolerance {config.acc_tolerance} accepts every accuracy drop "
-                         f"around target {target} (baseline accuracy {acc_f})")
-    near = min(max(rule.n * (acc_f - target), 0), rule.n)  # the count whose drop is the target
-    if all(rule.step(rule.drop(c)) for c in (math.floor(near), math.ceil(near))):
-        raise ValueError(f"acc_tolerance {config.acc_tolerance} holds no reachable accuracy drop "
-                         f"around target {target:.4f}: the drop moves in steps of 1/{rule.n}")
-    results: list[TProbe] = []
-    for i in probe_set:
+    rule, mean_r_star = _t_rule(cache, labels, config)
+    results = []
+    for i in probed_layers(model, config.last_n) if layers is None else layers:
         search = _LayerSearch(cache, labels, i, _probe_direction(model, i, config.seed), rule)
         k, iters, accepted = _bisect(search, config.max_iters)
         if not accepted:  # its last iterate may have stopped early
             z = nn.forward_from(cache, nn.perturb_layer(model, i, k * search.direction), i)
             raise CalibrationError(
-                f"layer {i}: accuracy drop {acc_f - nn.accuracy(z, labels):.4f} never reached "
-                f"target {target:.4f} +/- {config.acc_tolerance} within bounds "
+                f"layer {i}: accuracy drop {rule.acc_f - nn.accuracy(z, labels):.4f} never "
+                f"reached target {rule.target:.4f} +/- {rule.tol} within bounds "
                 f"[{_K_MIN}, {_K_MAX}] ({iters} iterations)")
-        power, drop = nn.mean_power(cache.logits - search.z), acc_f - nn.accuracy(search.z, labels)
-        results.append(TProbe(i, power / margins.mean_r_star, k, power, drop, iters, True,
+        power = nn.mean_power(cache.logits - search.z)
+        results.append(TProbe(i, power / mean_r_star, k, power,
+                              rule.acc_f - nn.accuracy(search.z, labels), iters, True,
                               rows=search.rows, early=search.early))
-
-    if config.last_n is not None and probe_set:
-        pre = [TProbe(i, results[0].t, math.nan, math.nan, math.nan, 0, True, copied=True)
-               for i in model.weighted_indices if i not in probe_set]
-        results = pre + results
-    return results
+    return results if config.last_n is None else _copy_t_backward(model, results)
 
 
-def estimate_p(cache: nn.PrefixCache, b_probe: int = 10) -> list[PProbe]:
+def estimate_p(cache: nn.PrefixCache, b_probe: int = 10, layers=None) -> list[PProbe]:
     """Noise coefficient p for each weighted layer of `cache.model` via single-layer quantization.
+
+    Given `layers`, only the weighted layers listed there, in layer order.
+    `cache` is read, never changed.
 
     Cost: one forward of layers[i:] per weighted layer i, from the cache.
     """
@@ -420,7 +445,7 @@ def estimate_p(cache: nn.PrefixCache, b_probe: int = 10) -> list[PProbe]:
     model = cache.model
     scale = math.exp(-ALPHA * b_probe)
     results = []
-    for i in model.weighted_indices:
+    for i in model.weighted_indices if layers is None else layers:
         quantized = quantize_single_layer(model, i, b_probe)
         power = nn.mean_power(cache.logits - nn.forward_from(cache, quantized, i))
         if power == 0.0:
@@ -430,6 +455,53 @@ def estimate_p(cache: nn.PrefixCache, b_probe: int = 10) -> list[PProbe]:
         else:
             results.append(PProbe(i, power / scale, power, b_probe))
     return results
+
+
+def calibrate(cache: nn.PrefixCache, labels=None, config: ProbeConfig | None = None,
+              b_probe: int | None = None):
+    """A calibration front's probes on a cache it built for them: (t probes, p probes, meta).
+
+    The one loop of the calibration fronts.  The t probes run when `config`
+    is given, as `estimate_t` runs them (with its copies under `last_n`), and
+    the p probes when `b_probe` is; each list is None when its probe does not
+    run.  meta holds the t search's baseline_accuracy, mean_r_star and
+    delta_acc (None without `config`); a target or tolerance `estimate_t`
+    rejects is a ValueError before any probe.
+
+    This consumes `cache`.  The weighted layers run last first: for each, its
+    p probe and then its t search, each one call of `estimate_p` or
+    `estimate_t` on that layer alone, and then its input leaves the cache
+    (`nn.PrefixCache.drop`).  A probe of layer i reads only the cache's input
+    of layer i and its logits, so every result is what `estimate_t` and
+    `estimate_p` give on a cache that keeps every input, while the cache holds
+    only the logits and the inputs of the layers still to come: the first
+    layer's iterates, the costliest, run next to the logits alone.  A failed
+    t search stops no layer: the layers below it are still searched, and the
+    lowest failing layer's CalibrationError is raised once they have.  The
+    results come in layer order; degenerate-layer warnings come last layer
+    first.
+    """
+    model = cache.model
+    meta, searched = None, ()
+    if config is not None:
+        rule, mean_r_star = _t_rule(cache, np.asarray(labels), config)
+        meta = {"baseline_accuracy": rule.acc_f, "mean_r_star": mean_r_star,
+                "delta_acc": rule.target}
+        searched, one_layer = probed_layers(model, config.last_n), replace(config, last_n=None)
+    t_probes, p_probes, failure = [], [], None
+    for i in reversed(model.weighted_indices):
+        if b_probe is not None:
+            p_probes += estimate_p(cache, b_probe, layers=(i,))
+        if i in searched:
+            try:
+                t_probes += estimate_t(cache, labels, one_layer, layers=(i,))
+            except CalibrationError as e:
+                failure = e  # the loop runs downward, so the last one kept is the lowest
+        cache.drop(i)
+    if failure is not None:
+        raise failure
+    return (None if config is None else _copy_t_backward(model, t_probes[::-1]),
+            None if b_probe is None else p_probes[::-1], meta)
 
 
 def measurement(profiles, noise_powers) -> tuple[list[float], float]:

@@ -54,7 +54,7 @@ class TestPipeline:
         inputs = rng.standard_normal((300, 10)).astype(np.float32)
         ds = Dataset(inputs, nn.classify_batch(nn.forward_batch(model, inputs)))
         cfg = ProbeConfig(delta_acc=0.3, acc_tolerance=0.02, seed=2)
-        _, t_probes, meta = harness.calibrate_t(model, ds, cfg)
+        t_probes, _, meta = harness.calibrate_t(model, ds, cfg)
         profiles = harness.run_pipeline(model, ds, cfg)
         assert profiles[0].t == t_probes[0].t == t_probes[0].noise_power / meta["mean_r_star"]
 
@@ -79,7 +79,7 @@ class TestPipeline:
             [(True, True), (False, False)]
         assert doc["layers"][1]["noise_scale"] > 0
         cfg = ProbeConfig(delta_acc=0.3, acc_tolerance=0.02, seed=1, last_n=1)
-        _, t_probes, meta = harness.calibrate_t(model, ds, cfg)
+        t_probes, _, meta = harness.calibrate_t(model, ds, cfg)
         loaded, loaded_meta = modelio.load_profiles(path)
         assert loaded == probes.build_profiles(model, t_probes, None, meta["delta_acc"])
         assert loaded_meta == {**meta, "seed": 1}

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -131,6 +132,29 @@ class TestDatasetRoundTrip:
         bin_path.write_bytes(bin_path.read_bytes()[:-4])
         with pytest.raises(LoadError):
             modelio.load_dataset(tmp_path / "d")
+
+    def test_negative_offset_rejected_before_reading(self, fixture_model, tmp_path):
+        # the offset plus the inputs' size is the sidecar's length, so only its sign is wrong
+        ds = modelio.gen_dataset(fixture_model, 8, seed=2)
+        json_path, bin_path = modelio.save_dataset(ds, tmp_path / "d")
+        json_path.write_text(json.dumps({**json.loads(json_path.read_text()), "inputs_offset": -4}))
+        bin_path.write_bytes(bin_path.read_bytes()[:-4])
+        with pytest.raises(LoadError, match=f"^{bin_path}: inputs need 32768 bytes at offset -4, "
+                                            "sidecar has 32764$"):
+            modelio.load_dataset(tmp_path / "d")
+
+    def test_load_reads_the_sidecar_once(self, fixture_model, tmp_path):
+        # straight into the inputs' one array: no blob of the whole file, and no copy of it
+        ds = modelio.gen_dataset(fixture_model, 500, seed=2)
+        modelio.save_dataset(ds, tmp_path / "d")
+        tracemalloc.start()
+        try:
+            again = modelio.load_dataset(tmp_path / "d")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.inputs, again.inputs) and again.inputs.flags.writeable
+        assert peak < 1.5 * again.inputs.nbytes
 
 
 @pytest.mark.parametrize("kind, name", [(kind, name) for kind in ("model", "dataset")

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -347,6 +348,18 @@ class TestPrefixCache:
             cache = nn.prefix_cache(model, x.copy(), threads)
             assert set(cache.layer_inputs) == {0, *model.weighted_indices}
             assert np.array_equal(cache.logits, nn.forward_batch(model, x, threads))
+
+
+    def test_drop_forgets_one_input(self):
+        model = conv_net("same")
+        x = np.random.default_rng(0).standard_normal((20, 8, 8, 2)).astype(np.float32)
+        cache = nn.prefix_cache(model, x)
+        kept = {i: a for i, a in cache.layer_inputs.items() if i != 3}
+        cache.drop(3)
+        assert cache.layer_inputs == kept
+        with pytest.raises(ValueError, match="no cached input for layer 3"):
+            nn.forward_from(cache, model, 3)
+        assert np.array_equal(nn.forward_from(cache, model, 0), cache.logits)
 
 
 class TestForwardTrie:
@@ -737,6 +750,23 @@ class TestOwnership:
         assert same_bits(nn.forward_from(cache, model, 0), z)
         (_, t), = nn.forward_trie(model, x, [()], None, threads)
         assert same_bits(t, z) and not np.shares_memory(t, x)
+
+
+    def test_a_relu_after_a_dense_layer_allocates_nothing(self):
+        # it runs in place on the dense layer's new output, so a forward that runs as one
+        # chunk holds one (n, 256) array at its peak, not two
+        rng = np.random.default_rng(7)
+        model = Model((Layer("dense", rng.uniform(-0.5, 0.5, (8, 256))), Layer("relu")), (8,))
+        x = rng.standard_normal((600, 8))
+        want = np.maximum(x @ model.layers[0].weights, 0.0)
+        tracemalloc.start()
+        try:
+            z = nn.forward_batch(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_bits(z, want)
+        assert peak < 1.5 * z.nbytes
 
 
 class TestForwardStages:

@@ -1,5 +1,7 @@
+import json
 import math
-from dataclasses import fields, replace
+import tracemalloc
+from dataclasses import asdict, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qalloc import nn, probes
+from qalloc import harness, modelio, nn, probes
+from qalloc.cli import main
 from qalloc.nn import Dataset, Layer, Model
 from qalloc.probes import CalibrationError, ProbeConfig, TProbe
 
@@ -439,6 +442,118 @@ class TestStagedSearch:
             assert outcomes == {step}
         else:
             assert len(outcomes) > 1 or outcomes == {0}
+
+
+def profile_text(profiles) -> str:
+    """Profiles as comparable text: NaN fields (never measured) match NaN."""
+    return json.dumps([asdict(p) for p in profiles])
+
+
+class TestCalibrationFronts:
+    """The fronts probe the last layer first and drop each layer's input once it is done.
+
+    Each probe reads only its layer's cached input and the logits, so every
+    result is the forward-order one on a cache that keeps every input.
+    """
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_pipeline_equals_the_forward_order_probes(self, threads):
+        model, ds = small_conv_fixture()  # 1101 rows: three evaluation chunks past one thread
+        keep = cached(model, ds, threads)  # a cache that keeps every input
+        for last_n in (None, 2):
+            cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=3, last_n=last_n,
+                              threads=threads)
+            want = probes.build_profiles(model, reference_estimate_t(keep, ds.labels, cfg),
+                                         probes.estimate_p(keep), cfg.delta_acc)
+            assert profile_text(harness.run_pipeline(model, ds, cfg)) == profile_text(want)
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_estimate_files_equal_the_forward_order_probes(self, tmp_path, threads):
+        model, ds = small_conv_fixture()
+        modelio.save_model(model, tmp_path / "m")
+        modelio.save_dataset(ds, tmp_path / "d")
+        args = ["--model", str(tmp_path / "m"), "--data", str(tmp_path / "d"),
+                "--threads", str(threads), "--out", str(tmp_path / "run")]
+        for flags, cfg in (([], ProbeConfig(threads=threads)),
+                           (["--last-n", "2"], ProbeConfig(last_n=2, threads=threads))):
+            assert main(["estimate-t", *args, *flags]) == 0
+            got, _ = modelio.load_profiles(tmp_path / "run" / "profiles_t.json")
+            t_probes = reference_estimate_t(cached(model, ds, threads), ds.labels, cfg)
+            want = probes.build_profiles(model, t_probes, None, 0.5)
+            assert profile_text(got) == profile_text(want)
+        for b_probe in (10, 8):
+            assert main(["estimate-p", *args, "--b-probe", str(b_probe)]) == 0
+            got, _ = modelio.load_profiles(tmp_path / "run" / "profiles_p.json")
+            p_probes = probes.estimate_p(cached(model, ds, threads), b_probe)
+            want = probes.build_profiles(model, None, p_probes, math.nan)
+            assert profile_text(got) == profile_text(want)
+
+    def test_probes_leave_a_caller_s_cache_as_it_was(self):
+        model, ds = small_conv_fixture(n=600)
+        cache = cached(model, ds)
+        before = dict(cache.layer_inputs)
+
+        def unchanged():
+            return (cache.layer_inputs.keys() == before.keys()
+                    and all(cache.layer_inputs[i] is a for i, a in before.items()))
+
+        probes.estimate_t(cache, ds.labels, ProbeConfig(delta_acc=0.4, acc_tolerance=0.02))
+        probes.estimate_p(cache, b_probe=8)
+        assert unchanged()
+        with pytest.raises(CalibrationError):
+            probes.estimate_t(cache, ds.labels, ProbeConfig(acc_tolerance=0.0, max_iters=2))
+        assert unchanged()
+
+    def test_a_front_s_own_cache_keeps_no_input_past_layer_0(self, tmp_path, monkeypatch):
+        model, ds = small_conv_fixture(n=600)
+        modelio.save_model(model, tmp_path / "m")
+        modelio.save_dataset(ds, tmp_path / "d")
+        made = []
+        build = nn.prefix_cache
+        monkeypatch.setattr(nn, "prefix_cache",
+                            lambda *args, **kwargs: made.append(build(*args, **kwargs)) or made[-1])
+        harness.run_pipeline(model, ds, ProbeConfig(delta_acc=0.4, acc_tolerance=0.02))
+        for command in ("estimate-t", "estimate-p"):
+            assert main([command, "--model", str(tmp_path / "m"), "--data", str(tmp_path / "d"),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert len(made) == 3
+        for cache in made:
+            assert set(cache.layer_inputs) <= {0}
+            with pytest.raises(ValueError, match="no cached input for layer 3"):
+                probes.estimate_p(cache, layers=(3,))
+
+    def test_a_failed_run_searches_every_layer_and_names_the_lowest_failure(
+            self, fixture_model, monkeypatch):
+        ds = modelio.gen_dataset(fixture_model, 600, seed=modelio.DEFAULT_SEED + 1)
+        searched = []
+        bisect = probes._bisect
+
+        def failing_at_3_and_7(search, max_iters):
+            searched.append(search.i)
+            return (1.0, 1, False) if search.i in (3, 7) else bisect(search, max_iters)
+
+        monkeypatch.setattr(probes, "_bisect", failing_at_3_and_7)
+        # a front searches last first and every layer; estimate_t stops at its first failure
+        for run, order in ((lambda: harness.run_pipeline(fixture_model, ds), [7, 5, 3, 0]),
+                           (lambda: probes.estimate_t(cached(fixture_model, ds), ds.labels),
+                            [0, 3])):
+            searched.clear()
+            with pytest.raises(CalibrationError, match="^layer 3: accuracy drop "):
+                run()
+            assert searched == order
+
+    def test_pipeline_peaks_below_three_cached_layer_inputs(self, fixture_model):
+        # the inputs of layers 3, 5 and 7 and the logits, held through layer 0's search
+        # whose iterates need about as much again, read 3.97 inputs of layer 3 before
+        ds = modelio.gen_dataset(fixture_model, 1000, seed=modelio.DEFAULT_SEED + 1)
+        one = 8 * len(ds) * math.prod(fixture_model.shapes[3])  # layer 3's input, the largest
+        tracemalloc.start()
+        try:
+            harness.run_pipeline(fixture_model, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * one
 
 
 def within(provisional: float, slack: float, u: float) -> float:
