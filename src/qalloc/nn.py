@@ -14,20 +14,23 @@ picks its argmax (softmax never changes the argmax, so it is not applied).
 
 Every forward runs through `_forward`.  Threaded, on more than `_CHUNK` rows,
 it cuts its input stack into `_CHUNK`-row evaluation chunks from row 0, and
-each chunk's thread writes its rows of one output; otherwise the stack is one
-chunk.  Every activation the engine keeps or returns is one array.  Within a
-chunk, each maximal stretch of row-local layers (conv2d, relu, maxpool2d)
-runs in `_BLOCK`-row blocks: a block passes through the whole stretch while
-its workspaces are still in cache, and the stretch's last layer writes it
-straight into one output array for the chunk.  The workspaces (a maxpool's
-block output; a conv's zero-bordered float64 input, flattened per image, its
-output grid and its product buffer) are allocated once per stretch and chunk
-and reused by every block; relu runs in place on them, never on an array the
-engine did not make, and a relu right after a dense layer runs in place on
-that layer's output.  A conv is one matrix product per image and kernel
-offset: on the flattened input, offset (dy, dx) is one strided slice, whose
-product fills a grid of oh rows of the padded width wp.  The wp - ow columns
-past the output in each grid row are junk that nothing reads, and what
+each chunk's thread writes its rows of one output: the range's last layer
+writes them there itself, so no array of the chunk's own holds its result.
+Otherwise the stack is one chunk.  Every activation the engine keeps or
+returns is one array.  Within a chunk, each maximal stretch of row-local
+layers (conv2d, relu, maxpool2d) runs in `_BLOCK`-row blocks: a block passes
+through the whole stretch while its workspaces are still in cache, and the
+stretch's last layer writes it straight into the stretch's one output, the
+chunk's rows of the range's output when the stretch ends the range.  A dense
+layer that ends the range multiplies into those rows.  The workspaces (a
+maxpool's block output; a conv's zero-bordered float64 input, flattened per
+image, its output grid and its product buffer) are allocated once per stretch
+and chunk and reused by every block; relu runs in place on them, never on an
+array the engine did not make, and a relu right after a dense layer runs in
+place on that layer's output.  A conv is one matrix product per image and
+kernel offset: on the flattened input, offset (dy, dx) is one strided slice,
+whose product fills a grid of oh rows of the padded width wp.  The wp - ow
+columns past the output in each grid row are junk that nothing reads, and what
 follows the conv reads the grid's valid view, so a conv has no output
 workspace of its own.  Each output pixel sums the same products in the same
 order as one product per output row would, but numpy and BLAS may compute a
@@ -335,25 +338,28 @@ def _maxpool_into(x, layer: Layer, dst):
     return dst
 
 
-def _apply_dense(x, layer: Layer):
+def _apply_dense(x, layer: Layer, out=None):
     x = x.reshape(len(x), layer.weights.shape[0]).astype(np.float64, copy=False)
-    out = x @ layer.weights.astype(np.float64, copy=False)
+    out = np.matmul(x, layer.weights.astype(np.float64, copy=False), out=out)
     if layer.bias is not None:
         out += layer.bias.astype(np.float64, copy=False)
     return out
 
 
-def _dense_at(layers, x, i: int, stop: int):
+def _dense_at(layers, x, i: int, stop: int, out=None):
     """Dense layers[i] on x, then each relu after it before `stop`: (output, next layer index).
 
-    The relus run in place on the dense layer's output, a new array, so they
-    allocate nothing.
+    The output is a new array, or `out` (C-contiguous rows of the range's
+    output) when these layers end the range at `stop`.  The relus run in
+    place on it, so they allocate nothing.
     """
-    x, i = _apply_dense(x, layers[i]), i + 1
-    while i < stop and layers[i].kind == "relu":
+    end = i + 1
+    while end < stop and layers[end].kind == "relu":
+        end += 1
+    x = _apply_dense(x, layers[i], out if end == stop else None)
+    for _ in range(i + 1, end):
         np.maximum(x, 0.0, out=x)
-        i += 1
-    return x, i
+    return x, end
 
 
 def _conv_args(layer: Layer, in_shape, out_shape, rows: int, relu: bool):
@@ -409,18 +415,22 @@ def _stretch(layers, in_shape, start: int, stop: int, rows: int):
     return shapes[-1], steps
 
 
-def _run_blocked(layers, x: np.ndarray, start: int, stop: int, stretch=None) -> np.ndarray:
+def _run_blocked(layers, x: np.ndarray, start: int, stop: int, stretch=None,
+                 out=None) -> np.ndarray:
     """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output.
 
     The one stretch runner, for a chunk's stretch and a stage's gathered rows.
     `stretch` is the `_stretch` of these layers with workspaces for at least
     min(len(x), _BLOCK) rows; by default it is built for this call, so each
-    chunk's thread has its own workspaces.  Every block reuses them.
+    chunk's thread has its own workspaces.  Every block reuses them.  The
+    last step writes its blocks into `out`, the rows the caller's output
+    keeps for x, or by default into a new array.
     """
     if stretch is None:
         stretch = _stretch(layers, x.shape[1:], start, stop, min(len(x), _BLOCK))
     shape, steps = stretch
-    out = np.empty((len(x), *shape))
+    if out is None:
+        out = np.empty((len(x), *shape))
     last = len(steps) - 1
     for b in range(0, len(x), _BLOCK):
         y = x[b:b + _BLOCK]
@@ -444,25 +454,32 @@ def _chunked(n: int, threads: int) -> bool:
     return threads > 1 and n > _CHUNK
 
 
-def _forward(layers, x: np.ndarray, start: int, stop: int, threads: int) -> np.ndarray:
+def _forward(layers, x: np.ndarray, start: int, stop: int, threads: int,
+             out=None) -> np.ndarray:
     """Run layers[start:stop] on x.
 
     A dense layer runs on the whole of x, since OpenBLAS dense results depend
     on the row count of the call, and a relu right after it runs in place on
     its output (`_dense_at`); each other maximal stretch of row-local layers
-    runs in row blocks (`_run_blocked`); a stretch ends at `stop`.
+    runs in row blocks (`_run_blocked`); a stretch ends at `stop`.  The layer
+    that ends the range writes into `out`, when given: the C-contiguous rows
+    of a caller's output that x's result fills.  A row slice multiplies as
+    a new array would, so no bit depends on where the result lands.
     When `_chunked`, x is cut into `_CHUNK`-row evaluation chunks from row 0
-    instead: each runs so on the pool and writes its own rows of one output.
+    instead: each runs so on the pool and writes straight into its own rows
+    of the one output, `out` or a new array, so no chunk has an array of its
+    own for its result.
     An empty range returns x itself, but a layerless model's output is a new
     float64 array.
     """
     if start == stop:
         return x if layers else x.astype(np.float64)
     if _chunked(len(x), threads):
-        out = np.empty((len(x), *_shapes_of(layers, x.shape[1:], start, stop)[-1]))
+        if out is None:
+            out = np.empty((len(x), *_shapes_of(layers, x.shape[1:], start, stop)[-1]))
 
         def run(a):
-            out[a:a + _CHUNK] = _forward(layers, x[a:a + _CHUNK], start, stop, 1)
+            _forward(layers, x[a:a + _CHUNK], start, stop, 1, out[a:a + _CHUNK])
 
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(run, range(0, len(x), _CHUNK)))
@@ -473,9 +490,9 @@ def _forward(layers, x: np.ndarray, start: int, stop: int, threads: int) -> np.n
             end = i + 1
             while end < stop and layers[end].kind in _ROW_LOCAL:
                 end += 1
-            x, i = _run_blocked(layers, x, i, end), end
+            x, i = _run_blocked(layers, x, i, end, out=out if end == stop else None), end
         else:
-            x, i = _dense_at(layers, x, i, stop)
+            x, i = _dense_at(layers, x, i, stop, out)
     return x
 
 

@@ -66,6 +66,26 @@ class TestGenDataset:
         with pytest.raises(ValueError):
             modelio.gen_dataset(fixture_model, 0)
 
+    @pytest.mark.parametrize("n", [1, modelio._DRAW_ROWS - 1, modelio._DRAW_ROWS + 1, 2000])
+    def test_row_block_draws_equal_one_whole_draw(self, fixture_model, n):
+        ds = modelio.gen_dataset(fixture_model, n, seed=7)
+        want = np.random.default_rng(7).standard_normal(
+            (n, *fixture_model.input_shape)).astype(np.float32)
+        assert ds.inputs.dtype == np.float32
+        assert np.array_equal(ds.inputs.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(ds.labels, nn.classify_batch(nn.forward_batch(fixture_model, want)))
+
+    def test_no_float64_copy_of_the_inputs(self, fixture_model):
+        # the peak is the float32 inputs plus the labelling forward's stretch output, the
+        # same size; a whole float64 draw next to the inputs would add twice their size
+        tracemalloc.start()
+        try:
+            ds = modelio.gen_dataset(fixture_model, 2000, seed=191)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * ds.inputs.nbytes
+
 
 class TestModelRoundTrip:
     def test_bit_exact(self, fixture_model, tmp_path):

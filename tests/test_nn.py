@@ -350,6 +350,21 @@ class TestPrefixCache:
             assert np.array_equal(cache.logits, nn.forward_batch(model, x, threads))
 
 
+    def test_a_threaded_cache_holds_each_segment_once(self, fixture_model, fixture_dataset):
+        # each chunk's thread writes straight into its rows of a segment's one output, so a
+        # threaded build peaks as one thread's does, on the same kept arrays, plus the
+        # second running chunk's workspaces (0.3 MB; a copy of each chunk's output would add 4)
+        x = fixture_dataset.inputs  # four evaluation chunks
+        peaks = []
+        for t in (1, 2):
+            tracemalloc.start()
+            try:
+                nn.prefix_cache(fixture_model, x, t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 0.5e6
+
     def test_drop_forgets_one_input(self):
         model = conv_net("same")
         x = np.random.default_rng(0).standard_normal((20, 8, 8, 2)).astype(np.float32)
@@ -583,8 +598,8 @@ def bias_free_net(padding, seed=0):
     return Model(front + (Layer("dense", u(int(np.prod(shape)), 5)),), (9, 9, 2))
 
 
-def check_engine_against_reference(model, x32, rng):
-    """Every entry point against reference_forward, bit for bit, at threads 1/2, float32/64."""
+def check_engine_against_reference(model, x32, rng, thread_counts=(1, 2)):
+    """Every entry point against reference_forward, bit for bit, at `thread_counts`, float32/64."""
     from qalloc.quantize import quantize_model, quantize_single_layer
 
     paths = [(4, 4, 4, 4), (4, 4, 8, 3), (4, 6, 8, 3), (8, 4, 4, 4)]
@@ -593,7 +608,7 @@ def check_engine_against_reference(model, x32, rng):
     def layer_for(i, bits):
         return quantize_single_layer(model, i, bits).layers[i]
 
-    for threads in (1, 2):
+    for threads in thread_counts:
         for x in (x32, x32.astype(np.float64)):
             want, per_chunk = reference_forward(model, x, threads)
             assert same_bits(nn.forward_batch(model, x, threads), want)
@@ -690,6 +705,27 @@ class TestEngineOracle:
         x32 = rng.standard_normal((n, *model.input_shape)).astype(np.float32)
         check_engine_against_reference(model, x32, rng)
 
+    @pytest.mark.parametrize("n", [513, 1100])
+    @pytest.mark.parametrize("net", ["bias-free", "relu-first"])
+    def test_every_range_end_writes_its_chunk_rows(self, net, n):
+        # Each chunk's last layer writes straight into its rows of the one output.  The
+        # bias-free net's first segment ends in a conv; the relu-first net's first segment
+        # is a lone relu, and its first dense layer's ends in dense+relu.  Every range of
+        # layers is checked, at 2 and 3 chunks, with 2 and 4 threads.
+        model = bias_free_net("same", seed=n) if net == "bias-free" else \
+            engine_net("valid", 1, "relu", seed=n)
+        rng = np.random.default_rng(n)
+        x32 = rng.standard_normal((n, *model.input_shape)).astype(np.float32)
+        check_engine_against_reference(model, x32, rng, thread_counts=(2, 4))
+        layers = model.layers
+        _, per_chunk = reference_forward(model, x32, 2)  # the chunks of any thread count above 1
+        for start in range(len(layers)):
+            x = np.concatenate([seen[start] for seen in per_chunk])
+            for stop in range(start + 1, len(layers) + 1):
+                want = np.concatenate([seen[stop] for seen in per_chunk])
+                for threads in (2, 4):
+                    assert same_bits(nn._forward(layers, x, start, stop, threads), want)
+
 
 class TestOwnership:
     """The engine writes only arrays it made: never a caller's input or a cached activation."""
@@ -752,16 +788,20 @@ class TestOwnership:
         assert same_bits(t, z) and not np.shares_memory(t, x)
 
 
-    def test_a_relu_after_a_dense_layer_allocates_nothing(self):
-        # it runs in place on the dense layer's new output, so a forward that runs as one
-        # chunk holds one (n, 256) array at its peak, not two
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_relu_after_a_dense_layer_allocates_nothing(self, threads):
+        # it runs in place on the dense layer's output, so a forward holds one (n, 256)
+        # array at its peak, not two: threaded, each chunk's product lands in its rows of
+        # the one output, with no array of the chunk's own
         rng = np.random.default_rng(7)
         model = Model((Layer("dense", rng.uniform(-0.5, 0.5, (8, 256))), Layer("relu")), (8,))
         x = rng.standard_normal((600, 8))
-        want = np.maximum(x @ model.layers[0].weights, 0.0)
+        step = nn._CHUNK if threads > 1 else len(x)
+        want = np.concatenate([np.maximum(x[a:a + step] @ model.layers[0].weights, 0.0)
+                               for a in range(0, len(x), step)])
         tracemalloc.start()
         try:
-            z = nn.forward_batch(model, x)
+            z = nn.forward_batch(model, x, threads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
