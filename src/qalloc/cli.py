@@ -104,8 +104,8 @@ def cmd_estimate_t(args) -> tuple[int, list[Path]]:
     dataset = modelio.load_dataset(args.data)
     config = probes.ProbeConfig(delta_acc=args.delta_acc, seed=args.seed,
                                 acc_tolerance=args.acc_tolerance, max_iters=args.max_iters,
-                                last_n=args.last_n, threads=args.threads)
-    t_probes, _, meta = harness.calibrate_t(model, dataset, config)
+                                last_n=args.last_n)
+    t_probes, _, meta = probes.calibrate(model, dataset, config, threads=args.threads)
     _progress(f"baseline accuracy {meta['baseline_accuracy']}, "
               f"mean margin {meta['mean_r_star']:.6g}")
     iterations = sum(r.iterations for r in t_probes)
@@ -126,9 +126,7 @@ def cmd_estimate_p(args) -> tuple[int, list[Path]]:
     quantize.check_bits(args.b_probe, "b_probe")  # a bad --b-probe fails before any forward
     model = modelio.load_model(args.model)
     dataset = modelio.load_dataset(args.data)
-    # the cache is this command's own, so the probes drop each layer's input once it is done
-    cache = nn.prefix_cache(model, dataset.inputs, threads=args.threads)
-    _, p_probes, _ = probes.calibrate(cache, b_probe=args.b_probe)
+    _, p_probes, _ = probes.calibrate(model, dataset, b_probe=args.b_probe, threads=args.threads)
     profiles = probes.build_profiles(model, None, p_probes, math.nan)
     path = modelio.save_profiles(profiles, _out_dir(args) / "profiles_p.json",
                                  meta={"b_probe": args.b_probe})
@@ -313,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("estimate-p", cmd_estimate_p, "per-layer noise coefficient p at a probe bit-width")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--b-probe", type=int, default=10)
+    p.add_argument("--b-probe", type=int, default=probes.B_PROBE)
 
     p = add("allocate", cmd_allocate, "closed-form bit-width allocation from profiles", NO_THREADS)
     p.add_argument("--profiles", action="append", required=True,

@@ -62,34 +62,18 @@ def default_anchor_grid() -> list[float]:
     return [4 + 0.5 * i for i in range(17)]
 
 
-def calibrate_t(model: nn.Model, dataset: nn.Dataset, config: probes.ProbeConfig,
-                b_probe: int | None = None):
-    """Prefix cache -> baseline accuracy -> delta_acc -> margins -> probes, last layer first.
-
-    The front `run_pipeline` and `qalloc estimate-t` share.  Returns (t_probes,
-    p_probes, meta): the t probes, the p probes at `b_probe` (None when it is
-    None), and a meta of baseline_accuracy, mean_r_star and delta_acc, the
-    first keys of the estimate-t profiles meta.  Each t probe carries its
-    layer's search work (`probes.TProbe`).  The prefix cache is its own, so
-    `probes.calibrate` drops each layer's input once that layer's probes are
-    done.
-    """
-    probes.probed_layers(model, config.last_n)  # a bad last_n fails before any forward
-    cache = nn.prefix_cache(model, dataset.inputs, threads=config.threads)
-    return probes.calibrate(cache, dataset.labels, config, b_probe)
-
-
 def run_pipeline(model: nn.Model, dataset: nn.Dataset,
                  config: probes.ProbeConfig = probes.ProbeConfig()) -> list[probes.LayerProfile]:
     """margins -> per layer, last first: p probe, then t search; merged into profiles.
 
-    `config` drives the t probes; the p probes run at `estimate_p`'s default
-    probe bit-width, 10.  Both run from one prefix cache (`calibrate_t`), so
+    `config` drives the t probes; the p probes run at `probes.B_PROBE`.  Both
+    run in `probes.calibrate`, from one prefix cache at `config.threads`, so
     the unmodified model is forwarded once, and each layer's cached input is
     dropped once its two probes are done.  Writes nothing: a caller that keeps
     the profiles saves them with `modelio.save_profiles`.
     """
-    t_probes, p_probes, meta = calibrate_t(model, dataset, config, b_probe=10)
+    t_probes, p_probes, meta = probes.calibrate(model, dataset, config, b_probe=probes.B_PROBE,
+                                                threads=config.threads)
     return probes.build_profiles(model, t_probes, p_probes, meta["delta_acc"])
 
 

@@ -525,8 +525,10 @@ class PrefixCache:
     array; a forward resumed from it at the cache's thread count cuts the
     evaluation chunks `forward_batch` cuts, so it repeats its arithmetic.
     Layer 0's is the caller's inputs, referenced, not copied; the rest are
-    read-only.  No array is ever written, but `drop` removes one: the owner
-    of a cache drops a layer's input once nothing will forward from it again.
+    read-only.  No array is ever written, but `drop` removes one: only
+    `probes.calibrate`, which builds a cache for itself, drops a layer's input,
+    once nothing will forward from it again.  Every function that takes a
+    cache leaves it as it was.
     """
 
     model: Model

@@ -20,9 +20,10 @@ the unmodified model computes.  The probes therefore share an
 margins, the baseline side of every feature-noise difference) and each
 probed copy runs only from layer i on.  Every probe takes the cache as its
 first argument and reads the model, the inputs and the thread count from it.
-The calibration fronts run one per-layer loop (`calibrate`), last layer
-first, on a cache they built for it, and drop each layer's input once that
-layer's probes are done.
+Every function that takes a cache reads it and leaves it as it was.  The
+one calibration front, `calibrate`, takes the model and the dataset instead:
+it builds its own cache, probes the layers last first, and drops each
+layer's input once that layer's probes are done.
 
 The t search's cost is described once, in `estimate_t`'s docstring.
 
@@ -48,13 +49,16 @@ class CalibrationError(RuntimeError):
     """A probe failed; the message names the layer and what it never reached."""
 
 
+# the p probes' default bit-width: `estimate_p`'s, `run_pipeline`'s and `qalloc estimate-p`'s
+B_PROBE = 10
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     """Settings for the t-probe binary search.
 
-    `threads` sets the thread count of the prefix cache that
-    `harness.calibrate_t` and `harness.run_pipeline` build; the probes
-    themselves run at their cache's thread count.
+    `threads` is `harness.run_pipeline`'s thread count, which it passes to
+    `calibrate`; the probes themselves run at their cache's thread count.
     """
 
     delta_acc: float | None = None  # absolute accuracy drop target; None = half of baseline
@@ -396,8 +400,9 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     time in the order `_LayerSearch` predicts from the layer's earlier
     iterates, and stops once the rows its signed margins settle make that side
     certain: on the default fixture that takes 1010 of 2000 rows, so it stops
-    after 1024 at the earliest, and at one thread it forwards about 75% of the
-    time-weighted rows.  The k sequence, the iteration count and every result
+    after 1024 at the earliest, and at one thread it forwards 70-73% of the
+    time-weighted rows (`gen_dataset` seeds 191, 192 and 195, probe seed 0).
+    The k sequence, the iteration count and every result
     are those of a search that forwards every row.  The accepted iterate runs
     to the end, so its exact logits give its drop and feature-noise power at
     no further forward; a failed search runs one more, at its last k, for the
@@ -433,7 +438,7 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     return results if config.last_n is None else _copy_t_backward(model, results)
 
 
-def estimate_p(cache: nn.PrefixCache, b_probe: int = 10, layers=None) -> list[PProbe]:
+def estimate_p(cache: nn.PrefixCache, b_probe: int = B_PROBE, layers=None) -> list[PProbe]:
     """Noise coefficient p for each weighted layer of `cache.model` via single-layer quantization.
 
     Given `layers`, only the weighted layers listed there, in layer order.
@@ -457,37 +462,38 @@ def estimate_p(cache: nn.PrefixCache, b_probe: int = 10, layers=None) -> list[PP
     return results
 
 
-def calibrate(cache: nn.PrefixCache, labels=None, config: ProbeConfig | None = None,
-              b_probe: int | None = None):
-    """A calibration front's probes on a cache it built for them: (t probes, p probes, meta).
+def calibrate(model: Model, dataset: nn.Dataset, config: ProbeConfig | None = None,
+              b_probe: int | None = None, threads: int = 1):
+    """The one calibration front: (t probes, p probes, meta) of `model` on `dataset`.
 
-    The one loop of the calibration fronts.  The t probes run when `config`
-    is given, as `estimate_t` runs them (with its copies under `last_n`), and
-    the p probes when `b_probe` is; each list is None when its probe does not
-    run.  meta holds the t search's baseline_accuracy, mean_r_star and
-    delta_acc (None without `config`); a target or tolerance `estimate_t`
-    rejects is a ValueError before any probe.
+    The t probes run when `config` is given, as `estimate_t` runs them (with
+    its copies under `last_n`), and the p probes when `b_probe` is; each list
+    is None when its probe does not run.  meta holds the t search's
+    baseline_accuracy, mean_r_star and delta_acc (None without `config`).  A
+    `last_n` out of range is a ValueError before any forward, and a target or
+    tolerance `estimate_t` rejects is one before any probe.
 
-    This consumes `cache`.  The weighted layers run last first: for each, its
-    p probe and then its t search, each one call of `estimate_p` or
-    `estimate_t` on that layer alone, and then its input leaves the cache
-    (`nn.PrefixCache.drop`).  A probe of layer i reads only the cache's input
-    of layer i and its logits, so every result is what `estimate_t` and
-    `estimate_p` give on a cache that keeps every input, while the cache holds
-    only the logits and the inputs of the layers still to come: the first
-    layer's iterates, the costliest, run next to the logits alone.  A failed
-    t search stops no layer: the layers below it are still searched, and the
-    lowest failing layer's CalibrationError is raised once they have.  The
-    results come in layer order; degenerate-layer warnings come last layer
-    first.
+    It builds its own prefix cache at `threads` and consumes it.  The weighted
+    layers run last first: for each, its p probe and then its t search, each
+    one call of `estimate_p` or `estimate_t` on that layer alone, and then its
+    input leaves the cache (`nn.PrefixCache.drop`).  A probe of layer i reads
+    only the cache's input of layer i and its logits, so every result is what
+    `estimate_t` and `estimate_p` give on a cache that keeps every input,
+    while the cache holds only the logits and the inputs of the layers still
+    to come: the first layer's iterates, the costliest, run next to the logits
+    alone.  A failed t search stops no layer: the layers below it are still
+    searched, and the lowest failing layer's CalibrationError is raised once
+    they have.  The results come in layer order; degenerate-layer warnings
+    come last layer first.
     """
-    model = cache.model
-    meta, searched = None, ()
+    searched = () if config is None else probed_layers(model, config.last_n)
+    cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
+    labels, meta = dataset.labels, None
     if config is not None:
-        rule, mean_r_star = _t_rule(cache, np.asarray(labels), config)
+        rule, mean_r_star = _t_rule(cache, labels, config)
         meta = {"baseline_accuracy": rule.acc_f, "mean_r_star": mean_r_star,
                 "delta_acc": rule.target}
-        searched, one_layer = probed_layers(model, config.last_n), replace(config, last_n=None)
+        one_layer = replace(config, last_n=None)
     t_probes, p_probes, failure = [], [], None
     for i in reversed(model.weighted_indices):
         if b_probe is not None:

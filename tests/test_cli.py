@@ -280,9 +280,11 @@ class TestFlagRanges:
         ("--delta-acc", "0", "delta_acc must be > 0, got 0.0"),
         ("--delta-acc", "nan", "delta_acc must be > 0, got nan"),
         ("--acc-tolerance", "inf", "acc_tolerance must be >= 0 and finite, got inf"),
-        ("--delta-acc", "inf", "delta_acc must be > 0 and finite, got inf")],
+        ("--delta-acc", "inf", "delta_acc must be > 0 and finite, got inf"),
+        ("--last-n", "0", "last_n must lie in 1..2 (the weighted layer count), got 0"),
+        ("--last-n", "3", "last_n must lie in 1..2 (the weighted layer count), got 3")],
         ids=["max-iters", "acc-tolerance", "delta-acc-negative", "delta-acc-zero",
-             "delta-acc-nan", "acc-tolerance-inf", "delta-acc-inf"])
+             "delta-acc-nan", "acc-tolerance-inf", "delta-acc-inf", "last-n-0", "last-n-3"])
     def test_bad_probe_settings_are_one_line_exit_1_before_any_forward(
             self, rig, tmp_path, capsys, monkeypatch, flag, value, message):
         def fail(*args, **kwargs):
@@ -333,7 +335,7 @@ class TestCalibrationFront:
         model, dataset = modelio.load_model(rig / "m"), modelio.load_dataset(rig / "d")
         assert merged == harness.run_pipeline(model, dataset, ProbeConfig())
         _, meta_t = modelio.load_profiles(cal / "profiles_t.json")
-        _, _, meta = harness.calibrate_t(model, dataset, ProbeConfig())
+        _, _, meta = probes.calibrate(model, dataset, ProbeConfig())
         assert list(meta_t.items()) == [*meta.items(), ("seed", 0)]
 
 

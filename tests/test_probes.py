@@ -500,6 +500,12 @@ class TestCalibrationFronts:
         probes.estimate_t(cache, ds.labels, ProbeConfig(delta_acc=0.4, acc_tolerance=0.02))
         probes.estimate_p(cache, b_probe=8)
         assert unchanged()
+        for i in model.weighted_indices:
+            probes.linearity_probe(cache, i, probes.default_scale_ladder(model, i))
+            probes.rank_diagnostic(cache, i)
+        probes.additivity_probe(cache, [8] * len(model.weighted_indices))
+        harness.check_t_ratio_stability(cache, ds.labels, seed=0)
+        assert unchanged()
         with pytest.raises(CalibrationError):
             probes.estimate_t(cache, ds.labels, ProbeConfig(acc_tolerance=0.0, max_iters=2))
         assert unchanged()
