@@ -17,7 +17,7 @@ from .nn import (Dataset, Layer, Model, PrefixCache, ShapeError, classify_batch,
                  evaluate_accuracy, forward_batch, forward_from, perturb_layer, prefix_cache)
 from .probes import (AdditivityResult, CalibrationError, LayerProfile, LemmaReport, MarginStats,
                      ProbeConfig, additivity_probe, estimate_p, estimate_t, gamma, lemma_check,
-                     linearity_probe, margin_stats, measurement, rank_diagnostic, theta)
+                     linearity_probe, margin_stats, rank_diagnostic, theta)
 from .quantize import (ALPHA, B_MAX, B_MIN, QuantSpec, expected_noise_power, quantize_model,
                        quantize_uniform, residual_power)
 

@@ -192,8 +192,6 @@ def cmd_compare(args) -> tuple[int, list[Path]]:
         for row in modelio.load_curve(path):
             pt = harness.CurvePoint(**row)
             curves.setdefault(pt.method, []).append(pt)
-    if len(curves) < 2:
-        raise ValueError(f"need curves from at least two methods, found {sorted(curves)}")
     report = harness.compare(curves, candidate=args.candidate)
     path = modelio.write_json(_out_dir(args) / "comparison.json",
                               harness.comparison_payload(report))

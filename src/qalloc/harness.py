@@ -201,7 +201,7 @@ def _size_at_accuracy(frontier, acc: float) -> float:
 def compare(curves: dict[str, list[CurvePoint]], candidate: str | None = None) -> ComparisonReport:
     """Matched-accuracy size ratios of one method against each of the others (size_bits >= 1)."""
     if len(curves) < 2:
-        raise ValueError("need at least two curves to compare")
+        raise ValueError(f"need curves from at least two methods, found {sorted(curves)}")
     for name, points in curves.items():
         for p in points:
             if not p.size_bits >= 1:  # a size ratio needs positive sizes

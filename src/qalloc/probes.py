@@ -20,10 +20,12 @@ the unmodified model computes.  The probes therefore share an
 margins, the baseline side of every feature-noise difference) and each
 probed copy runs only from layer i on.  Every probe takes the cache as its
 first argument and reads the model, the inputs and the thread count from it.
-Every function that takes a cache reads it and leaves it as it was.  The
-one calibration front, `calibrate`, takes the model and the dataset instead:
-it builds its own cache, probes the layers last first, and drops each
-layer's input once that layer's probes are done.
+Every function that takes a cache reads it and leaves it as it was, and
+`estimate_t` and `estimate_p` probe the layers they are given.  The one
+calibration front, `calibrate`, takes the model and the dataset instead: it
+chooses the layers the t search probes (`ProbeConfig.last_n`) and copies t
+to the layers below them, builds its own cache, probes the layers last
+first, and drops each layer's input once that layer's probes are done.
 
 The t search's cost is described once, in `estimate_t`'s docstring.
 
@@ -57,15 +59,17 @@ B_PROBE = 10
 class ProbeConfig:
     """Settings for the t-probe binary search.
 
-    `threads` is `harness.run_pipeline`'s thread count, which it passes to
-    `calibrate`; the probes themselves run at their cache's thread count.
+    `estimate_t` reads the search's fields (`delta_acc`, `acc_tolerance`,
+    `max_iters`, `seed`).  Each other field has one reader: `last_n`,
+    `calibrate`; `threads`, `harness.run_pipeline`, which passes it to
+    `calibrate` (the probes run at their cache's thread count).
     """
 
     delta_acc: float | None = None  # absolute accuracy drop target; None = half of baseline
     acc_tolerance: float = 0.005
     max_iters: int = 40
     seed: int = 0
-    last_n: int | None = None  # probe only the last n weighted layers, copy t backward
+    last_n: int | None = None  # calibrate: t search on the last n weighted layers, copy t below
     threads: int = 1
 
     def __post_init__(self):
@@ -180,8 +184,8 @@ def _probe_direction(model: Model, layer_index: int, seed: int) -> np.ndarray:
     return _layer_rng(seed, layer_index).uniform(-0.5, 0.5, size=shape)
 
 
-def probed_layers(model: Model, last_n: int | None = None) -> tuple[int, ...]:
-    """The weighted layers estimate_t probes: all of them, or the last last_n."""
+def probed_layers(model: Model, last_n: int | None) -> tuple[int, ...]:
+    """The weighted layers `calibrate`'s t search probes: all of them, or the last last_n."""
     weighted = model.weighted_indices
     if last_n is None:
         return weighted
@@ -380,18 +384,18 @@ def _copy_t_backward(model: Model, t_probes: list[TProbe]) -> list[TProbe]:
 
 def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(),
                layers=None) -> list[TProbe]:
-    """Robustness parameter t for each weighted layer of `cache.model` (bisection on noise scale).
+    """Robustness parameter t for weighted layers of `cache.model` (bisection on noise scale).
 
     For each searched layer a fixed uniform(-0.5, 0.5) direction is scaled by
     k, with k bisected geometrically in [_K_MIN, _K_MAX] until the accuracy
     drop on `labels` is within acc_tolerance of `config.target_drop`:
     `_bisect` over the layer's side oracle, a `_LayerSearch`.  The searched
-    layers are the weighted layers in `layers`, by default
-    `probed_layers(model, config.last_n)`, in layer order; with `last_n`, each
-    weighted layer below the lowest searched one gets a copy of its t.  The
-    first layer that cannot be brought into tolerance raises CalibrationError.
-    `cache` is read, never changed.  Each layer's TProbe carries its search's
-    work: its iterations, the rows they forwarded and how many stopped early.
+    layers are the weighted layers in `layers`, in the order given, by
+    default every weighted layer; `config.last_n` is `calibrate`'s, never read
+    here.  The first layer that cannot be brought into tolerance raises
+    CalibrationError.  `cache` is read, never changed.  Each layer's TProbe
+    carries its search's work: its iterations, the rows they forwarded and
+    how many stopped early.
 
     Cost: at most one forward of layers[i:] per bisection iteration on layer i,
     from the cache; the baseline logits and margins come from the cache too.
@@ -422,7 +426,7 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     labels = np.asarray(labels)
     rule, mean_r_star = _t_rule(cache, labels, config)
     results = []
-    for i in probed_layers(model, config.last_n) if layers is None else layers:
+    for i in model.weighted_indices if layers is None else layers:
         search = _LayerSearch(cache, labels, i, _probe_direction(model, i, config.seed), rule)
         k, iters, accepted = _bisect(search, config.max_iters)
         if not accepted:  # its last iterate may have stopped early
@@ -435,13 +439,13 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
         results.append(TProbe(i, power / mean_r_star, k, power,
                               rule.acc_f - nn.accuracy(search.z, labels), iters, True,
                               rows=search.rows, early=search.early))
-    return results if config.last_n is None else _copy_t_backward(model, results)
+    return results
 
 
 def estimate_p(cache: nn.PrefixCache, b_probe: int = B_PROBE, layers=None) -> list[PProbe]:
     """Noise coefficient p for each weighted layer of `cache.model` via single-layer quantization.
 
-    Given `layers`, only the weighted layers listed there, in layer order.
+    Given `layers`, only the weighted layers listed there, in the order given.
     `cache` is read, never changed.
 
     Cost: one forward of layers[i:] per weighted layer i, from the cache.
@@ -466,12 +470,14 @@ def calibrate(model: Model, dataset: nn.Dataset, config: ProbeConfig | None = No
               b_probe: int | None = None, threads: int = 1):
     """The one calibration front: (t probes, p probes, meta) of `model` on `dataset`.
 
-    The t probes run when `config` is given, as `estimate_t` runs them (with
-    its copies under `last_n`), and the p probes when `b_probe` is; each list
-    is None when its probe does not run.  meta holds the t search's
-    baseline_accuracy, mean_r_star and delta_acc (None without `config`).  A
-    `last_n` out of range is a ValueError before any forward, and a target or
-    tolerance `estimate_t` rejects is one before any probe.
+    The t probes run when `config` is given, and the p probes when `b_probe`
+    is; each list is None when its probe does not run.  The t search runs on
+    `probed_layers(model, config.last_n)`, and each weighted layer below the
+    lowest of them gets a copy of its t (`TProbe.copied`); this is the one
+    code that applies `last_n`.  meta holds the t search's baseline_accuracy,
+    mean_r_star and delta_acc (None without `config`).  A `last_n` out of
+    range is a ValueError before any forward, and a target or tolerance
+    `estimate_t` rejects is one before any probe.
 
     It builds its own prefix cache at `threads` and consumes it.  The weighted
     layers run last first: for each, its p probe and then its t search, each
@@ -493,14 +499,13 @@ def calibrate(model: Model, dataset: nn.Dataset, config: ProbeConfig | None = No
         rule, mean_r_star = _t_rule(cache, labels, config)
         meta = {"baseline_accuracy": rule.acc_f, "mean_r_star": mean_r_star,
                 "delta_acc": rule.target}
-        one_layer = replace(config, last_n=None)
     t_probes, p_probes, failure = [], [], None
     for i in reversed(model.weighted_indices):
         if b_probe is not None:
             p_probes += estimate_p(cache, b_probe, layers=(i,))
         if i in searched:
             try:
-                t_probes += estimate_t(cache, labels, one_layer, layers=(i,))
+                t_probes += estimate_t(cache, labels, config, layers=(i,))
             except CalibrationError as e:
                 failure = e  # the loop runs downward, so the last one kept is the lowest
         cache.drop(i)
@@ -508,17 +513,6 @@ def calibrate(model: Model, dataset: nn.Dataset, config: ProbeConfig | None = No
         raise failure
     return (None if config is None else _copy_t_backward(model, t_probes[::-1]),
             None if b_probe is None else p_probes[::-1], meta)
-
-
-def measurement(profiles, noise_powers) -> tuple[list[float], float]:
-    """Accuracy measurements m_i = power_i / t_i and their sum m_all."""
-    m = []
-    for prof, power in zip(profiles, noise_powers, strict=True):
-        t = float(prof.t) if hasattr(prof, "t") else float(prof)
-        if t <= 0:
-            raise ValueError("t must be positive")
-        m.append(float(power) / t)
-    return m, sum(m)
 
 
 def default_scale_ladder(model: Model, layer_index: int) -> list[float]:

@@ -63,11 +63,9 @@ def expected_noise_power(count: int, w_min: float, w_max: float, bits: float) ->
     The values uniformly cover (w_min, w_max): count * range**2 / 12, scaled by
     exp(-ALPHA * bits).
     """
-    if bits < 1:
-        raise ValueError(f"bits must be >= 1, got {bits}")
+    spec = QuantSpec(bits, w_min, w_max)  # validates bits and the range
     if count < 1:
         raise ValueError("count must be >= 1")
-    spec = QuantSpec(1, w_min, w_max)  # validates the range
     return count * (spec.w_max - spec.w_min) ** 2 / 12.0 * math.exp(-ALPHA * bits)
 
 

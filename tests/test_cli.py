@@ -532,6 +532,8 @@ class TestSweepCompare:
         modelio.save_curve(pts, tmp_path / "c.csv")
         assert main(["compare", "--curves", str(tmp_path / "c.csv"),
                      "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: need curves from at least two methods, found ['equal']\n")
 
 
 class TestLemmaVerify:

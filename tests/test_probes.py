@@ -145,9 +145,10 @@ class TestEstimateT:
             probes.estimate_t(cached(model, ds), ds.labels, cfg)
 
     def test_last_n_copies_t_backward(self):
+        # `calibrate` is the one code that applies last_n
         model, ds = small_fixture()
         cfg = ProbeConfig(delta_acc=0.4, acc_tolerance=0.02, seed=0, last_n=1)
-        res = probes.estimate_t(cached(model, ds), ds.labels, cfg)
+        res, _, _ = probes.calibrate(model, ds, cfg)
         assert [r.index for r in res] == [0, 2]
         assert res[0].copied and not res[1].copied
         assert res[0].t == res[1].t
@@ -214,8 +215,7 @@ class TestEstimateT:
     def test_last_n_outside_weighted_count_rejected(self, last_n):
         model, ds = small_fixture()  # two weighted layers
         with pytest.raises(ValueError, match="last_n must lie in 1..2"):
-            probes.estimate_t(cached(model, ds), ds.labels,
-                              ProbeConfig(delta_acc=0.4, last_n=last_n))
+            probes.calibrate(model, ds, ProbeConfig(delta_acc=0.4, last_n=last_n))
 
     @pytest.mark.parametrize("field,value", [("max_iters", 0), ("max_iters", -3),
                                              ("acc_tolerance", -0.1),
@@ -367,9 +367,9 @@ class TestStagedSearch:
             assert all(r.rows <= r.iterations * n and r.early <= r.iterations for r in got)
 
     def test_last_n_and_small_fixture_equal_the_full_search(self, fixture_model, fixture_dataset):
-        cache = nn.prefix_cache(fixture_model, fixture_dataset.inputs)
+        cache = nn.prefix_cache(fixture_model, fixture_dataset.inputs)  # keeps every input
         cfg = ProbeConfig(last_n=2)
-        got = probes.estimate_t(cache, fixture_dataset.labels, cfg)
+        got, _, _ = probes.calibrate(fixture_model, fixture_dataset, cfg)
         assert same_probes(got, reference_estimate_t(cache, fixture_dataset.labels, cfg))
         # a copied t carries no work; a probed one forwarded rows
         assert all((r.rows, r.early) == (0, 0) if r.copied else r.rows > 0 for r in got)
@@ -662,6 +662,15 @@ class TestEstimateP:
             res = probes.estimate_p(cached(model, ds), b_probe=10)
         assert res[0].degenerate and res[0].p == 0.0
 
+    def test_calibrate_warns_of_degenerate_layers_last_first(self):
+        zeros = np.zeros((3, 3), dtype=np.float32)
+        model = Model((Layer("dense", zeros), Layer("relu"), Layer("dense", zeros)), (3,))
+        ds = Dataset(np.ones((4, 3), dtype=np.float32), [0, 0, 0, 0])
+        with pytest.warns(UserWarning, match="degenerate") as record:
+            _, res, _ = probes.calibrate(model, ds, b_probe=10)
+        assert [str(w.message).split(":")[0] for w in record] == ["layer 2", "layer 0"]
+        assert [(r.index, r.degenerate) for r in res] == [(0, True), (2, True)]
+
     def test_b_probe_validated(self):
         model, ds = small_fixture()
         with pytest.raises(ValueError):
@@ -724,23 +733,6 @@ class TestBuildProfiles:
         p = probes.estimate_p(cached(model, ds))
         with pytest.raises(ValueError, match="missing probe results for layer 0"):
             probes.build_profiles(model, None, p[1:], math.nan)
-
-
-class TestMeasurement:
-    def test_single_layer_hand_value(self):
-        m, m_all = probes.measurement([4.0], [8.0])  # bare t values accepted
-        assert m == [2.0] and m_all == 2.0
-
-    def test_zero_noise_gives_zero(self):
-        _, m_all = probes.measurement([2.0, 3.0], [0.0, 0.0])
-        assert m_all == 0.0
-
-    def test_matches_brute_force_sum(self):
-        rng = np.random.default_rng(5)
-        ts = rng.uniform(0.5, 5.0, size=6)
-        powers = rng.uniform(0.0, 2.0, size=6)
-        m, m_all = probes.measurement(list(ts), list(powers))
-        assert m_all == pytest.approx(sum(p / t for p, t in zip(powers, ts)), rel=1e-12)
 
 
 class TestLinearityProbe:

@@ -62,6 +62,14 @@ class TestNoisePower:
         # 1200 weights, range width 2, b=4: 1200 * 4/12 * 4^-4 = 1.5625
         assert quantize.expected_noise_power(1200, -1.0, 1.0, 4) == pytest.approx(1.5625, rel=1e-12)
 
+    @pytest.mark.parametrize("count,w_min,w_max,bits,message", [
+        (100, -1.0, 1.0, 0.5, "^bits must be >= 1, got 0.5$"),
+        (100, 1.0, 1.0, 4, r"^empty quantization range \(1.0, 1.0\)$"),
+        (0, -1.0, 1.0, 4, "^count must be >= 1$")])
+    def test_bad_arguments_rejected(self, count, w_min, w_max, bits, message):
+        with pytest.raises(ValueError, match=message):
+            quantize.expected_noise_power(count, w_min, w_max, bits)
+
     def test_one_bit_quadruples_noise(self):
         for b in range(2, 12):
             ratio = (quantize.expected_noise_power(100, -1.0, 1.0, b)
