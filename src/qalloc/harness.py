@@ -68,7 +68,9 @@ def run_pipeline(model: nn.Model, dataset: nn.Dataset,
 
     `config` drives the t probes; the p probes run at `probes.B_PROBE`.  Both
     run in `probes.calibrate`, from one prefix cache at `config.threads`, so
-    the unmodified model is forwarded once, and each layer's cached input is
+    the unmodified model is forwarded once, and the layers below its last conv
+    layer once more (layers 0-2 on the default fixture), to rebuild the conv
+    inputs above layer 0 when their probes come; each layer's cached input is
     dropped once its two probes are done.  Writes nothing: a caller that keeps
     the profiles saves them with `modelio.save_profiles`.
     """

@@ -45,20 +45,23 @@ Dense layers run on the whole chunk, because OpenBLAS dense results depend on
 the row count of the call.
 
 A `PrefixCache` holds a model's baseline logits on an input stack plus the
-input of every weighted layer its owner has not dropped, one array each:
-`prefix_cache` runs the forward one weighted-layer segment at a time and
-keeps each segment's output.  A segment cuts the same evaluation chunks as a
-whole forward.  `forward_from` evaluates a copy of that model with one layer
-changed by running only the layers from the changed one on, and its result
-equals `forward_batch` on the copy bit for bit.  `forward_trie` evaluates
-many copies that differ only in their weighted layers, running each layer
-segment once per distinct prefix of changes.  A segment boundary only splits
-a row-local stretch in two, which changes no bit either.  Threaded, on more
-than `_CHUNK` rows, the trie cuts the same evaluation chunks itself and
-walks chunk-major: each chunk's thread runs a whole subtree of copies (those
-that share their first weighted layer) over its own rows, so the walk holds
-one subtree's logits plus one input per weighted layer for each running
-chunk, and it starts one thread pool per call, not one per segment.
+input of every weighted layer its owner kept, one array each: `prefix_cache`
+runs the forward one segment at a time, from one kept layer to the next, and
+keeps each segment's output, and `PrefixCache.fill` runs one more forward from
+layer 0 to build the inputs a cache left out.  A segment cuts the same
+evaluation chunks as a whole forward.  `forward_from` evaluates a copy of that
+model with one layer changed by running only the layers from the changed one
+on, and its result equals `forward_batch` on the copy bit for bit.
+`forward_trie` evaluates many copies that differ only in their weighted
+layers, running each layer segment once per distinct prefix of changes.  A
+segment boundary only splits a row-local stretch in two, which changes no bit
+either: a cache that keeps fewer inputs, and each input `fill` adds, hold the
+bits of a cache that keeps every one.  Threaded, on more than `_CHUNK` rows,
+the trie cuts the same evaluation chunks itself and walks chunk-major: each
+chunk's thread runs a whole subtree of copies (those that share their first
+weighted layer) over its own rows, so the walk holds one subtree's logits plus
+one input per weighted layer for each running chunk, and it starts one thread
+pool per call, not one per segment.
 
 `forward_stages` is `forward_from` in row stages, for a caller that needs
 only part of the answer, such as which side of a target an accuracy lies
@@ -519,16 +522,17 @@ def forward_batch(model: Model, inputs: np.ndarray, threads: int = 1) -> np.ndar
 
 @dataclass(frozen=True, eq=False)
 class PrefixCache:
-    """A model's baseline logits on an input stack, plus every weighted layer's input.
+    """A model's baseline logits on an input stack, plus the inputs of its kept weighted layers.
 
     Made by `prefix_cache`; read by `forward_from`.  Each layer input is one
     array; a forward resumed from it at the cache's thread count cuts the
     evaluation chunks `forward_batch` cuts, so it repeats its arithmetic.
     Layer 0's is the caller's inputs, referenced, not copied; the rest are
-    read-only.  No array is ever written, but `drop` removes one: only
-    `probes.calibrate`, which builds a cache for itself, drops a layer's input,
-    once nothing will forward from it again.  Every function that takes a
-    cache leaves it as it was.
+    read-only.  No array is ever written, but `drop` removes one and `fill`
+    adds them: only `probes.calibrate`, which builds a cache for itself
+    without the inputs of the conv layers above 0, fills those when their
+    turn comes and drops a layer's input once nothing will forward from it
+    again.  Every function that takes a cache leaves it as it was.
     """
 
     model: Model
@@ -540,22 +544,47 @@ class PrefixCache:
         """Forget layer `index`'s cached input; a forward from that layer is then a ValueError."""
         del self.layer_inputs[index]
 
+    def fill(self, indices):
+        """Cache the inputs of the weighted layers `indices`, in one forward from layer 0's input.
 
-def prefix_cache(model: Model, inputs: np.ndarray, threads: int = 1) -> PrefixCache:
-    """One baseline forward, keeping the logits and the input of each weighted layer.
+        It runs layers [0, max(indices)) at the cache's thread count, one
+        segment per index, and keeps each segment's output read-only; the
+        logits are not recomputed.  Each array equals the one a cache that
+        kept every input holds, bit for bit.
+        """
+        _keep_segments(self.model.layers, self.layer_inputs, indices, self.threads)
 
-    It runs the segments [0, w1), [w1, w2), ... [w_last, len) one after another
-    and keeps each segment's output, the next weighted layer's input.
+
+def _keep_segments(layers, kept: dict, ends, threads: int):
+    """Run layers[0:max(ends)] from kept[0], one segment per end above 0, each output kept
+    read-only as kept[end]: (the last segment's output, its end), or (kept[0], 0)."""
+    start, x = 0, kept[0]
+    for end in sorted(set(ends) - {0}):
+        x = kept[end] = _forward(layers, x, start, end, threads)
+        x.flags.writeable = False
+        start = end
+    return x, start
+
+
+def prefix_cache(model: Model, inputs: np.ndarray, threads: int = 1,
+                 layers=None) -> PrefixCache:
+    """One baseline forward, keeping the logits and the inputs of the weighted layers `layers`.
+
+    `layers` is by default every weighted layer; layer 0's input, the
+    caller's array, is always kept.  With w1 < w2 < ... the kept layers above
+    0, it runs the segments [0, w1), [w1, w2), ... [w_last, len) one after
+    another and keeps each segment's output, the next kept layer's input.
+    A segment runs through the unkept layers inside it, so their inputs are
+    never built (on the default fixture, keeping layers 5 and 7 runs [0, 5)
+    as one row-local stretch); `PrefixCache.fill` builds them later, with the
+    bits a cache that keeps them holds.
     """
     inputs = check_inputs(model, inputs)
     if len(inputs) == 0:
         raise ValueError("cannot cache a forward over an empty input stack")
     layer_inputs = {0: inputs}
-    start, x = 0, inputs
-    for end in [i for i in model.weighted_indices if i > 0]:
-        x = layer_inputs[end] = _forward(model.layers, x, start, end, threads)
-        x.flags.writeable = False
-        start = end
+    x, start = _keep_segments(model.layers, layer_inputs,
+                              model.weighted_indices if layers is None else layers, threads)
     logits = _forward(model.layers, x, start, len(model.layers), threads)
     logits.flags.writeable = False
     return PrefixCache(model, threads, logits, layer_inputs)

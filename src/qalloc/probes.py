@@ -24,8 +24,9 @@ Every function that takes a cache reads it and leaves it as it was, and
 `estimate_t` and `estimate_p` probe the layers they are given.  The one
 calibration front, `calibrate`, takes the model and the dataset instead: it
 chooses the layers the t search probes (`ProbeConfig.last_n`) and copies t
-to the layers below them, builds its own cache, probes the layers last
-first, and drops each layer's input once that layer's probes are done.
+to the layers below them, builds its own cache without the conv inputs above
+layer 0, probes the layers last first, rebuilds those conv inputs when their
+turn comes, and drops each layer's input once that layer's probes are done.
 
 The t search's cost is described once, in `estimate_t`'s docstring.
 
@@ -479,28 +480,42 @@ def calibrate(model: Model, dataset: nn.Dataset, config: ProbeConfig | None = No
     range is a ValueError before any forward, and a target or tolerance
     `estimate_t` rejects is one before any probe.
 
-    It builds its own prefix cache at `threads` and consumes it.  The weighted
+    It builds its own prefix cache at `threads` and consumes it.  The build
+    keeps layer 0's input and the dense layers' (the weighted layers from the
+    first dense one on), and not the conv inputs above layer 0.  The weighted
     layers run last first: for each, its p probe and then its t search, each
     one call of `estimate_p` or `estimate_t` on that layer alone, and then its
-    input leaves the cache (`nn.PrefixCache.drop`).  A probe of layer i reads
-    only the cache's input of layer i and its logits, so every result is what
-    `estimate_t` and `estimate_p` give on a cache that keeps every input,
-    while the cache holds only the logits and the inputs of the layers still
-    to come: the first layer's iterates, the costliest, run next to the logits
+    input leaves the cache (`nn.PrefixCache.drop`).  When the loop reaches the
+    highest conv layer above 0 that a probe will read, one more forward from
+    layer 0 rebuilds the inputs of every such layer (`nn.PrefixCache.fill`);
+    where no probe reads them, as in a t search on dense layers only, they are
+    never built.  A probe of layer i reads only the cache's input of layer i
+    and its logits, so every result is what `estimate_t` and `estimate_p` give
+    on a cache that keeps every input, while the cache holds only the logits
+    and the inputs of the layers still to come, less the conv inputs not yet
+    rebuilt: on the default fixture, layer 3's input never sits next to layer
+    5's, and the first layer's iterates, the costliest, run next to the logits
     alone.  A failed t search stops no layer: the layers below it are still
     searched, and the lowest failing layer's CalibrationError is raised once
     they have.  The results come in layer order; degenerate-layer warnings
     come last layer first.
     """
     searched = () if config is None else probed_layers(model, config.last_n)
-    cache = nn.prefix_cache(model, dataset.inputs, threads=threads)
+    weighted = model.weighted_indices
+    probed = weighted if b_probe is not None else searched
+    # the conv inputs above layer 0 that a probe reads, rebuilt when the loop reaches them
+    refill = [i for i in probed if i > 0 and model.layers[i].kind == "conv2d"]
+    cache = nn.prefix_cache(model, dataset.inputs, threads=threads,
+                            layers=[i for i in weighted if model.layers[i].kind == "dense"])
     labels, meta = dataset.labels, None
     if config is not None:
         rule, mean_r_star = _t_rule(cache, labels, config)
         meta = {"baseline_accuracy": rule.acc_f, "mean_r_star": mean_r_star,
                 "delta_acc": rule.target}
     t_probes, p_probes, failure = [], [], None
-    for i in reversed(model.weighted_indices):
+    for i in reversed(weighted):
+        if refill and i == refill[-1]:
+            cache.fill(refill)
         if b_probe is not None:
             p_probes += estimate_p(cache, b_probe, layers=(i,))
         if i in searched:
@@ -508,7 +523,8 @@ def calibrate(model: Model, dataset: nn.Dataset, config: ProbeConfig | None = No
                 t_probes += estimate_t(cache, labels, config, layers=(i,))
             except CalibrationError as e:
                 failure = e  # the loop runs downward, so the last one kept is the lowest
-        cache.drop(i)
+        if i in cache.layer_inputs:
+            cache.drop(i)
     if failure is not None:
         raise failure
     return (None if config is None else _copy_t_backward(model, t_probes[::-1]),

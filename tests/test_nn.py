@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -375,6 +376,30 @@ class TestPrefixCache:
         with pytest.raises(ValueError, match="no cached input for layer 3"):
             nn.forward_from(cache, model, 3)
         assert np.array_equal(nn.forward_from(cache, model, 0), cache.logits)
+
+    @pytest.mark.parametrize("n", [1, 511, 513, 1100])
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_a_cache_of_some_layers_filled_equals_a_full_cache(
+            self, fixture_model, fixture_dataset, monkeypatch, n, threads):
+        from test_probes import small_conv_fixture
+
+        conv_model, conv_ds = small_conv_fixture(n=n)
+        for model, x in ((fixture_model, fixture_dataset.inputs[:n]), (conv_model, conv_ds.inputs)):
+            full = nn.prefix_cache(model, x, threads)
+            above_0 = model.weighted_indices[1:]
+            for kept in itertools.chain.from_iterable(
+                    itertools.combinations(above_0, k) for k in range(len(above_0) + 1)):
+                cache = nn.prefix_cache(model, x, threads, layers=kept)
+                assert set(cache.layer_inputs) == {0, *kept}
+                assert cache.layer_inputs[0] is x and same_bits(cache.logits, full.logits)
+                with monkeypatch.context() as m:  # a fill is no second cache build
+                    m.setattr(nn, "prefix_cache", None)
+                    cache.fill(set(above_0) - set(kept))
+                assert cache.layer_inputs.keys() == full.layer_inputs.keys()
+                for i, a in full.layer_inputs.items():
+                    assert same_bits(cache.layer_inputs[i], a)
+                    assert cache.layer_inputs[i].flags.writeable == (i == 0)
+                assert same_bits(cache.logits, full.logits)
 
 
 class TestForwardTrie:

@@ -528,6 +528,46 @@ class TestCalibrationFronts:
             with pytest.raises(ValueError, match="no cached input for layer 3"):
                 probes.estimate_p(cache, layers=(3,))
 
+    def test_calibrate_holds_only_the_inputs_of_the_layers_still_to_probe(
+            self, fixture_model, monkeypatch):
+        # the build keeps layers 0, 5 and 7; layer 3's input comes back when its turn comes
+        ds = modelio.gen_dataset(fixture_model, 600, seed=modelio.DEFAULT_SEED + 1)
+        calls = []
+
+        def spy(name, probe):
+            def run(cache, *args, layers, **kwargs):
+                calls.append((name, *layers, sorted(cache.layer_inputs)))
+                return probe(cache, *args, layers=layers, **kwargs)
+            return run
+
+        monkeypatch.setattr(probes, "estimate_p", spy("p", probes.estimate_p))
+        monkeypatch.setattr(probes, "estimate_t", spy("t", probes.estimate_t))
+        probes.calibrate(fixture_model, ds, ProbeConfig(), b_probe=10)
+        held = {7: [0, 5, 7], 5: [0, 5], 3: [0, 3], 0: [0]}
+        assert calls == [(name, i, held[i]) for i in (7, 5, 3, 0) for name in "pt"]
+        calls.clear()
+
+        def no_fill(*args):
+            raise AssertionError("layer 3's input was built")
+
+        monkeypatch.setattr(nn.PrefixCache, "fill", no_fill)
+        probes.calibrate(fixture_model, ds, ProbeConfig(last_n=2))
+        assert calls == [("t", 7, [0, 5, 7]), ("t", 5, [0, 5])]
+
+    def test_a_threaded_calibration_peaks_below_two_conv_inputs(self, fixture_model,
+                                                                 fixture_dataset):
+        # layer 3's input is built only for its own probes, after layer 5's has gone: 14.1 MB
+        # at n = 2000, where a cache that keeps it from the start read 18.1 MB
+        one = 8 * len(fixture_dataset) * math.prod(fixture_model.shapes[3])
+        tracemalloc.start()
+        try:
+            probes.calibrate(fixture_model, fixture_dataset, ProbeConfig(), b_probe=10,
+                             threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * one
+
     def test_a_failed_run_searches_every_layer_and_names_the_lowest_failure(
             self, fixture_model, monkeypatch):
         ds = modelio.gen_dataset(fixture_model, 600, seed=modelio.DEFAULT_SEED + 1)
