@@ -56,7 +56,9 @@ on, and its result equals `forward_batch` on the copy bit for bit.
 layers, running each layer segment once per distinct prefix of changes.  A
 segment boundary only splits a row-local stretch in two, which changes no bit
 either: a cache that keeps fewer inputs, and each input `fill` adds, hold the
-bits of a cache that keeps every one.  Threaded, on more than `_CHUNK` rows,
+bits of a cache that keeps every one.  On a stack that runs as one chunk,
+the trie walks all its rows and frees what a copy recomputes before it builds
+that copy's layers.  Threaded, on more than `_CHUNK` rows,
 the trie cuts the same evaluation chunks itself and walks chunk-major: each
 chunk's thread runs a whole subtree of copies (those that share their first
 weighted layer) over its own rows, so the walk holds one subtree's logits plus
@@ -65,19 +67,22 @@ pool per call, not one per segment.
 
 `forward_stages` is `forward_from` in row stages, for a caller that needs
 only part of the answer, such as which side of a target an accuracy lies
-on.  It stages when given a row order, when the changed layer starts a
-row-local stretch, and when the stack runs as one evaluation chunk (a
-chunked stage would keep every chunk's stretch output at once); otherwise
-it runs whole.  Each stage gathers the next `_STAGE` rows of that order,
-runs them through the stretch, as a chunk's rows run, and the dense tail on
-that output alone, to give provisional logits.  Those can differ in the
+on.  It stages when given a row order and when the stack runs as one
+evaluation chunk (a chunked stage would keep every chunk's stretch output at
+once); otherwise it runs whole.  Each stage takes the next `_STAGE` rows of
+that order.  When the changed layer starts a row-local stretch, the stage
+runs its rows through the stretch, as a chunk's rows run but gathered a
+block at a time, and the dense tail on that output alone; a changed dense
+layer has no stretch, and the stage runs the tail from it on its gathered
+cached rows.  The tail gives provisional logits.  Those can differ in the
 last bits from the final ones, because a dense layer run on fewer rows may
 sum its products in another order; so each row comes with a slack, a
 rounding-error bound (gamma_K times the sum of absolute terms, taken through
 every tail layer) on that difference, and the caller trusts only what the
 slack cannot change.  A caller that stops early skips the remaining rows;
-one that does not gets the tail run on the whole chunk, the same arithmetic
-as `forward_from`, which is itself `forward_stages` with no order.
+one that does not gets the tail run on the whole chunk (the stretch output,
+or the cached input), the same arithmetic as `forward_from`, which is itself
+`forward_stages` with no order.
 """
 
 from __future__ import annotations
@@ -419,24 +424,27 @@ def _stretch(layers, in_shape, start: int, stop: int, rows: int):
 
 
 def _run_blocked(layers, x: np.ndarray, start: int, stop: int, stretch=None,
-                 out=None) -> np.ndarray:
+                 out=None, rows=None) -> np.ndarray:
     """Run the row-local layers[start:stop] on x in _BLOCK-row blocks, into one output.
 
-    The one stretch runner, for a chunk's stretch and a stage's gathered rows.
+    The one stretch runner, for a chunk's stretch and a stage's rows.  Given
+    `rows`, an index array, it runs x[rows] instead, and each block gathers
+    its own rows of x as it starts, so no copy of all of them is made.
     `stretch` is the `_stretch` of these layers with workspaces for at least
-    min(len(x), _BLOCK) rows; by default it is built for this call, so each
+    min(rows run, _BLOCK) rows; by default it is built for this call, so each
     chunk's thread has its own workspaces.  Every block reuses them.  The
     last step writes its blocks into `out`, the rows the caller's output
-    keeps for x, or by default into a new array.
+    keeps for the rows run, or by default into a new array.
     """
+    count = len(x) if rows is None else len(rows)
     if stretch is None:
-        stretch = _stretch(layers, x.shape[1:], start, stop, min(len(x), _BLOCK))
+        stretch = _stretch(layers, x.shape[1:], start, stop, min(count, _BLOCK))
     shape, steps = stretch
     if out is None:
-        out = np.empty((len(x), *shape))
+        out = np.empty((count, *shape))
     last = len(steps) - 1
-    for b in range(0, len(x), _BLOCK):
-        y = x[b:b + _BLOCK]
+    for b in range(0, count, _BLOCK):
+        y = x[b:b + _BLOCK] if rows is None else x[rows[b:b + _BLOCK]]
         n = len(y)
         for s, (layer, ws, conv) in enumerate(steps):
             dst = out[b:b + n] if s == last else (y if ws is None else ws[:n])
@@ -652,8 +660,14 @@ def _tail_with_slack(layers, x: np.ndarray, start: int, sums):
 
 
 def _stage(layers, x, out, rows, start: int, stop: int, stretch, sums):
-    """A stage: layers[start:stop] on x[rows] into out[rows], then the tail; its arrays die here."""
-    out[rows] = y = _run_blocked(layers, x[rows], start, stop, stretch)
+    """A stage: layers[start:stop] on x[rows] into out[rows], then the tail; its arrays die here.
+
+    With no row-local layers (start == stop), the tail runs on x[rows] itself.
+    """
+    if start == stop:
+        y = x[rows]
+    else:
+        out[rows] = y = _run_blocked(layers, x, start, stop, stretch, rows=rows)
     return _tail_with_slack(layers, y, stop, sums)
 
 
@@ -663,23 +677,25 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     `model` is a copy of the cached model with layer `index` changed (not
     its kind), as for `forward_from`.  The last item yielded is (None,
     logits, None) with the exact logits.  It runs in stages when given
-    `order`, a permutation of the row indices, when layer `index` starts a
-    row-local stretch (a dense layer has none), and when a forward of the
+    `order`, a permutation of the row indices, and when a forward of the
     cache runs whole, in no evaluation chunks (`_chunked`: one thread, or at
     most `_CHUNK` rows): a chunked stage would keep every chunk's stretch
     output at once, where `forward_batch` holds one per thread.
     Then an item (rows, logits, slack) comes before the last for each stage,
-    the next `_STAGE` rows of `order` as ascending indices.  A stage gathers
-    its rows, runs the row-local layers from `index` on them (`_run_blocked`)
-    into one output allocated up front, through workspaces that the
-    generator builds once and every stage reuses, and the dense tail on its
-    own output alone: the provisional logits, and per row a bound on how far
-    they lie from the final ones (`_tail_with_slack`).  A caller that has
-    seen enough closes the generator, and the remaining rows never run;
-    otherwise the tail runs on the whole output, as in `forward_batch`.  No
-    bit depends on the blocks or the row order: each stretch output row
-    depends on its input row alone.  Unstaged, it is `_forward` of
-    layers[index:] on the cached input, in evaluation chunks when `_chunked`.
+    the next `_STAGE` rows of `order` as ascending indices.  When layer
+    `index` starts a row-local stretch, a stage runs the stretch on its rows
+    (`_run_blocked`, which gathers them a block at a time) into one output
+    allocated up front, through workspaces that the generator builds once
+    and every stage reuses, and the dense tail on its own output alone; a
+    changed dense layer has no stretch, and a stage runs the tail from it on
+    its gathered cached rows.  The tail gives the provisional logits, and per
+    row a bound on how far they lie from the final ones (`_tail_with_slack`).
+    A caller that has seen enough closes the generator, and the remaining
+    rows never run; otherwise the tail runs on the whole stretch output, or
+    on the cached input, as in `forward_batch`.  No bit depends on the
+    blocks or the row order: each stretch output row depends on its input
+    row alone.  Unstaged, it is `_forward` of layers[index:] on the cached
+    input, in evaluation chunks when `_chunked`.
     """
     if index not in cache.layer_inputs:
         raise ValueError(f"no cached input for layer {index}; "
@@ -690,14 +706,16 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     if [l.kind for l in model.layers] != [l.kind for l in cache.model.layers]:
         raise ValueError("layer kinds differ from the cached model's")
     layers, x = model.layers, cache.layer_inputs[index]
+    if order is None or index == len(layers) or _chunked(len(x), cache.threads):
+        yield None, _forward(layers, x, index, len(layers), cache.threads), None
+        return
     end = index  # the row-local stretch is layers[index:end]
     while end < len(layers) and layers[end].kind in _ROW_LOCAL:
         end += 1
-    if order is None or end == index or _chunked(len(x), cache.threads):
-        yield None, _forward(layers, x, index, len(layers), cache.threads), None
-        return
-    out = np.empty((len(x), *model.shapes[end]))
-    stretch = _stretch(layers, x.shape[1:], index, end, min(len(x), _BLOCK))
+    out, stretch = x, None  # with no stretch, the exact tail reads the cached input
+    if end > index:
+        out = np.empty((len(x), *model.shapes[end]))
+        stretch = _stretch(layers, x.shape[1:], index, end, min(len(x), _BLOCK))
     sums = _tail_sums(layers, end)
     for lo in range(0, len(x), _STAGE):
         rows = np.sort(order[lo:lo + _STAGE])
@@ -709,34 +727,46 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     yield None, out, None
 
 
-def _trie_plan(layers, weighted, paths, layer_for):
+def _trie_plan(layers, weighted, paths, layer_for, release=None):
     """(path, k, its layers) per sorted path; k counts the first values it shares with the last.
 
     `layer_for` builds each layer once per distinct prefix, lazily, as the
     plan is read: a path's layers before weighted layer k are those of the
-    path before it.
+    path before it.  `release(k)`, when given, runs before they are built,
+    so a walk that reads the plan as it goes frees what the path recomputes
+    before the path's layers are quantized.
     """
     layers = list(layers)
     prev = ()
     for path in paths:
         k = next((j for j, (a, b) in enumerate(zip(prev, path)) if a != b), len(prev))
+        if release is not None:
+            release(k)
         for j in range(k, len(weighted)):
             layers[weighted[j]] = layer_for(weighted[j], path[j])
         yield path, k, tuple(layers)
         prev = path
 
 
-def _trie_walk(plan, weighted, ends, x):
-    """(path, logits) per `_trie_plan` item, on the rows x, the first weighted layer's input.
+def _trie_release(stack, k: int):
+    """Free stack[k + 1:], what a path that shares its first k values with the last recomputes."""
+    stack[k + 1:] = [None] * (len(stack) - k - 1)
 
-    The walk keeps one activation per weighted layer (the input of weighted
-    layer j under the current path's first j values), and a path that
-    shares its first k values with the one before it resumes from the input
-    of weighted layer k, so each layer segment runs once per distinct prefix.
+
+def _trie_walk(plan, weighted, ends, stack):
+    """(path, logits) per `_trie_plan` item, on the rows stack[0], the first weighted layer's input.
+
+    `stack` holds one activation per weighted layer, None past stack[0] at
+    the start: stack[j] is the input of weighted layer j under the current
+    path's first j values, and stack[-1] its logits.  A path that shares its
+    first k values with the one before it resumes from stack[k], so each
+    layer segment runs once per distinct prefix, and stack[k + 1:], which it
+    recomputes, is freed first (`_trie_release`); a plan read as the walk
+    goes frees it before it builds the path's layers, a plan built ahead
+    (a chunk's) when the walk reads the path.
     """
-    stack = [x] + [None] * len(weighted)
     for path, k, layers in plan:
-        stack[k + 1:] = [None] * (len(weighted) - k)  # free what this path recomputes
+        _trie_release(stack, k)
         for j in range(k, len(weighted)):
             stack[j + 1] = _forward(layers, stack[j], weighted[j], ends[j], 1)
         yield path, stack[-1]
@@ -754,7 +784,12 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
     (`_trie_walk`), so each layer segment, from one weighted layer to the
     next, runs and `layer_for` is called once per distinct prefix.  On a
     stack that runs as one evaluation chunk the walk runs on all its rows
-    and holds at most one input per weighted layer at a time.  When
+    and holds at most one input per weighted layer at a time.  It frees the
+    activations a path that shares its first k values with the one before
+    it recomputes before `layer_for` builds that path's layers: while they
+    are built, what is alive is the inputs of weighted layers 0 to k, the
+    layers of the path before, and whatever the caller kept, such as the
+    last logits yielded.  When
     `_chunked`, it takes the paths one subtree at a time (the paths that
     share their first value): this thread builds the subtree's layers, then
     each `_CHUNK`-row evaluation chunk's task walks the whole subtree over
@@ -777,17 +812,21 @@ def forward_trie(model: Model, inputs: np.ndarray, paths, layer_for, threads: in
     layers = model.layers
     ends = (*weighted[1:], len(layers))  # weighted layer j's segment is layers[weighted[j]:ends[j]]
     x = _forward(layers, inputs, 0, weighted[0] if weighted else len(layers), threads)
-    plan = _trie_plan(layers, weighted, paths, layer_for)
     if not _chunked(len(x), threads):
-        yield from _trie_walk(plan, weighted, ends, x)
+        stack = [x] + [None] * len(weighted)
+        plan = _trie_plan(layers, weighted, paths, layer_for,
+                          functools.partial(_trie_release, stack))
+        yield from _trie_walk(plan, weighted, ends, stack)
         return
+    plan = _trie_plan(layers, weighted, paths, layer_for)
 
     def subtree_logits(pool, size):  # its pairs hold the subtree's last references, freed as read
         subtree = list(itertools.islice(plan, size))  # calls layer_for, on this thread
         out = [np.empty((len(x), model.d)) for _ in subtree]
 
         def walk(a):
-            for z, (_, logits) in zip(out, _trie_walk(subtree, weighted, ends, x[a:a + _CHUNK])):
+            stack = [x[a:a + _CHUNK]] + [None] * len(weighted)
+            for z, (_, logits) in zip(out, _trie_walk(subtree, weighted, ends, stack)):
                 z[a:a + _CHUNK] = logits
 
         list(pool.map(walk, range(0, len(x), _CHUNK)))

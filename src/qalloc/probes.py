@@ -276,7 +276,8 @@ class _LayerSearch:
     `nn.forward_stages` a row order; where that runs its rows in stages, the
     iterate counts the rows whose class its signed margins settle
     (`_settled`) and stops once they make the side certain.  An iterate that
-    runs every row leaves its exact logits in `z`.
+    runs every row leaves its exact logits in `z`, which the next iterate
+    frees before it runs.
 
     Row order: every earlier iterate lies at or below the bracket's k_lo or
     at or above its k_hi, and the next scale k lies between them.  So a
@@ -301,6 +302,7 @@ class _LayerSearch:
 
     def __call__(self, k: float) -> int:
         rule, labels = self.rule, self.labels
+        self.z = None
         model = nn.perturb_layer(self.cache.model, self.i, k * self.direction)
         right = wrong = 0
         seen, margins = [], []
@@ -405,8 +407,9 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     time in the order `_LayerSearch` predicts from the layer's earlier
     iterates, and stops once the rows its signed margins settle make that side
     certain: on the default fixture that takes 1010 of 2000 rows, so it stops
-    after 1024 at the earliest, and at one thread it forwards 70-73% of the
-    time-weighted rows (`gen_dataset` seeds 191, 192 and 195, probe seed 0).
+    after 1024 at the earliest, and at one thread it forwards 68-71% of the
+    time-weighted rows (`gen_dataset` seeds 191, 192 and 195, probe seed 0;
+    a row weighs its layer's forward time, the dense layers' included).
     The k sequence, the iteration count and every result
     are those of a search that forwards every row.  The accepted iterate runs
     to the end, so its exact logits give its drop and feature-noise power at

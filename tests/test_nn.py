@@ -2,6 +2,7 @@ import itertools
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -493,12 +494,67 @@ class TestForwardTrie:
             list(nn.forward_trie(model, x, self.SUBTREE_PATHS, layer_for, threads=4))
         assert threading.active_count() == before
 
+    def test_a_one_chunk_walk_frees_what_a_path_recomputes_before_building_its_layers(
+            self, fixture_model, fixture_dataset, fixture_profiles, monkeypatch):
+        # the benchmark sweep's 45 vectors (adaptive, sqnr and equal at anchors 6..10), and
+        # hand-made paths with a duplicate, on stacks that run as one chunk
+        from qalloc import allocate, harness, quantize
+
+        grid = {quantize.allocation_bits(fixture_model, a) for method in allocate.METHODS
+                for b1 in (6.0, 7.0, 8.0, 9.0, 10.0)
+                for a in harness._allocations_for(method, b1, fixture_profiles, 16, None)}
+        assert len(grid) == 45
+        model = conv_net("same")
+        x = np.random.default_rng(8).standard_normal((nn._CHUNK, *model.input_shape))
+        for net, rows, paths, threads in ((fixture_model, fixture_dataset.inputs[:300], grid, 1),
+                                          (model, x, self.SUBTREE_PATHS, 1),
+                                          (model, x, self.SUBTREE_PATHS, 2)):
+            check_walk_frees_before_building(net, rows, paths, threads, monkeypatch)
+
     def test_rejects_paths_of_the_wrong_length_before_any_forward(self):
         model = conv_net("same")
         x = np.zeros((3, 8, 8, 2), dtype=np.float32)
         with pytest.raises(ValueError, match="3 values for 4 weighted layers"):
             next(nn.forward_trie(model, x, [(4, 4, 4, 4), (4, 4, 4)], None))
         assert list(nn.forward_trie(model, x, [], None)) == []
+
+
+def check_walk_frees_before_building(model, x, paths, threads, monkeypatch):
+    """Walk `paths` with forward_trie, and each time layer_for builds weighted layer j,
+    assert that no segment output deeper than j, an earlier path's, is still alive."""
+    from qalloc.harness import prefix_counts
+    from qalloc.quantize import _quantize_layer
+
+    weighted = model.weighted_indices
+    ends = (*weighted[1:], len(model.layers))
+    depth = {(w, e): j + 1 for j, (w, e) in enumerate(zip(weighted, ends))}
+    outputs = []  # (depth, weak reference) per segment output: weighted layer j's is depth j + 1
+    forward = nn._forward
+
+    def spy(layers, x, start, stop, threads, out=None):
+        y = forward(layers, x, start, stop, threads, out)
+        if (start, stop) in depth:
+            outputs.append((depth[start, stop], weakref.ref(y)))
+        return y
+
+    shared = []  # per layer_for call, how many activations of the shared prefix are alive
+
+    def layer_for(i, bits):
+        j = weighted.index(i)
+        alive = [d for d, ref in outputs if ref() is not None]
+        assert all(d <= j for d in alive), f"building layer {i}: depths {alive} alive"
+        shared.append(len(alive))
+        return _quantize_layer(model.layers[i], bits, i)
+
+    monkeypatch.setattr(nn, "_forward", spy)
+    walked = []
+    for path, z in nn.forward_trie(model, x, paths, layer_for, threads):
+        walked.append(path)
+        del z  # the caller's logits die too, so every depth is checked
+    monkeypatch.undo()
+    assert walked == sorted(set(map(tuple, paths)))
+    # every segment ran once per distinct prefix, and layer_for saw shared prefixes alive
+    assert len(outputs) == sum(prefix_counts(paths)) and max(shared) > 0
 
 
 def engine_net(padding, stride, first=None, seed=0):
@@ -777,8 +833,8 @@ class TestOwnership:
             changed = model if i == 0 else quantize_single_layer(model, i, 4)
             nn.forward_from(cache, changed, i)
             *stages, _ = nn.forward_stages(cache, changed, i, order)
-            # 600 rows are one chunk only at one thread, and a dense layer has no stretch
-            assert bool(stages) == (threads == 1 and model.layers[i].kind != "dense")
+            # 600 rows are one chunk only at one thread; a dense layer stages its tail
+            assert bool(stages) == (threads == 1)
             stages = nn.forward_stages(cache, changed, i, order)
             next(stages)
             stages.close()
@@ -849,8 +905,8 @@ class TestForwardStages:
                 noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
                 changed = nn.perturb_layer(model, i, noise)
                 want = nn.forward_from(cache, changed, i)
-                # a layer stages on a stack that runs as one chunk, from a stretch
-                staged = (threads == 1 or n <= nn._CHUNK) and model.layers[i].kind != "dense"
+                # a layer stages on a stack that runs as one chunk, from a stretch or a dense layer
+                staged = threads == 1 or n <= nn._CHUNK
                 for order in (None, np.arange(n), rng.permutation(n)):
                     *stages, (rows, z, slack) = nn.forward_stages(cache, changed, i, order)
                     assert rows is None and slack is None and same_bits(z, want)
@@ -864,6 +920,22 @@ class TestForwardStages:
                     for lo, (r, provisional, s) in zip(range(0, n, nn._STAGE), stages):
                         assert list(r) == sorted(order[lo:lo + nn._STAGE])
                         assert np.all(np.abs(provisional - want[r]).max(axis=1) <= s)
+
+    @pytest.mark.parametrize("count", [1, 31, 32, 33, 128, 129])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_stretch_on_rows_equals_the_stretch_on_their_copy(self, fixture_model, dtype, count):
+        # a stage's stretch gathers its rows a block at a time; unsorted rows, both stretches
+        # of the default fixture and the bias-free net's, with its own and a shared stretch
+        rng = np.random.default_rng(count)
+        bias_free = bias_free_net("same", seed=count)
+        for model, start, stop in ((fixture_model, 0, 5), (fixture_model, 3, 5), (bias_free, 0, 4)):
+            layers = model.layers
+            x = rng.standard_normal((300, *model.shapes[start])).astype(dtype)
+            rows = rng.choice(len(x), count, replace=False)
+            want = nn._run_blocked(layers, x[rows], start, stop)
+            stretch = nn._stretch(layers, x.shape[1:], start, stop, nn._BLOCK)
+            for shared in (None, stretch, stretch):
+                assert same_bits(nn._run_blocked(layers, x, start, stop, shared, rows=rows), want)
 
     def test_closing_early_runs_no_further_stage(self, fixture_model, fixture_cache):
         noise = np.full(fixture_model.layers[0].weights.shape, 1e-3)
