@@ -29,18 +29,26 @@ and chunk and reused by every block; relu runs in place on them, never on an
 array the engine did not make, and a relu right after a dense layer runs in
 place on that layer's output.  A conv is one matrix product per image and
 kernel offset: on the flattened input, offset (dy, dx) is one strided slice,
-whose product fills a grid of oh rows of the padded width wp.  The wp - ow
-columns past the output in each grid row are junk that nothing reads, and what
-follows the conv reads the grid's valid view, so a conv has no output
-workspace of its own.  Each output pixel sums the same products in the same
-order as one product per output row would, but numpy and BLAS may compute a
-product entry differently at another row count: a one-column output is a
-vector times the kernel, and BLAS may sum the leftover rows of a product in
-another order.  A conv whose shape shows such a difference on seeded random
-data (`_conv_per_row`) keeps one product per output row, so every conv has
-the bits of the per-row arithmetic that the engine's tests keep as a frozen
-reference.  What these layers give a row of the stack (one sample) depends
-on that row's input alone, so blocking changes no bit either.
+whose product fills a grid of oh rows of the input's row stride wr.
+Neighbouring rows of the bordered input share their zero columns: wr is the
+input width plus the wider of its left and right borders, so the zeros after
+one row are also the next row's left border.  The wr - ow columns past the
+output in each grid row are junk that nothing reads (one on a 3x3 "same" conv
+at stride 1), and what follows the conv reads the grid's valid view, so a
+conv has no output workspace of its own.  The conv adds its bias, and applies
+the relu right after it, on its grid; when a maxpool follows it, directly or
+through that relu, the maxpool applies both to its smaller output instead.
+That is exact: rounding x + b and relu are monotone in x, so each commutes
+with a window's maximum, and a conv's sums are never -0.0.  Each output pixel
+sums the same products in the same order as one product per output row
+would, but numpy and BLAS may compute a product entry differently at another
+row count: a one-column output is a vector times the kernel, and BLAS may
+sum the leftover rows of a product in another order.  A conv whose shape
+shows such a difference on seeded random data (`_conv_per_row`) keeps one
+product per output row, so every conv has the bits of the per-row arithmetic
+that the engine's tests keep as a frozen reference.  What these layers give
+a row of the stack (one sample) depends on that row's input alone, so
+blocking changes no bit either.
 Dense layers run on the whole chunk, because OpenBLAS dense results depend on
 the row count of the call.
 
@@ -67,22 +75,22 @@ pool per call, not one per segment.
 
 `forward_stages` is `forward_from` in row stages, for a caller that needs
 only part of the answer, such as which side of a target an accuracy lies
-on.  It stages when given a row order and when the stack runs as one
-evaluation chunk (a chunked stage would keep every chunk's stretch output at
-once); otherwise it runs whole.  Each stage takes the next `_STAGE` rows of
-that order.  When the changed layer starts a row-local stretch, the stage
-runs its rows through the stretch, as a chunk's rows run but gathered a
-block at a time, and the dense tail on that output alone; a changed dense
-layer has no stretch, and the stage runs the tail from it on its gathered
-cached rows.  The tail gives provisional logits.  Those can differ in the
+on.  It stages when given a row order, when the changed layer starts a
+row-local stretch, and when the stack runs as one evaluation chunk (a
+chunked stage would keep every chunk's stretch output at once); otherwise
+it runs whole.  A changed dense layer runs whole: a stage of its rows costs
+about what they cost in the whole product, and an iterate that runs to the
+end would run the dense tail twice.  Each stage takes the next `_STAGE` rows
+of that order, runs them through the stretch, as a chunk's rows run but
+gathered a block at a time, and the dense tail on that output alone, to
+give provisional logits.  Those can differ in the
 last bits from the final ones, because a dense layer run on fewer rows may
 sum its products in another order; so each row comes with a slack, a
 rounding-error bound (gamma_K times the sum of absolute terms, taken through
 every tail layer) on that difference, and the caller trusts only what the
 slack cannot change.  A caller that stops early skips the remaining rows;
-one that does not gets the tail run on the whole chunk (the stretch output,
-or the cached input), the same arithmetic as `forward_from`, which is itself
-`forward_stages` with no order.
+one that does not gets the tail run on the whole stretch output, the same
+arithmetic as `forward_from`, which is itself `forward_stages` with no order.
 """
 
 from __future__ import annotations
@@ -260,7 +268,7 @@ class Dataset:
 
 
 @functools.cache
-def _conv_per_row(cin: int, cout: int, stride: int, oh: int, ow: int, wp: int) -> bool:
+def _conv_per_row(cin: int, cout: int, stride: int, oh: int, ow: int, wr: int) -> bool:
     """Whether a conv of this shape multiplies one output row at a time, not one image.
 
     One product per image gives an output pixel the bits of one product per
@@ -276,51 +284,56 @@ def _conv_per_row(cin: int, cout: int, stride: int, oh: int, ow: int, wp: int) -
     """
     rng = np.random.default_rng(0)
     n = -(-512 // (oh * ow * cout))
-    xs = rng.standard_normal((n, (oh * wp - 1) * stride + 1, cin))[:, ::stride]
+    xs = rng.standard_normal((n, (oh * wr - 1) * stride + 1, cin))[:, ::stride]
     w = rng.standard_normal((cin, cout))
-    rows = xs.reshape(n, oh, wp, cin)[:, :, :ow] @ w
-    return not np.array_equal((xs @ w).reshape(n, oh, wp, cout)[:, :, :ow], rows)
+    rows = xs.reshape(n, oh, wr, cin)[:, :, :ow] @ w
+    return not np.array_equal((xs @ w).reshape(n, oh, wr, cout)[:, :, :ow], rows)
 
 
 def _conv_into(x, w, bias, stride, ow, per_row, relu, pad, grid, tmp):
     """A conv2d of one row block x onto its grid; returns the grid's valid view (n, oh, ow, cout).
 
     w is float64, and bias None or a float64 tile of one image's grid.  pad is
-    the flat float64 input buffer, (n, hp * wp + tail, cin): each image's
-    zero-bordered (hp, wp) input, row after row, then a zero tail.  Only the
+    the flat float64 input buffer, (n, hp * wr + tail, cin): each image's
+    zero-bordered input, hp rows of row stride wr, then a zero tail.  With
+    left and right the widths of the zero borders ("same" padding puts the
+    odd column on the right), wr is w + max(left, right): the zeros after
+    one row's last column are also the next row's left border, and the last
+    row's right border is the bottom border or the zero tail.  Only the
     input's place in it is written, so the border and the tail stay zero.
-    grid and tmp are C-contiguous (n, oh, wp, cout): grid entry (oy, ox) is
-    output pixel (oy, ox), and the wp - ow columns past ow are junk that
-    nothing reads.  Kernel offset (dy, dx) reads the slice of pad from
-    dy * wp + dx with step `stride`, the inputs of every grid entry in order,
-    so each image and offset costs one product of oh * wp rows.  `per_row`
-    (`_conv_per_row`) splits that slice into output rows instead and gives
-    each its own product of ow rows, into the grid's valid columns.
+    grid and tmp are C-contiguous (n, oh, wr, cout): grid entry (oy, ox) is
+    output pixel (oy, ox), and the wr - ow columns past ow are junk that
+    nothing reads (one on a 3x3 "same" conv at stride 1).  Kernel offset
+    (dy, dx) reads the slice of pad from dy * wr + dx with step `stride`, the
+    inputs of every grid entry in order, so each image and offset costs one
+    product of oh * wr rows.  `per_row` (`_conv_per_row`) splits that slice
+    into output rows instead and gives each its own product of ow rows, into
+    the grid's valid columns.
 
     The sum runs in (dy, dx) order from 0.0: the first product lands in grid
     as it is, which equals 0.0 + p bit for bit, because numpy's matmul (with
     BLAS or without) accumulates each entry from +0.0 and so never returns
-    -0.0.  Later products go through tmp and are added; the bias comes last.
-    Given `relu`, a relu follows in place.  Bias and relu run on every column
-    the products wrote, junk included: on the whole grid, that is faster than
-    on its valid view.
+    -0.0, and neither does a sum of such terms.  Later products go through
+    tmp and are added; the bias comes last.  Given `relu`, a relu follows in
+    place.  Bias and relu run on every column the products wrote, junk
+    included: on the whole grid, that is faster than on its valid view.
     """
     kh, kw = w.shape[:2]
     n, h, wd, cin = x.shape
-    oh, wp, cout = grid.shape[1:]
+    oh, wr, cout = grid.shape[1:]
     hp = max((oh - 1) * stride + kh, h)
-    top, left = (hp - h) // 2, (wp - wd) // 2
-    pad[:, :hp * wp].reshape(n, hp, wp, cin)[:, top:top + h, left:left + wd] = x  # exact cast
+    top, left = (hp - h) // 2, (max((ow - 1) * stride + kw, wd) - wd) // 2
+    pad[:, :hp * wr].reshape(n, hp, wr, cin)[:, top:top + h, left:left + wd] = x  # exact cast
     if per_row:
         dst, prod = grid[:, :, :ow], tmp[:, :, :ow]
     else:
-        dst, prod = grid.reshape(n, oh * wp, cout), tmp.reshape(n, oh * wp, cout)
+        dst, prod = grid.reshape(n, oh * wr, cout), tmp.reshape(n, oh * wr, cout)
     for dy in range(kh):
         for dx in range(kw):
-            at = dy * wp + dx
-            xs = pad[:, at:at + (oh * wp - 1) * stride + 1:stride]
+            at = dy * wr + dx
+            xs = pad[:, at:at + (oh * wr - 1) * stride + 1:stride]
             if per_row:
-                xs = xs.reshape(n, oh, wp, cin)[:, :, :ow]
+                xs = xs.reshape(n, oh, wr, cin)[:, :, :ow]
             if dy == dx == 0:
                 np.matmul(xs, w[0, 0], out=dst)
             else:
@@ -334,8 +347,16 @@ def _conv_into(x, w, bias, stride, ow, per_row, relu, pad, grid, tmp):
     return grid[:, :, :ow]
 
 
-def _maxpool_into(x, layer: Layer, dst):
-    # A running maximum over the k*k strided window views: exact in any order.
+def _maxpool_into(x, layer: Layer, dst, bias=None, relu=False):
+    """A maxpool of x into dst, then, when given, the bias and relu of the conv before it.
+
+    A running maximum over the k*k strided window views, in row-major window
+    order: another order could let another of +0.0 and -0.0 win a tie.
+    `bias` (a float64 tile of one pooled image) and `relu` run in place on
+    dst: rounding x + b and relu are both monotone in x, so each commutes
+    with a window's maximum, and a conv's sums are never -0.0, so moving
+    them after the maximum decides no tie between zeros of two signs.
+    """
     k, s = layer.pool_size, layer.stride
     oh, ow = dst.shape[1:3]
     views = (x[:, dy:dy + (oh - 1) * s + 1:s, dx:dx + (ow - 1) * s + 1:s]
@@ -343,6 +364,10 @@ def _maxpool_into(x, layer: Layer, dst):
     dst[...] = next(views)
     for view in views:
         np.maximum(dst, view, out=dst)
+    if bias is not None:
+        dst += bias
+    if relu:
+        np.maximum(dst, 0.0, out=dst)
     return dst
 
 
@@ -370,56 +395,84 @@ def _dense_at(layers, x, i: int, stop: int, out=None):
     return x, end
 
 
-def _conv_args(layer: Layer, in_shape, out_shape, rows: int, relu: bool):
-    """`_conv_into`'s arguments but the block: the float64 weights and bias tile, the
-    stride, ow, `per_row`, `relu`, and the zeroed input buffer, the grid and the product
-    buffer."""
+def _bias_tile(layer: Layer, shape):
+    """The layer's bias in float64, tiled to one image's `shape`, or None without a bias.
+
+    Added as a tile, a bias runs faster than as a broadcast of its values.
+    """
+    if layer.bias is None:
+        return None
+    return np.broadcast_to(layer.bias.astype(np.float64, copy=False), shape).copy()
+
+
+def _conv_args(layer: Layer, in_shape, out_shape, rows: int, relu: bool, bias: bool):
+    """`_conv_into`'s arguments but the block: the float64 weights and bias tile (None
+    unless `bias`), the stride, ow, `per_row`, `relu`, and the zeroed input buffer, the
+    grid and the product buffer.
+
+    The row stride is wr = w + max(left, right), the bordered width less the
+    left border: a row's right border is also the next row's left border.
+    """
     h, w, cin = in_shape
     oh, ow, cout = out_shape
     kh, kw = layer.weights.shape[:2]
     s = layer.stride
-    hp, wp = max((oh - 1) * s + kh, h), max((ow - 1) * s + kw, w)
+    hp, pw = max((oh - 1) * s + kh, h), max((ow - 1) * s + kw, w) - w
+    wr = w + pw - pw // 2  # the right border is the wider
     # the tail holds what the last offset's slice reads past the bordered input
-    size = max(hp * wp, (kh - 1) * wp + kw + (oh * wp - 1) * s)
-    # added as a tile of one image's grid, the bias runs faster than as a broadcast of cout values
-    bias = None if layer.bias is None else np.broadcast_to(
-        layer.bias.astype(np.float64, copy=False), (oh, wp, cout)).copy()
-    return (layer.weights.astype(np.float64, copy=False), bias, s, ow,
-            _conv_per_row(cin, cout, s, oh, ow, wp), relu, np.zeros((rows, size, cin)),
-            np.empty((rows, oh, wp, cout)), np.empty((rows, oh, wp, cout)))
+    size = max(hp * wr, (kh - 1) * wr + kw + (oh * wr - 1) * s)
+    return (layer.weights.astype(np.float64, copy=False),
+            _bias_tile(layer, (oh, wr, cout)) if bias else None, s, ow,
+            _conv_per_row(cin, cout, s, oh, ow, wr), relu, np.zeros((rows, size, cin)),
+            np.empty((rows, oh, wr, cout)), np.empty((rows, oh, wr, cout)))
 
 
 def _stretch(layers, in_shape, start: int, stop: int, rows: int):
     """The row-local layers[start:stop] as `_run_blocked` runs them: (output row shape, steps).
 
-    A step is (layer, its workspace or None, its `_conv_args` or None), with
-    workspaces for blocks of up to `rows` rows.  A conv writes onto its own
-    grid (`_conv_into`), and what follows reads the grid's valid view; a relu
-    right after it, unless the relu ends the stretch, has no step: it runs in
-    place on the grid, inside the conv.  A maxpool writes into a block-sized
-    workspace.  The last step writes its rows of `_run_blocked`'s output
+    A step is (layer, its workspace or None, its arguments), with workspaces
+    for blocks of up to `rows` rows.  A conv's arguments are its
+    `_conv_args`: it writes onto its own grid (`_conv_into`), and what
+    follows reads the grid's valid view; a relu right after it, unless the
+    relu ends the stretch, has no step: the conv applies it.  A maxpool
+    writes into a block-sized workspace, and its arguments are the bias
+    (None, or a tile of one pooled image) and relu it applies in place
+    afterwards (`_maxpool_into`): when it follows a conv, directly or
+    through the relu the conv applies, the conv's bias and that relu run
+    there, on a quarter of the grid behind a 2x2 pool, and the conv runs
+    neither.  The last step writes its rows of `_run_blocked`'s output
     instead, and a conv that ends the stretch copies its valid view there.
     Any other relu after another layer of the stretch runs in place on what
     that layer wrote; one first in the stretch writes a workspace of its own,
     since the stretch's input is never written.
     """
     shapes = _shapes_of(layers, in_shape, start, stop)
+    kinds = [layer.kind for layer in layers[start:stop]]
 
     def in_conv(k):  # whether layers[start + k] is a relu the conv before it applies
-        return (0 < k < stop - start - 1 and layers[start + k].kind == "relu"
-                and layers[start + k - 1].kind == "conv2d")
+        return 0 < k < len(kinds) - 1 and kinds[k] == "relu" and kinds[k - 1] == "conv2d"
 
-    steps = []
+    def pooled(k):  # the maxpool step's index when the conv at k moves its bias and relu there
+        after = k + 1 + in_conv(k + 1)
+        return after if after < len(kinds) and kinds[after] == "maxpool2d" else None
+
+    steps, moved = [], {}  # maxpool index -> the (bias tile, relu) of the conv before it
     for k, layer in enumerate(layers[start:stop]):
         if in_conv(k):
             continue
-        conv = None
+        args = None
         if layer.kind == "conv2d":
-            conv = _conv_args(layer, shapes[k], shapes[k + 1], rows, in_conv(k + 1))
+            pool = pooled(k)
+            args = _conv_args(layer, shapes[k], shapes[k + 1], rows,
+                              relu=in_conv(k + 1) and pool is None, bias=pool is None)
+            if pool is not None:
+                moved[pool] = (_bias_tile(layer, shapes[pool + 1]), in_conv(k + 1))
+        elif layer.kind == "maxpool2d":
+            args = moved.get(k, (None, False))
         ws = None  # the output, the conv's grid, or in place
-        if start + k < stop - 1 and conv is None and (layer.kind != "relu" or k == 0):
+        if start + k < stop - 1 and layer.kind != "conv2d" and (layer.kind != "relu" or k == 0):
             ws = np.empty((rows, *shapes[k + 1]))
-        steps.append((layer, ws, conv))
+        steps.append((layer, ws, args))
     return shapes[-1], steps
 
 
@@ -446,17 +499,17 @@ def _run_blocked(layers, x: np.ndarray, start: int, stop: int, stretch=None,
     for b in range(0, count, _BLOCK):
         y = x[b:b + _BLOCK] if rows is None else x[rows[b:b + _BLOCK]]
         n = len(y)
-        for s, (layer, ws, conv) in enumerate(steps):
+        for s, (layer, ws, args) in enumerate(steps):
             dst = out[b:b + n] if s == last else (y if ws is None else ws[:n])
-            if conv is not None:
-                *args, pad, grid, tmp = conv
-                y = _conv_into(y, *args, pad[:n], grid[:n], tmp[:n])
+            if layer.kind == "conv2d":
+                *conv, pad, grid, tmp = args
+                y = _conv_into(y, *conv, pad[:n], grid[:n], tmp[:n])
                 if s == last:
                     dst[...] = y
             elif layer.kind == "relu":
                 y = np.maximum(y, 0.0, out=dst, dtype=np.float64)
             else:
-                y = _maxpool_into(y, layer, dst)
+                y = _maxpool_into(y, layer, dst, *args)
     return out
 
 
@@ -660,14 +713,8 @@ def _tail_with_slack(layers, x: np.ndarray, start: int, sums):
 
 
 def _stage(layers, x, out, rows, start: int, stop: int, stretch, sums):
-    """A stage: layers[start:stop] on x[rows] into out[rows], then the tail; its arrays die here.
-
-    With no row-local layers (start == stop), the tail runs on x[rows] itself.
-    """
-    if start == stop:
-        y = x[rows]
-    else:
-        out[rows] = y = _run_blocked(layers, x, start, stop, stretch, rows=rows)
+    """A stage: layers[start:stop] on x[rows] into out[rows], then the tail; its arrays die here."""
+    out[rows] = y = _run_blocked(layers, x, start, stop, stretch, rows=rows)
     return _tail_with_slack(layers, y, stop, sums)
 
 
@@ -677,25 +724,27 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     `model` is a copy of the cached model with layer `index` changed (not
     its kind), as for `forward_from`.  The last item yielded is (None,
     logits, None) with the exact logits.  It runs in stages when given
-    `order`, a permutation of the row indices, and when a forward of the
-    cache runs whole, in no evaluation chunks (`_chunked`: one thread, or at
-    most `_CHUNK` rows): a chunked stage would keep every chunk's stretch
-    output at once, where `forward_batch` holds one per thread.
+    `order`, a permutation of the row indices, when layer `index` starts a
+    row-local stretch, and when a forward of the cache runs whole, in no
+    evaluation chunks (`_chunked`: one thread, or at most `_CHUNK` rows): a
+    chunked stage would keep every chunk's stretch output at once, where
+    `forward_batch` holds one per thread.  A changed dense layer has no
+    stretch, and runs whole: a stage of its rows would cost about what they
+    cost in the whole product, and an iterate run to the end would pay the
+    dense tail twice.
     Then an item (rows, logits, slack) comes before the last for each stage,
-    the next `_STAGE` rows of `order` as ascending indices.  When layer
-    `index` starts a row-local stretch, a stage runs the stretch on its rows
-    (`_run_blocked`, which gathers them a block at a time) into one output
-    allocated up front, through workspaces that the generator builds once
-    and every stage reuses, and the dense tail on its own output alone; a
-    changed dense layer has no stretch, and a stage runs the tail from it on
-    its gathered cached rows.  The tail gives the provisional logits, and per
-    row a bound on how far they lie from the final ones (`_tail_with_slack`).
-    A caller that has seen enough closes the generator, and the remaining
-    rows never run; otherwise the tail runs on the whole stretch output, or
-    on the cached input, as in `forward_batch`.  No bit depends on the
-    blocks or the row order: each stretch output row depends on its input
-    row alone.  Unstaged, it is `_forward` of layers[index:] on the cached
-    input, in evaluation chunks when `_chunked`.
+    the next `_STAGE` rows of `order` as ascending indices.  A stage runs the
+    stretch on its rows (`_run_blocked`, which gathers them a block at a
+    time) into one output allocated up front, through workspaces that the
+    generator builds once and every stage reuses, and the dense tail on its
+    own output alone: the provisional logits, and per row a bound on how far
+    they lie from the final ones (`_tail_with_slack`).  A caller that has
+    seen enough closes the generator, and the remaining rows never run;
+    otherwise the tail runs on the whole stretch output, as in
+    `forward_batch`.  No bit depends on the blocks or the row order: each
+    stretch output row depends on its input row alone.  Unstaged, it is
+    `_forward` of layers[index:] on the cached input, in evaluation chunks
+    when `_chunked`.
     """
     if index not in cache.layer_inputs:
         raise ValueError(f"no cached input for layer {index}; "
@@ -706,16 +755,14 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     if [l.kind for l in model.layers] != [l.kind for l in cache.model.layers]:
         raise ValueError("layer kinds differ from the cached model's")
     layers, x = model.layers, cache.layer_inputs[index]
-    if order is None or index == len(layers) or _chunked(len(x), cache.threads):
-        yield None, _forward(layers, x, index, len(layers), cache.threads), None
-        return
     end = index  # the row-local stretch is layers[index:end]
     while end < len(layers) and layers[end].kind in _ROW_LOCAL:
         end += 1
-    out, stretch = x, None  # with no stretch, the exact tail reads the cached input
-    if end > index:
-        out = np.empty((len(x), *model.shapes[end]))
-        stretch = _stretch(layers, x.shape[1:], index, end, min(len(x), _BLOCK))
+    if order is None or end == index or _chunked(len(x), cache.threads):
+        yield None, _forward(layers, x, index, len(layers), cache.threads), None
+        return
+    out = np.empty((len(x), *model.shapes[end]))
+    stretch = _stretch(layers, x.shape[1:], index, end, min(len(x), _BLOCK))
     sums = _tail_sums(layers, end)
     for lo in range(0, len(x), _STAGE):
         rows = np.sort(order[lo:lo + _STAGE])

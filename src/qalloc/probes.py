@@ -407,9 +407,10 @@ def estimate_t(cache: nn.PrefixCache, labels, config: ProbeConfig = ProbeConfig(
     time in the order `_LayerSearch` predicts from the layer's earlier
     iterates, and stops once the rows its signed margins settle make that side
     certain: on the default fixture that takes 1010 of 2000 rows, so it stops
-    after 1024 at the earliest, and at one thread it forwards 68-71% of the
+    after 1024 at the earliest, and at one thread it forwards 70-73% of the
     time-weighted rows (`gen_dataset` seeds 191, 192 and 195, probe seed 0;
-    a row weighs its layer's forward time, the dense layers' included).
+    a row weighs its layer's forward time).  A dense layer's iterates run
+    every row: staging them would cost about as much as it saves.
     The k sequence, the iteration count and every result
     are those of a search that forwards every row.  The accepted iterate runs
     to the end, so its exact logits give its drop and feature-noise power at

@@ -414,7 +414,7 @@ class TestEstimateTSummary:
 
 
 # dataset 191 (the default gen-data seed) at n = 2000, probe seed 0
-SUMMARY_191 = "t search: 33 iterations, 29 decided early, 68.3% of full-forward rows"
+SUMMARY_191 = "t search: 33 iterations, 12 decided early, 87.7% of full-forward rows"
 
 
 class TestQuantizeEvaluate:

@@ -723,6 +723,15 @@ def grid_net(name, seed=0):
     OpenBLAS's SkylakeX kernels sum the leftover rows and columns of a product
     in another order than whole blocks, so the engine must keep one product per
     output row there (its Haswell kernels do so for the 1x1 net's second conv).
+
+    The pool nets put a maxpool after a conv, which then runs the conv's bias
+    and relu on the pooled block: pool-no-relu has no relu between them,
+    pool-3-2 overlapping 3x3 windows at stride 2, pool-2-1 2x2 windows at
+    stride 1.  Two more put a "same" conv whose zero borders differ from
+    3x3's before a pool: kernel-4 (3x4, one zero column on the left, two on
+    the right) and kernel-1x3 (no top or bottom border, so its last row's
+    right edge reads the zero tail).  Their convs' biases have negative
+    entries and one -0.0.
     """
     rng = np.random.default_rng(seed)
 
@@ -731,6 +740,14 @@ def grid_net(name, seed=0):
 
     def conv(kh, kw, cin, cout, **kw_args):
         return Layer("conv2d", u(kh, kw, cin, cout), u(cout), **kw_args)
+
+    def pooled(kh, kw, cin, cout, relu, pool, stride, **kw_args):
+        bias = u(cout)
+        bias[::2] = -np.abs(bias[::2])  # negative: a relu run before the bias would show
+        bias[0] = -0.0
+        return (Layer("conv2d", u(kh, kw, cin, cout), bias, **kw_args),
+                *((Layer("relu"),) if relu else ()),
+                Layer("maxpool2d", pool_size=pool, stride=stride))
 
     shape, front = {
         "wide": ((16, 16, 32), (conv(3, 3, 32, 32, padding="same"), Layer("relu"),
@@ -746,6 +763,11 @@ def grid_net(name, seed=0):
         "one-column-2": ((9, 4, 2), (conv(3, 3, 2, 4, stride=2), Layer("relu"),
                                      conv(3, 3, 4, 3, padding="same"))),
         "leftovers": ((5, 5, 16), (conv(3, 3, 16, 2), Layer("relu"))),
+        "pool-no-relu": ((10, 10, 3), pooled(3, 3, 3, 4, False, 2, 2, padding="same")),
+        "pool-3-2": ((11, 11, 3), pooled(3, 3, 3, 4, True, 3, 2, padding="same")),
+        "pool-2-1": ((9, 9, 3), pooled(3, 3, 3, 4, True, 2, 1, padding="same")),
+        "kernel-4": ((10, 10, 3), pooled(3, 4, 3, 4, True, 2, 2, padding="same")),
+        "kernel-1x3": ((6, 7, 3), pooled(1, 3, 3, 4, True, 2, 2, padding="same")),
     }[name]
     out = shape
     for i, layer in enumerate(front):
@@ -754,7 +776,7 @@ def grid_net(name, seed=0):
 
 
 GRID_NETS = ["wide", "one-channel", "1x1", "stride-3", "7x7", "one-column-1", "one-column-2",
-             "leftovers"]
+             "leftovers", "pool-no-relu", "pool-3-2", "pool-2-1", "kernel-4", "kernel-1x3"]
 
 
 class TestEngineOracle:
@@ -808,6 +830,37 @@ class TestEngineOracle:
                     assert same_bits(nn._forward(layers, x, start, stop, threads), want)
 
 
+class TestConvLayout:
+    """How the default fixture's convs run: the speed of every forward rests on it."""
+
+    def test_the_fixture_s_convs_share_a_zero_column_and_multiply_whole_images(
+            self, fixture_model):
+        # Row strides 17 and 9 (16 and 8 columns, plus the column neighbouring rows share), one
+        # product per image.  A BLAS kernel whose sums make _conv_per_row pick per-row products
+        # here gives the same bits several times slower; CI runs this under forced kernels.
+        layers, got = fixture_model.layers, []
+        for start, stop in ((0, 3), (3, 5)):
+            _, steps = nn._stretch(layers, fixture_model.shapes[start], start, stop, nn._BLOCK)
+            (_, _, conv), = [step for step in steps if step[0].kind == "conv2d"]
+            grid, per_row = conv[-2], conv[4]
+            got.append((grid.shape[2], per_row))
+        assert got == [(17, False), (9, False)]
+
+    def test_a_conv_s_bias_and_relu_run_after_its_maxpool(self, fixture_model):
+        # conv0 -> relu -> maxpool: the conv runs neither its bias nor the relu, and the pool
+        # adds the bias as a tile of one pooled image, then applies the relu
+        layers = fixture_model.layers
+        _, steps = nn._stretch(layers, fixture_model.input_shape, 0, 3, nn._BLOCK)
+        assert [layer.kind for layer, _, _ in steps] == ["conv2d", "maxpool2d"]
+        (_, _, conv), (_, _, (bias, relu)) = steps
+        assert conv[1] is None and conv[5] is False and relu is True
+        assert same_bits(bias, np.broadcast_to(layers[0].bias.astype(np.float64), (8, 8, 8)))
+        # conv3 ends its stretch after its relu, and keeps both
+        _, steps = nn._stretch(layers, fixture_model.shapes[3], 3, 5, nn._BLOCK)
+        (_, _, conv), (relu_layer, _, _) = steps
+        assert conv[1].shape == (8, 9, 8) and conv[5] is False and relu_layer.kind == "relu"
+
+
 class TestOwnership:
     """The engine writes only arrays it made: never a caller's input or a cached activation."""
 
@@ -833,8 +886,8 @@ class TestOwnership:
             changed = model if i == 0 else quantize_single_layer(model, i, 4)
             nn.forward_from(cache, changed, i)
             *stages, _ = nn.forward_stages(cache, changed, i, order)
-            # 600 rows are one chunk only at one thread; a dense layer stages its tail
-            assert bool(stages) == (threads == 1)
+            # 600 rows are one chunk only at one thread, and a dense layer has no stretch
+            assert bool(stages) == (threads == 1 and model.layers[i].kind != "dense")
             stages = nn.forward_stages(cache, changed, i, order)
             next(stages)
             stages.close()
@@ -905,8 +958,8 @@ class TestForwardStages:
                 noise = rng.uniform(-0.5, 0.5, size=model.layers[i].weights.shape) * 1e-3
                 changed = nn.perturb_layer(model, i, noise)
                 want = nn.forward_from(cache, changed, i)
-                # a layer stages on a stack that runs as one chunk, from a stretch or a dense layer
-                staged = threads == 1 or n <= nn._CHUNK
+                # a layer stages on a stack that runs as one chunk, from a stretch
+                staged = (threads == 1 or n <= nn._CHUNK) and model.layers[i].kind != "dense"
                 for order in (None, np.arange(n), rng.permutation(n)):
                     *stages, (rows, z, slack) = nn.forward_stages(cache, changed, i, order)
                     assert rows is None and slack is None and same_bits(z, want)
