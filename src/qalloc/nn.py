@@ -35,20 +35,20 @@ input width plus the wider of its left and right borders, so the zeros after
 one row are also the next row's left border.  The wr - ow columns past the
 output in each grid row are junk that nothing reads (one on a 3x3 "same" conv
 at stride 1), and what follows the conv reads the grid's valid view, so a
-conv has no output workspace of its own.  The conv adds its bias, and applies
-the relu right after it, on its grid; when a maxpool follows it, directly or
-through that relu, the maxpool applies both to its smaller output instead.
-That is exact: rounding x + b and relu are monotone in x, so each commutes
-with a window's maximum, and a conv's sums are never -0.0.  Each output pixel
-sums the same products in the same order as one product per output row
-would, but numpy and BLAS may compute a product entry differently at another
-row count: a one-column output is a vector times the kernel, and BLAS may
-sum the leftover rows of a product in another order.  A conv whose shape
-shows such a difference on seeded random data (`_conv_per_row`) keeps one
-product per output row, so every conv has the bits of the per-row arithmetic
-that the engine's tests keep as a frozen reference.  What these layers give
-a row of the stack (one sample) depends on that row's input alone, so
-blocking changes no bit either.
+conv has no output workspace of its own.  The conv adds its bias on its grid,
+and a relu after it runs in place on the grid's valid view; when a maxpool
+follows it, directly or through a relu, the maxpool applies the bias and that
+relu to its smaller output instead.  That is exact: rounding x + b and relu
+are monotone in x, so each commutes with a window's maximum, and a conv's
+sums are never -0.0.  Each output pixel sums the same products in the same
+order as one product per output row would, but numpy and BLAS may compute a
+product entry differently at another row count: a one-column output is a
+vector times the kernel, and BLAS may sum the leftover rows of a product in
+another order.  A conv whose shape shows such a difference on seeded random
+data (`_conv_per_row`) keeps one product per output row, so every conv has
+the bits of the per-row arithmetic that the engine's tests keep as a frozen
+reference.  What these layers give a row of the stack (one sample) depends on
+that row's input alone, so blocking changes no bit either.
 Dense layers run on the whole chunk, because OpenBLAS dense results depend on
 the row count of the call.
 
@@ -290,7 +290,7 @@ def _conv_per_row(cin: int, cout: int, stride: int, oh: int, ow: int, wr: int) -
     return not np.array_equal((xs @ w).reshape(n, oh, wr, cout)[:, :, :ow], rows)
 
 
-def _conv_into(x, w, bias, stride, ow, per_row, relu, pad, grid, tmp):
+def _conv_into(x, w, bias, stride, ow, per_row, pad, grid, tmp):
     """A conv2d of one row block x onto its grid; returns the grid's valid view (n, oh, ow, cout).
 
     w is float64, and bias None or a float64 tile of one image's grid.  pad is
@@ -314,9 +314,9 @@ def _conv_into(x, w, bias, stride, ow, per_row, relu, pad, grid, tmp):
     as it is, which equals 0.0 + p bit for bit, because numpy's matmul (with
     BLAS or without) accumulates each entry from +0.0 and so never returns
     -0.0, and neither does a sum of such terms.  Later products go through
-    tmp and are added; the bias comes last.  Given `relu`, a relu follows in
-    place.  Bias and relu run on every column the products wrote, junk
-    included: on the whole grid, that is faster than on its valid view.
+    tmp and are added; the bias comes last, on every column the products
+    wrote, junk included: on the whole grid, that is faster than on its
+    valid view.
     """
     kh, kw = w.shape[:2]
     n, h, wd, cin = x.shape
@@ -339,11 +339,9 @@ def _conv_into(x, w, bias, stride, ow, per_row, relu, pad, grid, tmp):
             else:
                 np.matmul(xs, w[dy, dx], out=prod)
                 dst += prod
-    wrote = grid[:, :, :ow] if per_row else grid
     if bias is not None:
+        wrote = grid[:, :, :ow] if per_row else grid
         wrote += bias[:, :wrote.shape[2]]
-    if relu:
-        np.maximum(wrote, 0.0, out=wrote)
     return grid[:, :, :ow]
 
 
@@ -371,25 +369,23 @@ def _maxpool_into(x, layer: Layer, dst, bias=None, relu=False):
     return dst
 
 
-def _apply_dense(x, layer: Layer, out=None):
-    x = x.reshape(len(x), layer.weights.shape[0]).astype(np.float64, copy=False)
-    out = np.matmul(x, layer.weights.astype(np.float64, copy=False), out=out)
-    if layer.bias is not None:
-        out += layer.bias.astype(np.float64, copy=False)
-    return out
-
-
 def _dense_at(layers, x, i: int, stop: int, out=None):
     """Dense layers[i] on x, then each relu after it before `stop`: (output, next layer index).
 
-    The output is a new array, or `out` (C-contiguous rows of the range's
+    The one dense runner, for a chunk's layers and a stage's tail.  The
+    output is a new array, or `out` (C-contiguous rows of the range's
     output) when these layers end the range at `stop`.  The relus run in
     place on it, so they allocate nothing.
     """
     end = i + 1
     while end < stop and layers[end].kind == "relu":
         end += 1
-    x = _apply_dense(x, layers[i], out if end == stop else None)
+    layer = layers[i]
+    x = x.reshape(len(x), layer.weights.shape[0]).astype(np.float64, copy=False)
+    x = np.matmul(x, layer.weights.astype(np.float64, copy=False),
+                  out=out if end == stop else None)
+    if layer.bias is not None:
+        x += layer.bias.astype(np.float64, copy=False)
     for _ in range(i + 1, end):
         np.maximum(x, 0.0, out=x)
     return x, end
@@ -405,10 +401,10 @@ def _bias_tile(layer: Layer, shape):
     return np.broadcast_to(layer.bias.astype(np.float64, copy=False), shape).copy()
 
 
-def _conv_args(layer: Layer, in_shape, out_shape, rows: int, relu: bool, bias: bool):
+def _conv_args(layer: Layer, in_shape, out_shape, rows: int, bias: bool):
     """`_conv_into`'s arguments but the block: the float64 weights and bias tile (None
-    unless `bias`), the stride, ow, `per_row`, `relu`, and the zeroed input buffer, the
-    grid and the product buffer.
+    unless `bias`), the stride, ow, `per_row`, and the zeroed input buffer, the grid and
+    the product buffer.
 
     The row stride is wr = w + max(left, right), the bordered width less the
     left border: a row's right border is also the next row's left border.
@@ -423,7 +419,7 @@ def _conv_args(layer: Layer, in_shape, out_shape, rows: int, relu: bool, bias: b
     size = max(hp * wr, (kh - 1) * wr + kw + (oh * wr - 1) * s)
     return (layer.weights.astype(np.float64, copy=False),
             _bias_tile(layer, (oh, wr, cout)) if bias else None, s, ow,
-            _conv_per_row(cin, cout, s, oh, ow, wr), relu, np.zeros((rows, size, cin)),
+            _conv_per_row(cin, cout, s, oh, ow, wr), np.zeros((rows, size, cin)),
             np.empty((rows, oh, wr, cout)), np.empty((rows, oh, wr, cout)))
 
 
@@ -433,40 +429,35 @@ def _stretch(layers, in_shape, start: int, stop: int, rows: int):
     A step is (layer, its workspace or None, its arguments), with workspaces
     for blocks of up to `rows` rows.  A conv's arguments are its
     `_conv_args`: it writes onto its own grid (`_conv_into`), and what
-    follows reads the grid's valid view; a relu right after it, unless the
-    relu ends the stretch, has no step: the conv applies it.  A maxpool
-    writes into a block-sized workspace, and its arguments are the bias
-    (None, or a tile of one pooled image) and relu it applies in place
-    afterwards (`_maxpool_into`): when it follows a conv, directly or
-    through the relu the conv applies, the conv's bias and that relu run
-    there, on a quarter of the grid behind a 2x2 pool, and the conv runs
-    neither.  The last step writes its rows of `_run_blocked`'s output
-    instead, and a conv that ends the stretch copies its valid view there.
-    Any other relu after another layer of the stretch runs in place on what
-    that layer wrote; one first in the stretch writes a workspace of its own,
-    since the stretch's input is never written.
+    follows reads the grid's valid view.  A maxpool writes into a
+    block-sized workspace, and its arguments are the bias (None, or a tile
+    of one pooled image) and relu it applies in place afterwards
+    (`_maxpool_into`): when it follows a conv, directly or through a relu,
+    the conv's bias and that relu run there, on a quarter of the grid behind
+    a 2x2 pool: the conv runs neither, and that relu has no step.  The
+    last step writes its rows of `_run_blocked`'s output instead, and a conv
+    that ends the stretch copies its valid view there.  Any other relu after
+    another layer of the stretch runs in place on what that layer wrote, a
+    conv's grid view included; one first in the stretch writes a workspace
+    of its own, since the stretch's input is never written.
     """
     shapes = _shapes_of(layers, in_shape, start, stop)
     kinds = [layer.kind for layer in layers[start:stop]]
 
-    def in_conv(k):  # whether layers[start + k] is a relu the conv before it applies
-        return 0 < k < len(kinds) - 1 and kinds[k] == "relu" and kinds[k - 1] == "conv2d"
-
-    def pooled(k):  # the maxpool step's index when the conv at k moves its bias and relu there
-        after = k + 1 + in_conv(k + 1)
-        return after if after < len(kinds) and kinds[after] == "maxpool2d" else None
+    def in_pool(k):  # whether layers[start + k] is a relu between a conv and a maxpool
+        return 0 < k < len(kinds) - 1 and kinds[k - 1:k + 2] == ["conv2d", "relu", "maxpool2d"]
 
     steps, moved = [], {}  # maxpool index -> the (bias tile, relu) of the conv before it
     for k, layer in enumerate(layers[start:stop]):
-        if in_conv(k):
+        if in_pool(k):
             continue
         args = None
         if layer.kind == "conv2d":
-            pool = pooled(k)
-            args = _conv_args(layer, shapes[k], shapes[k + 1], rows,
-                              relu=in_conv(k + 1) and pool is None, bias=pool is None)
-            if pool is not None:
-                moved[pool] = (_bias_tile(layer, shapes[pool + 1]), in_conv(k + 1))
+            pool = k + 1 + in_pool(k + 1)
+            pooled = pool < len(kinds) and kinds[pool] == "maxpool2d"
+            args = _conv_args(layer, shapes[k], shapes[k + 1], rows, bias=not pooled)
+            if pooled:
+                moved[pool] = (_bias_tile(layer, shapes[pool + 1]), in_pool(k + 1))
         elif layer.kind == "maxpool2d":
             args = moved.get(k, (None, False))
         ws = None  # the output, the conv's grid, or in place
@@ -665,33 +656,32 @@ def forward_from(cache: PrefixCache, model: Model, index: int) -> np.ndarray:
 
 
 def _tail_sums(layers, start: int):
-    """Per layer of the tail layers[start:]: None for relu, and for a dense layer
-    (gamma_K, the largest column sum of |w|, the largest |b|) with K = in_features + 1."""
+    """Per dense layer of the tail layers[start:], (gamma_K, the largest column sum of |w|,
+    the largest |b|) with K = in_features + 1."""
     sums = []
     for layer in layers[start:]:
-        if layer.kind == "relu":
-            sums.append(None)
-            continue
-        k = layer.weights.shape[0] + 1
-        sums.append((k * 2.0 ** -53 / (1 - k * 2.0 ** -53),
-                     float(np.abs(layer.weights).sum(axis=0, dtype=np.float64).max(initial=0.0)),
-                     0.0 if layer.bias is None else float(np.abs(layer.bias).max(initial=0.0))))
+        if layer.kind == "dense":
+            k, w = layer.weights.shape[0] + 1, np.abs(layer.weights)
+            b = 0.0 if layer.bias is None else float(np.abs(layer.bias).max(initial=0.0))
+            sums.append((k * 2.0 ** -53 / (1 - k * 2.0 ** -53),
+                         float(w.sum(axis=0, dtype=np.float64).max(initial=0.0)), b))
     return sums
 
 
 def _tail_with_slack(layers, x: np.ndarray, start: int, sums):
     """Provisional logits of layers[start:] on a stage's rows, and each row's slack.
 
-    The tail is dense and relu layers (a dense layer's output is a vector,
-    which no conv or pool takes), and `sums` is its `_tail_sums`.  The slack
-    bounds, per row, how far any of its logits can lie from the logits the
-    same rows get when the tail runs on a whole evaluation chunk, where
-    OpenBLAS may sum each dot product in another order.  A dense output
+    The tail is dense and relu layers (a dense layer's output is a vector, which
+    no conv or pool takes) and starts with a dense layer; each runs with the
+    relus after it through `_dense_at`, and `sums` is the tail's `_tail_sums`.
+    The slack bounds, per row, how far any of its logits can lie from the
+    logits the same rows get when the tail runs on a whole evaluation chunk,
+    where OpenBLAS may sum each dot product in another order.  A dense output
     entry sums K = in_features products and the bias; in any order its
-    rounding error is at most g * sum|terms|, with g = gamma_K = K u / (1 - K u)
-    and u = 2^-53.  So if the two inputs of a dense layer differ by at most s
-    per entry, with x the provisional one, each output entry differs by at
-    most
+    rounding error is at most g * sum|terms|, with u = 2^-53 and
+    g = gamma_K = K u / (1 - K u).  So if the two inputs of a dense layer
+    differ by at most s per entry, with x the provisional one, each output
+    entry differs by at most
         2 g (max|x| C + B) + (1 + g) s C,
     where C is the largest column sum of |w| and B the largest |b|, since
     max|x| C bounds sum_k |x_k| |w_kj| for every j.  The stretch output both
@@ -699,15 +689,11 @@ def _tail_with_slack(layers, x: np.ndarray, start: int, sums):
     passes s on.  The result is doubled to cover the rounding of the bound's
     own arithmetic.
     """
-    slack = np.zeros(len(x))
-    for layer, layer_sums in zip(layers[start:], sums):
-        if layer_sums is None:
-            x = np.maximum(x, 0.0)
-            continue
-        g, col, b = layer_sums
+    slack, i = np.zeros(len(x)), start
+    for g, col, b in sums:
         flat = x.reshape(len(x), -1)
         xmax = np.maximum(flat.max(axis=1, initial=0.0), -flat.min(axis=1, initial=0.0))
-        x = _apply_dense(x, layer)
+        x, i = _dense_at(layers, x, i, len(layers))
         slack = 2 * g * (xmax * col + b) + (1 + g) * slack * col
     return x, 2 * slack
 
@@ -740,8 +726,9 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
     own output alone: the provisional logits, and per row a bound on how far
     they lie from the final ones (`_tail_with_slack`).  A caller that has
     seen enough closes the generator, and the remaining rows never run;
-    otherwise the tail runs on the whole stretch output, as in
-    `forward_batch`.  No bit depends on the blocks or the row order: each
+    otherwise the tail runs on the whole stretch output, one `_dense_at`
+    after another, as `forward_batch` runs it: a stack that stages runs as
+    one chunk.  No bit depends on the blocks or the row order: each
     stretch output row depends on its input row alone.  Unstaged, it is
     `_forward` of layers[index:] on the cached input, in evaluation chunks
     when `_chunked`.
@@ -768,9 +755,8 @@ def forward_stages(cache: PrefixCache, model: Model, index: int, order: np.ndarr
         rows = np.sort(order[lo:lo + _STAGE])
         yield rows, *_stage(layers, x, out, rows, index, end, stretch, sums)
     del stretch  # the stages' workspaces go before the whole-stack tail
-    if end < len(layers):  # the stretch output is freed once the first dense layer has read it
+    while end < len(layers):  # the stretch output is freed once the first dense layer has read it
         out, end = _dense_at(layers, out, end, len(layers))
-        out = _forward(layers, out, end, len(layers), cache.threads)
     yield None, out, None
 
 

@@ -847,18 +847,30 @@ class TestConvLayout:
         assert got == [(17, False), (9, False)]
 
     def test_a_conv_s_bias_and_relu_run_after_its_maxpool(self, fixture_model):
-        # conv0 -> relu -> maxpool: the conv runs neither its bias nor the relu, and the pool
+        # conv0 -> relu -> maxpool: the conv runs no bias and the relu has no step; the pool
         # adds the bias as a tile of one pooled image, then applies the relu
         layers = fixture_model.layers
         _, steps = nn._stretch(layers, fixture_model.input_shape, 0, 3, nn._BLOCK)
         assert [layer.kind for layer, _, _ in steps] == ["conv2d", "maxpool2d"]
         (_, _, conv), (_, _, (bias, relu)) = steps
-        assert conv[1] is None and conv[5] is False and relu is True
+        assert conv[1] is None and relu is True
         assert same_bits(bias, np.broadcast_to(layers[0].bias.astype(np.float64), (8, 8, 8)))
-        # conv3 ends its stretch after its relu, and keeps both
+        # conv3 ends its stretch after its relu: the conv adds its bias, and the relu is a step
         _, steps = nn._stretch(layers, fixture_model.shapes[3], 3, 5, nn._BLOCK)
         (_, _, conv), (relu_layer, _, _) = steps
-        assert conv[1].shape == (8, 9, 8) and conv[5] is False and relu_layer.kind == "relu"
+        assert conv[1].shape == (8, 9, 8) and relu_layer.kind == "relu"
+
+    def test_a_relu_between_two_convs_is_a_step_of_its_own(self):
+        # one-channel: conv -> relu -> conv.  The relu runs in place on the first conv's grid
+        # view, so no step has a workspace, and no conv applies a relu: per_row is the one
+        # flag among a conv's arguments
+        model = grid_net("one-channel")
+        _, steps = nn._stretch(model.layers, model.input_shape, 0, 3, nn._BLOCK)
+        assert [(layer.kind, ws is None) for layer, ws, _ in steps] == [
+            ("conv2d", True), ("relu", True), ("conv2d", True)]
+        for layer, _, args in steps:
+            if layer.kind == "conv2d":
+                assert [a for a in args if isinstance(a, bool)] == [args[4]]
 
 
 class TestOwnership:
@@ -999,6 +1011,37 @@ class TestForwardStages:
         rows, _, _ = next(stages)
         assert list(rows) == list(range(128, 256))
         stages.close()
+
+    def test_the_exact_tail_holds_no_stretch_output_at_its_second_dense_layer(
+            self, fixture_model, fixture_dataset, monkeypatch):
+        # a staged iterate from conv3 run to its end: each stage's stretch output dies with
+        # its stage, and the whole stack's once dense 5 has read it, so dense 7 of the exact
+        # tail runs next to none.  300 rows: stages of 128, 128 and 44, none a whole stack.
+        n = 300
+        cache = nn.prefix_cache(fixture_model, fixture_dataset.inputs[:n], layers=(3,))
+        changed = nn.perturb_layer(fixture_model, 3,
+                                   np.full(fixture_model.layers[3].weights.shape, 1e-3))
+        outputs, alive_at_dense_7 = [], []
+        run_blocked, dense_at = nn._run_blocked, nn._dense_at
+
+        def blocked(*args, **kwargs):
+            y = run_blocked(*args, **kwargs)
+            outputs.append(weakref.ref(y))
+            return y
+
+        def dense(layers, x, i, *args):
+            if len(x) == n and i == 5:
+                outputs.append(weakref.ref(x))
+            if len(x) == n and i == 7:
+                alive_at_dense_7.append(sum(ref() is not None for ref in outputs))
+            return dense_at(layers, x, i, *args)
+
+        monkeypatch.setattr(nn, "_run_blocked", blocked)
+        monkeypatch.setattr(nn, "_dense_at", dense)
+        *stages, (_, z, _) = nn.forward_stages(cache, changed, 3, np.arange(n))
+        monkeypatch.undo()
+        assert len(stages) == 3 and len(outputs) == 4 and alive_at_dense_7 == [0]
+        assert same_bits(z, nn.forward_batch(changed, fixture_dataset.inputs[:n]))
 
     def test_slack_bounds_the_tail_at_every_row_count(self, fixture_model, fixture_cache):
         # OpenBLAS sums a dense layer's products in an order that depends on the row count

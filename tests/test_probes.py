@@ -153,6 +153,13 @@ class TestEstimateT:
         assert res[0].copied and not res[1].copied
         assert res[0].t == res[1].t
 
+    def test_a_model_without_weighted_layers_searches_nothing(self):
+        # no layer to probe, so no t to copy backward: an empty list, not an IndexError
+        rng = np.random.default_rng(0)
+        ds = Dataset(rng.standard_normal((200, 3)).astype(np.float32), rng.integers(0, 3, 200))
+        res, p_probes, _ = probes.calibrate(Model((Layer("relu"),), (3,)), ds, ProbeConfig(), 8)
+        assert res == [] and p_probes == []
+
     @pytest.mark.parametrize("delta_acc,tol,holds_every_drop", [
         (None, 0.5, True), (None, 1.0, True), (0.25, 0.75, True), (None, 0.49, False),
         (0.25, 0.74, False)])
@@ -594,8 +601,9 @@ class TestCalibrationFronts:
             assert searched == order
 
     def test_pipeline_peaks_below_three_cached_layer_inputs(self, fixture_model):
-        # the inputs of layers 3, 5 and 7 and the logits, held through layer 0's search
-        # whose iterates need about as much again, read 3.97 inputs of layer 3 before
+        # layer 3's input is never held next to layer 5's, so the peak is layer 3's search:
+        # its input and an iterate's stretch output, as large, next to the logits and the
+        # workspaces.  It reads 2.37 inputs of layer 3 here, and 2.20 at n = 2000.
         ds = modelio.gen_dataset(fixture_model, 1000, seed=modelio.DEFAULT_SEED + 1)
         one = 8 * len(ds) * math.prod(fixture_model.shapes[3])  # layer 3's input, the largest
         tracemalloc.start()
@@ -604,7 +612,7 @@ class TestCalibrationFronts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * one
+        assert peak < 2.5 * one
 
 
 def within(provisional: float, slack: float, u: float) -> float:
